@@ -96,6 +96,12 @@ pub struct UpdateManagerStats {
     pub segments_coalesced: u64,
     /// Retained queries dropped by [`MAX_RETAINED_QUERIES`].
     pub retained_dropped: u64,
+    /// Augmenting paths pushed across all solves
+    /// (`CoverGraph::augmentations`).
+    pub augmentations: u64,
+    /// Adjacency entries the solves' path searches examined
+    /// (`CoverGraph::edges_scanned`) — search cost as a count.
+    pub edges_scanned: u64,
 }
 
 /// One materialized run of outstanding updates `[start, end)` of an
@@ -176,7 +182,11 @@ impl UpdateManager {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> UpdateManagerStats {
-        self.stats
+        UpdateManagerStats {
+            augmentations: self.graph.augmentations(),
+            edges_scanned: self.graph.edges_scanned(),
+            ..self.stats
+        }
     }
 
     /// Attaches observational telemetry handles (`um.*` metrics). Timing
@@ -584,6 +594,10 @@ mod tests {
         // isolated and were pruned.
         assert_eq!(um.retained_queries(), 0);
         assert_eq!(um.stats().queries_pruned, 2);
+        // One augmenting path per query (40, 40, then the update's last
+        // 20), and the searches that found them were counted.
+        assert_eq!(um.stats().augmentations, 3);
+        assert!(um.stats().edges_scanned > 0);
     }
 
     #[test]

@@ -28,17 +28,17 @@
 //! and already knows, from its own bookkeeping, which update ranges to
 //! ship when the answer is no. [`CoverGraph::solve_query_membership`]
 //! answers exactly that: augment the flow to maximality (incrementally),
-//! then run an **early-exit** residual BFS from `s` that stops the moment
-//! the query node is discovered. No reachability vector, no `HashSet`
-//! materialization, no allocation at all. The full
+//! then search `s ⇝ q` with the same bidirectional routine that finds
+//! augmenting paths (see [`crate::graph`]) — and not even that when `q`'s
+//! sink edge still has residual capacity. No reachability vector, no
+//! `HashSet` materialization, no allocation at all. The full
 //! [`CoverGraph::solve`] survives for tests, stats, and offline planning.
 //!
 //! This is sound because the residual-reachable set of *any* maximum flow
 //! is the same canonical set (the minimal source-side min cut): whichever
-//! augmenting order — or [`FlowSolver`] — produced maximality, membership
-//! answers are identical.
+//! augmenting order produced maximality, membership answers are
+//! identical.
 
-use crate::dinic::{dinic_max_flow_with, DinicScratch};
 use crate::graph::{EdgeId, FlowNetwork, NodeId, INF};
 use std::collections::HashSet;
 
@@ -49,31 +49,6 @@ pub struct UpdateNode(pub usize);
 /// Handle to a query node in a [`CoverGraph`]. Stable across compaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryNode(pub usize);
-
-/// How [`CoverGraph`] pushes the incremental flow to maximality on each
-/// solve. All three produce identical covers (the residual-reachable set
-/// of a maximum flow is canonical); they differ only in wall-clock cost,
-/// raced head-to-head in the `flow_solve` bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowSolver {
-    /// Shortest-augmenting-path (Edmonds–Karp) until no path remains —
-    /// the paper's §4 incremental step. One BFS per augmenting path.
-    EdmondsKarp,
-    /// Dinic's blocking flow on every solve. Fewer phases when many
-    /// paths are needed, but each phase costs a full level-graph BFS —
-    /// overkill for the common 0/1-augmentation incremental solve.
-    Dinic,
-    /// A bounded burst of Edmonds–Karp augmentations (covering the
-    /// common incremental case at one BFS each), falling back to Dinic
-    /// when the residual demand is larger — e.g. right after a
-    /// mass-removal rewired lots of flow. The measured default.
-    #[default]
-    Hybrid,
-}
-
-/// Edmonds–Karp augmentations the [`FlowSolver::Hybrid`] strategy
-/// attempts before handing the solve to Dinic.
-const HYBRID_EK_BUDGET: usize = 8;
 
 /// Pooled edge-list Vecs retained for reuse (beyond this, capacity is
 /// returned to the allocator).
@@ -127,8 +102,6 @@ pub struct CoverGraph {
     /// Live interaction edges (both endpoints alive).
     live_edges: usize,
     removed_nodes: usize,
-    solver: FlowSolver,
-    dinic: DinicScratch,
     /// Recycled `UEntry::edges` / `QEntry::edges` Vecs from removed
     /// nodes, reused by `add_update` / `add_query`.
     u_edge_pool: Vec<Vec<(EdgeId, QueryNode)>>,
@@ -162,24 +135,11 @@ impl CoverGraph {
             live_q: 0,
             live_edges: 0,
             removed_nodes: 0,
-            solver: FlowSolver::default(),
-            dinic: DinicScratch::default(),
             u_edge_pool: Vec::new(),
             q_edge_pool: Vec::new(),
             rewires: Vec::new(),
             unode_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the max-flow strategy (covers are identical under all of
-    /// them — see [`FlowSolver`]). Default is [`FlowSolver::Hybrid`].
-    pub fn set_solver(&mut self, solver: FlowSolver) {
-        self.solver = solver;
-    }
-
-    /// The active max-flow strategy.
-    pub fn solver(&self) -> FlowSolver {
-        self.solver
     }
 
     /// Adds an update node with shipping cost `weight`.
@@ -372,40 +332,36 @@ impl CoverGraph {
         self.maybe_compact();
     }
 
-    /// Pushes the current (feasible) flow to maximality with the active
-    /// [`FlowSolver`]. The incremental step of §4.
-    fn maximize_flow(&mut self) {
-        match self.solver {
-            FlowSolver::EdmondsKarp => {
-                self.net.max_flow(self.s, self.t);
-            }
-            FlowSolver::Dinic => {
-                dinic_max_flow_with(&mut self.net, self.s, self.t, &mut self.dinic);
-            }
-            FlowSolver::Hybrid => {
-                for _ in 0..HYBRID_EK_BUDGET {
-                    if self.net.augment_once(self.s, self.t).is_none() {
-                        return;
-                    }
-                }
-                dinic_max_flow_with(&mut self.net, self.s, self.t, &mut self.dinic);
-            }
-        }
-    }
-
     /// Answers the one question the online decision loop needs: after
     /// re-solving incrementally, is query `q` in the minimum-weight cover
-    /// (i.e. should it be shipped)? Allocation-free; early-exits the
-    /// residual BFS the moment `q`'s node settles. Equivalent to
+    /// (i.e. should it be shipped)? Allocation-free. Equivalent to
     /// `self.solve().queries.contains(&q)` (pinned by proptests).
     ///
     /// # Panics
     /// Panics if `q` has been removed.
     pub fn solve_query_membership(&mut self, q: QueryNode) -> bool {
         assert!(self.qs[q.0].alive, "query node removed");
-        self.maximize_flow();
-        let node = self.qs[q.0].node;
+        self.net.max_flow(self.s, self.t);
+        let QEntry { node, t_edge, .. } = self.qs[q.0];
+        // A query that can still reach `t` cannot be reachable from `s`:
+        // together that would be an augmenting path, and the flow is
+        // maximum. No search needed.
+        if self.net.edge(t_edge).residual() > 0 {
+            return false;
+        }
         self.net.residual_reaches(self.s, node)
+    }
+
+    /// Cumulative augmenting paths pushed by every solve so far.
+    pub fn augmentations(&self) -> u64 {
+        self.net.augmentations()
+    }
+
+    /// Cumulative adjacency entries examined by every solve's path
+    /// searches so far (augmenting, failed, and membership probes; not the
+    /// full sweep behind [`Self::solve`]'s cover extraction).
+    pub fn edges_scanned(&self) -> u64 {
+        self.net.edges_scanned()
     }
 
     /// Solves for the current minimum-weight vertex cover, continuing from
@@ -413,7 +369,7 @@ impl CoverGraph {
     /// full cover — tests, stats, and offline planning; the online hot
     /// path uses [`Self::solve_query_membership`].
     pub fn solve(&mut self) -> Cover {
-        self.maximize_flow();
+        self.net.max_flow(self.s, self.t);
         self.net.mark_residual_reachable(self.s);
         let mut cover = Cover {
             weight: self.net.flow_value(self.s),
@@ -616,27 +572,51 @@ mod tests {
     }
 
     #[test]
-    fn membership_matches_solve_under_every_solver() {
-        for solver in [
-            FlowSolver::EdmondsKarp,
-            FlowSolver::Dinic,
-            FlowSolver::Hybrid,
-        ] {
-            let mut g = CoverGraph::new();
-            g.set_solver(solver);
-            let u1 = g.add_update(5);
-            let u2 = g.add_update(40);
-            let q1 = g.add_query(4);
-            let q2 = g.add_query(100);
-            g.add_interaction(u1, q1);
-            g.add_interaction(u1, q2);
-            g.add_interaction(u2, q2);
-            let m1 = g.solve_query_membership(q1);
-            let m2 = g.solve_query_membership(q2);
-            let c = g.solve();
-            assert_eq!(m1, c.queries.contains(&q1), "{solver:?} q1");
-            assert_eq!(m2, c.queries.contains(&q2), "{solver:?} q2");
-        }
+    fn query_that_still_reaches_the_sink_is_settled_without_a_probe() {
+        // `solve()` on a maximal flow costs exactly one failed search
+        // (its cover sweep is not counted), which prices the probe.
+        let failed_search = |g: &mut CoverGraph| {
+            let _ = g.solve();
+            let before = g.edges_scanned();
+            let _ = g.solve();
+            g.edges_scanned() - before
+        };
+        // u (3) -- q (10): s->u saturates and q->t keeps residual 7, so q
+        // cannot be source-reachable and no probe runs.
+        let mut g = CoverGraph::new();
+        let u = g.add_update(3);
+        let q = g.add_query(10);
+        g.add_interaction(u, q);
+        let failed = failed_search(&mut g);
+        let before = g.edges_scanned();
+        assert!(!g.solve_query_membership(q));
+        assert_eq!(g.edges_scanned() - before, failed);
+        // u (50) -- q (10): q->t is saturated, the answer needs the probe.
+        let mut g = CoverGraph::new();
+        let u = g.add_update(50);
+        let q = g.add_query(10);
+        g.add_interaction(u, q);
+        let failed = failed_search(&mut g);
+        let before = g.edges_scanned();
+        assert!(g.solve_query_membership(q));
+        assert!(g.edges_scanned() - before > failed);
+    }
+
+    #[test]
+    fn membership_matches_solve() {
+        let mut g = CoverGraph::new();
+        let u1 = g.add_update(5);
+        let u2 = g.add_update(40);
+        let q1 = g.add_query(4);
+        let q2 = g.add_query(100);
+        g.add_interaction(u1, q1);
+        g.add_interaction(u1, q2);
+        g.add_interaction(u2, q2);
+        let m1 = g.solve_query_membership(q1);
+        let m2 = g.solve_query_membership(q2);
+        let c = g.solve();
+        assert_eq!(m1, c.queries.contains(&q1));
+        assert_eq!(m2, c.queries.contains(&q2));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Flow networks with incremental Edmonds–Karp maximum flow.
+//! Flow networks with incremental Edmonds–Karp maximum flow, searched
+//! from both ends.
 //!
 //! The Delta paper's `UpdateManager` computes minimum-weight vertex covers
 //! by max-flow, *incrementally*: as queries and updates join the interaction
@@ -9,16 +10,42 @@
 //! incremental step, and calling [`FlowNetwork::reset_flow`] first gives the
 //! classic from-scratch algorithm.
 //!
+//! ## One search, two frontiers
+//!
+//! Every path question — the next augmenting path `s ⇝ t`, or "is `v`
+//! residual-reachable from `s`?" — goes through one **level-synchronous
+//! bidirectional BFS**: a forward frontier over residual edges from the
+//! source and a backward frontier over reverse-residual edges from the
+//! target. At each level boundary one side expands one whole level; the
+//! search stops at the first vertex carrying both marks, or reports "no
+//! path" the moment *either* frontier empties.
+//!
+//! Expanding whole levels keeps the first meeting a *shortest* path,
+//! whichever side is chosen: with `d_f` forward and `d_b` backward levels
+//! complete and no doubly-marked vertex yet, every path is longer than
+//! `d_f + d_b`, and a meeting found while expanding the next level has
+//! length at most `d_f + d_b + 1`. So [`FlowNetwork::max_flow`] is still
+//! Edmonds–Karp, bound and all.
+//!
+//! The side that expands is the one whose scan total would be smaller
+//! *after* its next level (`scanned + pending`; a level's cost is known
+//! before it is paid — the adjacency lengths of its vertices). Neither
+//! side's total can then pass what the other would need to finish alone,
+//! so a search costs at most twice the cheaper one-sided search — in
+//! particular the search that *fails*, the proof of maximality every solve
+//! ends with, is bounded by the smaller residual-reachable side instead
+//! of always the source's.
+//!
 //! ## Scratch epochs
 //!
-//! Every BFS over the network (augmenting-path search, residual
-//! reachability) needs per-node visited/parent state. Allocating it per
+//! Each frontier needs per-node visited/parent state. Allocating it per
 //! call would put a `vec![false; n]` on the decision hot path, so the
-//! network owns the buffers and stamps them with a monotonically
-//! increasing **epoch**: a node is "visited in this traversal" iff
-//! `mark[v] == epoch`, and bumping the epoch invalidates the whole buffer
-//! in O(1). `parent[v]` is only meaningful while `mark[v]` carries the
-//! current epoch, which is why both live behind the same bump.
+//! network owns one `mark`/`parent`/`queue` triple per direction and
+//! stamps both with one monotonically increasing **epoch**: a node is
+//! "visited by this side of this traversal" iff `mark[v] == epoch`, and
+//! bumping the epoch invalidates both buffers in O(1). `parent[v]` is only
+//! meaningful while `mark[v]` carries the current epoch, which is why
+//! they live behind the same bump.
 
 /// Node handle within a [`FlowNetwork`].
 pub type NodeId = usize;
@@ -57,6 +84,84 @@ impl Edge {
     }
 }
 
+/// One direction's BFS scratch.
+#[derive(Clone, Debug, Default)]
+struct Frontier {
+    /// Epoch stamps: `v` was discovered by this side iff `mark[v] == epoch`.
+    mark: Vec<u64>,
+    /// The path edge that discovered each node (pointing away from the
+    /// source on the forward side, toward the target on the backward
+    /// side), valid only while `mark[v] == epoch`.
+    parent: Vec<EdgeId>,
+    queue: Vec<NodeId>,
+    /// Queue position of the first vertex of the unexpanded level.
+    head: usize,
+    /// Adjacency entries examined in the current search.
+    scanned: u64,
+    /// Adjacency entries the unexpanded level holds: what expanding it
+    /// will add to `scanned` unless the search ends inside it.
+    pending: u64,
+}
+
+impl Frontier {
+    fn start(&mut self, root: NodeId, epoch: u64, adj: &[Vec<EdgeId>]) {
+        self.pending = adj[root].len() as u64;
+        self.queue.clear();
+        self.queue.push(root);
+        self.mark[root] = epoch;
+        self.head = 0;
+        self.scanned = 0;
+    }
+
+    /// Expands one whole BFS level. `dir` is 0 on the forward side (follow
+    /// `e` while it has residual) and 1 on the backward side (follow `e`
+    /// against its twin's residual: `adj[v]` holds the twin of every edge
+    /// *into* `v`). Returns the first vertex `theirs` has marked too.
+    ///
+    /// Entries whose head was deleted are dropped where they are met (edge
+    /// ids stay valid, only the list shrinks): `s` and `t` are adjacent to
+    /// every vertex that ever lived, and are scanned by nearly every
+    /// search, so their dead entries must not wait for a compaction.
+    fn expand_level(
+        &mut self,
+        theirs: &Frontier,
+        adj: &mut [Vec<EdgeId>],
+        edges: &[Edge],
+        deleted: &[bool],
+        dir: usize,
+        epoch: u64,
+    ) -> Option<NodeId> {
+        let level_end = self.queue.len();
+        while self.head < level_end {
+            let list = &mut adj[self.queue[self.head]];
+            self.head += 1;
+            let mut i = 0;
+            while i < list.len() {
+                let e = list[i];
+                let to = edges[e].to;
+                self.scanned += 1;
+                if deleted[to] {
+                    list.swap_remove(i);
+                    continue;
+                }
+                i += 1;
+                if self.mark[to] == epoch || edges[e ^ dir].residual() == 0 {
+                    continue;
+                }
+                self.mark[to] = epoch;
+                self.parent[to] = e ^ dir;
+                if theirs.mark[to] == epoch {
+                    return Some(to);
+                }
+                self.queue.push(to);
+            }
+        }
+        let next_level = &self.queue[self.head..];
+        self.pending = next_level.iter().map(|&v| adj[v].len() as u64).sum();
+        None
+    }
+}
+
 /// An adjacency-list flow network supporting node deletion and incremental
 /// max-flow.
 #[derive(Clone, Debug, Default)]
@@ -64,13 +169,15 @@ pub struct FlowNetwork {
     adj: Vec<Vec<EdgeId>>,
     edges: Vec<Edge>,
     deleted: Vec<bool>,
-    /// BFS scratch: the edge that discovered each node, valid only while
-    /// `mark[v] == epoch`.
-    parent: Vec<EdgeId>,
-    queue: Vec<NodeId>,
-    /// Epoch stamps — see the module docs.
-    mark: Vec<u64>,
+    /// Forward (from the source) and backward (from the target) BFS
+    /// scratch — see the module docs.
+    fwd: Frontier,
+    bwd: Frontier,
     epoch: u64,
+    /// Cumulative adjacency entries examined by [`Self::search`].
+    edges_scanned: u64,
+    /// Cumulative augmenting paths pushed.
+    augmentations: u64,
     /// Adjacency Vecs recycled from deleted nodes, reused by `add_node`
     /// so steady-state node churn never touches the allocator.
     free_adj: Vec<Vec<EdgeId>>,
@@ -198,17 +305,52 @@ impl FlowNetwork {
             .sum()
     }
 
-    /// Starts a fresh traversal: grows the stamp buffers to the current
-    /// node count and returns the new epoch.
+    /// Starts a fresh traversal: grows both sides' stamp buffers to the
+    /// current node count and returns the new epoch.
     #[inline]
     fn bump_epoch(&mut self) -> u64 {
         let n = self.adj.len();
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-            self.parent.resize(n, 0);
+        for side in [&mut self.fwd, &mut self.bwd] {
+            if side.mark.len() < n {
+                side.mark.resize(n, 0);
+                side.parent.resize(n, 0);
+            }
         }
         self.epoch += 1;
         self.epoch
+    }
+
+    /// The one path search (see the module docs): a shortest residual path
+    /// `from ⇝ to`, reported as the vertex where the two frontiers met.
+    /// `fwd.parent` then leads from the meeting vertex back to `from` and
+    /// `bwd.parent` on to `to`.
+    fn search(&mut self, from: NodeId, to: NodeId) -> Option<NodeId> {
+        if self.deleted[from] || self.deleted[to] {
+            return None;
+        }
+        let epoch = self.bump_epoch();
+        let Self {
+            adj,
+            edges,
+            deleted,
+            fwd,
+            bwd,
+            ..
+        } = self;
+        fwd.start(from, epoch, adj);
+        bwd.start(to, epoch, adj);
+        let mut met = (from == to).then_some(from);
+        // A side with nothing pending has an empty frontier (or an isolated
+        // root): everything it can reach is marked and none of it met.
+        while met.is_none() && fwd.pending > 0 && bwd.pending > 0 {
+            met = if fwd.scanned + fwd.pending <= bwd.scanned + bwd.pending {
+                fwd.expand_level(bwd, adj, edges, deleted, 0, epoch)
+            } else {
+                bwd.expand_level(fwd, adj, edges, deleted, 1, epoch)
+            };
+        }
+        self.edges_scanned += fwd.scanned + bwd.scanned;
+        met
     }
 
     /// Runs Edmonds–Karp **continuing from the current flow**: repeatedly
@@ -225,84 +367,62 @@ impl FlowNetwork {
     /// Finds one shortest augmenting path and pushes flow along it.
     /// Returns the amount pushed, or `None` if no augmenting path exists.
     pub fn augment_once(&mut self, s: NodeId, t: NodeId) -> Option<u64> {
-        debug_assert!(!self.deleted[s] && !self.deleted[t]);
-        let epoch = self.bump_epoch();
-        self.queue.clear();
-        self.queue.push(s);
-        self.mark[s] = epoch;
-        let mut head = 0;
-        'bfs: while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            for &e in &self.adj[v] {
-                let edge = self.edges[e];
-                if edge.residual() == 0 || self.deleted[edge.to] || self.mark[edge.to] == epoch {
-                    continue;
-                }
-                self.mark[edge.to] = epoch;
-                self.parent[edge.to] = e;
-                if edge.to == t {
-                    break 'bfs;
-                }
-                self.queue.push(edge.to);
-            }
-        }
-        if self.mark[t] != epoch {
-            return None;
-        }
-        // Walk back to find the bottleneck.
+        debug_assert!(s != t && !self.deleted[s] && !self.deleted[t]);
+        let met = self.search(s, t)?;
         let mut bottleneck = u64::MAX;
-        let mut v = t;
-        while v != s {
-            let e = self.parent[v];
-            bottleneck = bottleneck.min(self.edges[e].residual());
-            v = self.edges[e ^ 1].to;
-        }
+        self.walk_path(s, met, t, |edges, e| {
+            bottleneck = bottleneck.min(edges[e].residual());
+        });
         debug_assert!(bottleneck > 0);
-        // Apply.
-        let mut v = t;
-        while v != s {
-            let e = self.parent[v];
-            self.edges[e].flow += bottleneck as i64;
-            self.edges[e ^ 1].flow -= bottleneck as i64;
-            v = self.edges[e ^ 1].to;
-        }
+        self.walk_path(s, met, t, |edges, e| {
+            edges[e].flow += bottleneck as i64;
+            edges[e ^ 1].flow -= bottleneck as i64;
+        });
+        self.augmentations += 1;
         Some(bottleneck)
     }
 
+    /// Visits every edge of the path the last [`Self::search`] found:
+    /// `met` back to `s` along `fwd.parent`, then `met` on to `t` along
+    /// `bwd.parent`.
+    fn walk_path(
+        &mut self,
+        s: NodeId,
+        met: NodeId,
+        t: NodeId,
+        mut visit: impl FnMut(&mut [Edge], EdgeId),
+    ) {
+        let mut v = met;
+        while v != s {
+            let e = self.fwd.parent[v];
+            visit(&mut self.edges, e);
+            v = self.edges[e ^ 1].to;
+        }
+        let mut v = met;
+        while v != t {
+            let e = self.bwd.parent[v];
+            visit(&mut self.edges, e);
+            v = self.edges[e].to;
+        }
+    }
+
     /// Whether `target` is reachable from `s` in the residual graph —
-    /// the single-node question behind a cover membership test. Early
-    /// exits the moment `target` is discovered, so a query node adjacent
-    /// to a reachable update node settles without scanning the rest of
-    /// the graph. Allocation-free (epoch-stamped scratch).
+    /// the single-node question behind a cover membership test.
+    /// Allocation-free (epoch-stamped scratch).
     pub fn residual_reaches(&mut self, s: NodeId, target: NodeId) -> bool {
-        if self.deleted[s] || self.deleted[target] {
-            return false;
-        }
-        if s == target {
-            return true;
-        }
-        let epoch = self.bump_epoch();
-        self.queue.clear();
-        self.queue.push(s);
-        self.mark[s] = epoch;
-        let mut head = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            for &e in &self.adj[v] {
-                let edge = self.edges[e];
-                if edge.residual() == 0 || self.deleted[edge.to] || self.mark[edge.to] == epoch {
-                    continue;
-                }
-                if edge.to == target {
-                    return true;
-                }
-                self.mark[edge.to] = epoch;
-                self.queue.push(edge.to);
-            }
-        }
-        false
+        self.search(s, target).is_some()
+    }
+
+    /// Cumulative adjacency entries examined by path searches
+    /// ([`Self::augment_once`], [`Self::residual_reaches`]) — the cost of
+    /// the search as a count, not a clock.
+    pub fn edges_scanned(&self) -> u64 {
+        self.edges_scanned
+    }
+
+    /// Cumulative augmenting paths pushed.
+    pub fn augmentations(&self) -> u64 {
+        self.augmentations
     }
 
     /// Stamps every node reachable from `s` in the residual graph with a
@@ -314,18 +434,19 @@ impl FlowNetwork {
         if self.deleted[s] {
             return;
         }
-        self.queue.clear();
-        self.queue.push(s);
-        self.mark[s] = epoch;
+        let Frontier { mark, queue, .. } = &mut self.fwd;
+        queue.clear();
+        queue.push(s);
+        mark[s] = epoch;
         let mut head = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
+        while head < queue.len() {
+            let v = queue[head];
             head += 1;
             for &e in &self.adj[v] {
                 let edge = self.edges[e];
-                if edge.residual() > 0 && !self.deleted[edge.to] && self.mark[edge.to] != epoch {
-                    self.mark[edge.to] = epoch;
-                    self.queue.push(edge.to);
+                if edge.residual() > 0 && !self.deleted[edge.to] && mark[edge.to] != epoch {
+                    mark[edge.to] = epoch;
+                    queue.push(edge.to);
                 }
             }
         }
@@ -335,39 +456,39 @@ impl FlowNetwork {
     /// [`Self::mark_residual_reachable`] traversal.
     #[inline]
     pub fn reached(&self, v: NodeId) -> bool {
-        self.mark.get(v).is_some_and(|&m| m == self.epoch)
+        self.fwd.mark.get(v).is_some_and(|&m| m == self.epoch)
     }
 
     /// Nodes reachable from `s` in the residual graph (deleted nodes are
     /// never reachable). This is the min-cut side used for vertex-cover
-    /// extraction. Allocates its result — tests and offline callers only;
-    /// the hot path uses [`Self::mark_residual_reachable`] /
-    /// [`Self::residual_reaches`].
+    /// extraction. Allocates its result — tests and offline callers only.
     pub fn residual_reachable(&mut self, s: NodeId) -> Vec<bool> {
         self.mark_residual_reachable(s);
         (0..self.adj.len()).map(|v| self.reached(v)).collect()
     }
 
-    /// Moves the reusable scratch capacity out of `old` (typically the
-    /// pre-compaction network about to be dropped) so a rebuilt network
-    /// starts warm instead of re-growing its buffers from zero.
+    /// Moves the reusable scratch capacity (and the cumulative search
+    /// counters) out of `old` (typically the pre-compaction network about
+    /// to be dropped) so a rebuilt network starts warm instead of
+    /// re-growing its buffers from zero.
     pub(crate) fn adopt_scratch(&mut self, old: &mut FlowNetwork) {
         // Stamps are only comparable against the epoch they were written
-        // under; the adopted buffers come pre-invalidated because this
-        // network's epoch restarts while the marks keep `old`'s values —
-        // strictly larger once `old.epoch` is inherited.
+        // under; inheriting `old.epoch` keeps every later epoch strictly
+        // above anything either side's buffer ever held, and the buffers
+        // are zeroed to this network's size besides.
         self.epoch = self.epoch.max(old.epoch);
-        let mut mark = std::mem::take(&mut old.mark);
-        mark.clear();
-        mark.resize(self.adj.len(), 0);
-        self.mark = mark;
-        let mut parent = std::mem::take(&mut old.parent);
-        parent.clear();
-        parent.resize(self.adj.len(), 0);
-        self.parent = parent;
-        self.queue = std::mem::take(&mut old.queue);
-        self.queue.clear();
+        let n = self.adj.len();
+        for (mine, theirs) in [(&mut self.fwd, &mut old.fwd), (&mut self.bwd, &mut old.bwd)] {
+            *mine = std::mem::take(theirs);
+            mine.mark.clear();
+            mine.mark.resize(n, 0);
+            mine.parent.clear();
+            mine.parent.resize(n, 0);
+            mine.queue.clear();
+        }
         self.free_adj = std::mem::take(&mut old.free_adj);
+        self.edges_scanned += old.edges_scanned;
+        self.augmentations += old.augmentations;
     }
 
     /// Verifies flow conservation at every live node except `s` and `t`.

@@ -6,10 +6,10 @@
 //!   Edmonds–Karp: `max_flow` continues from whatever feasible flow is
 //!   present, so re-solving after graph growth costs only the new
 //!   augmenting paths (the `O(nm²)` total-work bound of §4 versus
-//!   `O(n²m²)` for repeated from-scratch runs).
-//! * [`dinic_max_flow`] — Dinic's blocking-flow algorithm over the same
-//!   network, cross-checked against Edmonds–Karp and raced in the
-//!   benches (the standard faster-from-scratch alternative).
+//!   `O(n²m²)` for repeated from-scratch runs). Every shortest path is
+//!   found by one level-synchronous bidirectional BFS, so the search
+//!   that *fails* — the proof of maximality each solve ends with — costs
+//!   the smaller side of the cut, not the whole source-reachable graph.
 //! * [`CoverGraph`] — the bipartite update/query interaction graph with
 //!   minimum-weight vertex cover via the max-flow reduction, node removal
 //!   with closed-form flow cancellation (the paper's *remainder subgraph*),
@@ -31,9 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cover;
-pub mod dinic;
 pub mod graph;
 
-pub use cover::{brute_force_cover_weight, Cover, CoverGraph, FlowSolver, QueryNode, UpdateNode};
-pub use dinic::{dinic_max_flow, dinic_max_flow_with, DinicScratch};
+pub use cover::{brute_force_cover_weight, Cover, CoverGraph, QueryNode, UpdateNode};
 pub use graph::{Edge, EdgeId, FlowNetwork, NodeId, INF};

@@ -1,10 +1,13 @@
 //! Property-based tests: the incremental cover engine against brute force
-//! and against from-scratch recomputation under random mutation sequences.
+//! and against from-scratch recomputation under random mutation sequences,
+//! and the bidirectional search against a forward-only reference kept in
+//! this module.
 
 use delta_flow::{
-    brute_force_cover_weight, CoverGraph, FlowNetwork, FlowSolver, QueryNode, UpdateNode,
+    brute_force_cover_weight, CoverGraph, FlowNetwork, NodeId, QueryNode, UpdateNode, INF,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// A small random bipartite instance.
 #[derive(Clone, Debug)]
@@ -139,185 +142,290 @@ proptest! {
         let edges: Vec<_> = edges.into_iter()
             .filter(|&(a, b, _)| a < n && b < n && a != b)
             .collect();
-        let build_net = |order: &[(usize, usize, u64)]| {
-            let mut g = FlowNetwork::new();
-            for _ in 0..n {
-                g.add_node();
-            }
-            for &(a, b, c) in order {
-                g.add_edge(a, b, c);
-            }
-            g
-        };
-        let mut g1 = build_net(&edges);
+        let mut g1 = network(n, &edges);
         let f1 = g1.max_flow(0, n - 1);
         let mut shuffled = edges.clone();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         shuffled.shuffle(&mut rng);
-        let mut g2 = build_net(&shuffled);
+        let mut g2 = network(n, &shuffled);
         let f2 = g2.max_flow(0, n - 1);
         prop_assert_eq!(f1, f2);
         g1.check_conservation(0, n - 1).unwrap();
     }
 }
 
-proptest! {
-    /// Dinic and Edmonds–Karp compute the same maximum flow on random
-    /// bipartite cover networks (and on the raw networks they induce).
-    #[test]
-    fn dinic_equals_edmonds_karp(inst in arb_instance(8, 24)) {
-        use delta_flow::dinic_max_flow;
-        // Build the same source/update/query/sink network twice.
-        let build_net = |inst: &Instance| {
-            let mut net = FlowNetwork::new();
-            let s = net.add_node();
-            let t = net.add_node();
-            let us: Vec<_> = inst.u_weights.iter().map(|&w| {
-                let v = net.add_node();
-                net.add_edge(s, v, w);
-                v
-            }).collect();
-            let qs: Vec<_> = inst.q_weights.iter().map(|&w| {
-                let v = net.add_node();
-                net.add_edge(v, t, w);
-                v
-            }).collect();
-            for &(u, q) in &inst.edges {
-                net.add_edge(us[u], qs[q], delta_flow::INF);
-            }
-            (net, s, t)
-        };
-        let (mut ek_net, s, t) = build_net(&inst);
-        let (mut di_net, ..) = build_net(&inst);
-        let ek = ek_net.max_flow(s, t);
-        let di = dinic_max_flow(&mut di_net, s, t);
-        prop_assert_eq!(ek, di, "solver disagreement");
-        prop_assert_eq!(di_net.flow_value(s), ek_net.flow_value(s));
+/// The textbook algorithm the library's search replaced, kept as the
+/// reference: from-scratch Edmonds–Karp with a source-side BFS over its
+/// own edge list. Shares no code with `delta_flow`.
+fn reference_max_flow(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> u64 {
+    let mut to = Vec::new();
+    let mut residual = Vec::new();
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b, c) in edges {
+        adj[a].push(to.len());
+        to.push(b);
+        residual.push(c);
+        adj[b].push(to.len());
+        to.push(a);
+        residual.push(0);
     }
-
-    /// Dinic run on a *partially* saturated network (some Edmonds–Karp
-    /// augmentations already applied) still reaches the same maximum.
-    #[test]
-    fn dinic_tops_up_partial_flows(inst in arb_instance(8, 24), steps in 0usize..4) {
-        use delta_flow::dinic_max_flow;
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let t = net.add_node();
-        let us: Vec<_> = inst.u_weights.iter().map(|&w| {
-            let v = net.add_node();
-            net.add_edge(s, v, w);
-            v
-        }).collect();
-        let qs: Vec<_> = inst.q_weights.iter().map(|&w| {
-            let v = net.add_node();
-            net.add_edge(v, t, w);
-            v
-        }).collect();
-        for &(u, q) in &inst.edges {
-            net.add_edge(us[u], qs[q], delta_flow::INF);
-        }
-        let mut reference = net.clone();
-        let want = reference.max_flow(s, t);
-        let mut partial = 0u64;
-        for _ in 0..steps {
-            match net.augment_once(s, t) {
-                Some(f) => partial += f,
-                None => break,
+    let mut total = 0;
+    loop {
+        let mut parent = vec![usize::MAX; n];
+        let mut queue = VecDeque::from([s]);
+        while let Some(v) = queue.pop_front() {
+            for &e in &adj[v] {
+                if residual[e] > 0 && to[e] != s && parent[to[e]] == usize::MAX {
+                    parent[to[e]] = e;
+                    queue.push_back(to[e]);
+                }
             }
         }
-        let rest = dinic_max_flow(&mut net, s, t);
-        prop_assert_eq!(partial + rest, want);
+        if parent[t] == usize::MAX {
+            return total;
+        }
+        let mut bottleneck = u64::MAX;
+        let mut v = t;
+        while v != s {
+            bottleneck = bottleneck.min(residual[parent[v]]);
+            v = to[parent[v] ^ 1];
+        }
+        let mut v = t;
+        while v != s {
+            residual[parent[v]] -= bottleneck;
+            residual[parent[v] ^ 1] += bottleneck;
+            v = to[parent[v] ^ 1];
+        }
+        total += bottleneck;
     }
 }
 
-const ALL_SOLVERS: [FlowSolver; 3] = [
-    FlowSolver::EdmondsKarp,
-    FlowSolver::Dinic,
-    FlowSolver::Hybrid,
-];
+/// `n` nodes and the given `(from, to, capacity)` edges, in order.
+fn network(n: usize, edges: &[(usize, usize, u64)]) -> FlowNetwork {
+    let mut g = FlowNetwork::new();
+    for _ in 0..n {
+        g.add_node();
+    }
+    for &(a, b, c) in edges {
+        g.add_edge(a, b, c);
+    }
+    g
+}
+
+/// Forward BFS distance `s -> t` over the network's current residual
+/// graph, through its public read API only.
+fn forward_distance(g: &FlowNetwork, s: NodeId, t: NodeId) -> Option<usize> {
+    let mut dist = vec![usize::MAX; g.node_count()];
+    dist[s] = 0;
+    let mut queue = VecDeque::from([s]);
+    while let Some(v) = queue.pop_front() {
+        for &e in g.adjacency(v) {
+            let edge = g.edge(e);
+            if edge.residual() > 0 && !g.is_deleted(edge.to) && dist[edge.to] == usize::MAX {
+                dist[edge.to] = dist[v] + 1;
+                queue.push_back(edge.to);
+            }
+        }
+    }
+    (dist[t] != usize::MAX).then_some(dist[t])
+}
+
+/// Flow on every forward edge (even ids), in id order.
+fn forward_flows(g: &FlowNetwork) -> Vec<u64> {
+    (0..g.edge_count()).map(|i| g.flow_on(2 * i)).collect()
+}
+
+/// A general (non-bipartite) network on `n` nodes, source 0, sink `n - 1`.
+fn arb_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, u64)>)> {
+    (2usize..9).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n, 1u64..50), 1..28).prop_map(move |edges| {
+            let edges = edges.into_iter().filter(|&(a, b, _)| a != b).collect();
+            (n, edges)
+        })
+    })
+}
+
+/// The cover reduction of `inst` restricted to surviving vertices, as an
+/// edge list for [`reference_max_flow`]: source 0, sink 1.
+fn cover_reduction(
+    inst: &Instance,
+    dead_u: &[bool],
+    dead_q: &[bool],
+) -> (usize, Vec<(usize, usize, u64)>) {
+    let nu = inst.u_weights.len();
+    let mut edges = Vec::new();
+    for (i, &w) in inst.u_weights.iter().enumerate() {
+        if !dead_u[i] {
+            edges.push((0, 2 + i, w));
+        }
+    }
+    for (j, &w) in inst.q_weights.iter().enumerate() {
+        if !dead_q[j] {
+            edges.push((2 + nu + j, 1, w));
+        }
+    }
+    for &(u, q) in &inst.edges {
+        if !dead_u[u] && !dead_q[q] {
+            edges.push((2 + u, 2 + nu + q, INF));
+        }
+    }
+    (2 + nu + inst.q_weights.len(), edges)
+}
 
 proptest! {
+    /// Bidirectional `max_flow` reaches the value of the from-scratch
+    /// forward reference on general networks, whether it runs in one go or
+    /// tops up a flow left half-finished.
+    #[test]
+    fn max_flow_equals_forward_reference((n, edges) in arb_network(), steps in 0usize..4) {
+        let want = reference_max_flow(n, &edges, 0, n - 1);
+        let mut g = network(n, &edges);
+        let mut pushed = 0;
+        for _ in 0..steps {
+            pushed += g.augment_once(0, n - 1).unwrap_or(0);
+        }
+        pushed += g.max_flow(0, n - 1);
+        prop_assert_eq!(pushed, want);
+        prop_assert_eq!(g.flow_value(0), want);
+        g.check_conservation(0, n - 1).unwrap();
+    }
+
+    /// Every augmenting path the bidirectional search finds is a shortest
+    /// one: it has exactly as many edges as the forward BFS distance
+    /// `s -> t` in the residual graph it was found in (so `max_flow` is
+    /// Edmonds–Karp, with its bound), and the search fails only when the
+    /// forward BFS does.
+    #[test]
+    fn augmenting_paths_are_shortest((n, edges) in arb_network()) {
+        let (s, t) = (0, n - 1);
+        let mut g = network(n, &edges);
+        loop {
+            let distance = forward_distance(&g, s, t);
+            let before = forward_flows(&g);
+            let pushed = g.augment_once(s, t);
+            prop_assert_eq!(pushed.is_some(), distance.is_some());
+            let Some(pushed) = pushed else { break };
+            // A shortest path is simple, so it changes each edge pair at
+            // most once: the changed pairs are the path's edges.
+            let hops = before.iter().zip(forward_flows(&g)).filter(|&(&a, b)| a != b).count();
+            prop_assert_eq!(Some(hops), distance, "pushed {} along a detour", pushed);
+        }
+    }
+
+    /// The cover engine's flow value equals the forward reference on the
+    /// surviving subgraph after every removal and across a forced
+    /// compaction.
+    #[test]
+    fn cover_flow_equals_forward_reference(
+        inst in arb_instance(8, 24),
+        removals in proptest::collection::vec((proptest::bool::ANY, 0usize..8), 0..8),
+        compact_at in 0usize..8,
+    ) {
+        let (mut g, us, qs) = build(&inst);
+        let mut dead_u = vec![false; us.len()];
+        let mut dead_q = vec![false; qs.len()];
+        let (n, edges) = cover_reduction(&inst, &dead_u, &dead_q);
+        prop_assert_eq!(g.solve().weight, reference_max_flow(n, &edges, 0, 1));
+        for (i, &(is_u, idx)) in removals.iter().enumerate() {
+            if is_u {
+                if idx < us.len() {
+                    g.remove_update(us[idx]);
+                    dead_u[idx] = true;
+                }
+            } else if idx < qs.len() {
+                g.remove_query(qs[idx]);
+                dead_q[idx] = true;
+            }
+            if i == compact_at {
+                g.compact();
+            }
+            let (n, edges) = cover_reduction(&inst, &dead_u, &dead_q);
+            prop_assert_eq!(g.solve().weight, reference_max_flow(n, &edges, 0, 1));
+            g.check().unwrap();
+        }
+    }
+
     /// The targeted membership probe agrees with the full extraction for
-    /// every live query — under every solver strategy, across random
-    /// mutation sequences that include removals and forced compactions.
-    /// This is the fast path `UpdateManager::decide` actually takes; the
-    /// full `solve()` survives only for tests and stats, so the two must
-    /// never drift.
+    /// every live query, across random mutation sequences that include
+    /// removals and forced compactions. This is the fast path
+    /// `UpdateManager::decide` actually takes; the full `solve()` survives
+    /// only for tests and stats, so the two must never drift.
     #[test]
     fn membership_equals_full_solve(
         inst in arb_instance(8, 20),
         ops in proptest::collection::vec((proptest::bool::ANY, 0usize..8), 0..10),
         compact_at in 0usize..10,
     ) {
-        for solver in ALL_SOLVERS {
-            let (mut g, us, qs) = build(&inst);
-            g.set_solver(solver);
-            for (i, &(is_u, idx)) in ops.iter().enumerate() {
-                if is_u {
-                    if idx < us.len() && g.update_alive(us[idx]) {
-                        g.remove_update(us[idx]);
-                    }
-                } else if idx < qs.len() && g.query_alive(qs[idx]) {
-                    g.remove_query(qs[idx]);
+        let (mut g, us, qs) = build(&inst);
+        for (i, &(is_u, idx)) in ops.iter().enumerate() {
+            if is_u {
+                if idx < us.len() && g.update_alive(us[idx]) {
+                    g.remove_update(us[idx]);
                 }
-                if i == compact_at {
-                    g.compact();
-                }
-                // Interleave probes with mutations so scratch epochs from
-                // a previous solve never leak into the next one.
-                for &qn in &qs {
-                    if g.query_alive(qn) {
-                        let member = g.solve_query_membership(qn);
-                        let full = g.solve();
-                        prop_assert_eq!(
-                            member,
-                            full.queries.contains(&qn),
-                            "membership drifted from extraction under {:?}",
-                            solver
-                        );
-                    }
-                }
+            } else if idx < qs.len() && g.query_alive(qs[idx]) {
+                g.remove_query(qs[idx]);
             }
-            g.compact();
-            let cover = g.solve();
+            if i == compact_at {
+                g.compact();
+            }
+            // Interleave probes with mutations so scratch epochs from
+            // a previous solve never leak into the next one.
             for &qn in &qs {
                 if g.query_alive(qn) {
-                    prop_assert_eq!(g.solve_query_membership(qn), cover.queries.contains(&qn));
+                    let member = g.solve_query_membership(qn);
+                    let full = g.solve();
+                    prop_assert_eq!(
+                        member,
+                        full.queries.contains(&qn),
+                        "membership drifted from extraction"
+                    );
                 }
             }
-            g.check().unwrap();
         }
+        g.compact();
+        let cover = g.solve();
+        for &qn in &qs {
+            if g.query_alive(qn) {
+                prop_assert_eq!(g.solve_query_membership(qn), cover.queries.contains(&qn));
+            }
+        }
+        g.check().unwrap();
     }
 
-    /// All three solver strategies produce the *identical* cover — same
-    /// weight, same vertex sets — because the residual-reachable set of
-    /// any maximum flow is the canonical minimal source-side min cut.
-    /// Byte-identical ledgers across solver choices depend on this.
+    /// Compaction hands *both* sides' stamp buffers to the rebuilt
+    /// network, which renumbers every vertex. A stamp surviving from
+    /// before — on either side — would read as "already visited" (a path
+    /// missed) or as a meeting (a path invented); the post-compaction
+    /// answers must equal those of a graph that never had the history.
     #[test]
-    fn solvers_agree_on_cover(
-        inst in arb_instance(8, 24),
-        removals in proptest::collection::vec((proptest::bool::ANY, 0usize..8), 0..6),
+    fn adopted_scratch_never_reads_as_visited(
+        inst in arb_instance(8, 20),
+        doomed in proptest::collection::vec((1u64..100, 1u64..100), 1..12),
     ) {
-        let mut covers = Vec::new();
-        for solver in ALL_SOLVERS {
-            let (mut g, us, qs) = build(&inst);
-            g.set_solver(solver);
-            let _ = g.solve(); // saturate before mutating, like the engine
-            for &(is_u, idx) in &removals {
-                if is_u {
-                    if idx < us.len() && g.update_alive(us[idx]) {
-                        g.remove_update(us[idx]);
-                    }
-                } else if idx < qs.len() && g.query_alive(qs[idx]) {
-                    g.remove_query(qs[idx]);
-                }
+        let (mut g, us, qs) = build(&inst);
+        // Stamp both sides heavily under low epochs, on vertex ids the
+        // compaction is about to reassign: throwaway pairs appended after
+        // the instance, solved (augmenting path through each) and probed.
+        for &(uw, qw) in &doomed {
+            let u = g.add_update(uw);
+            let q = g.add_query(qw);
+            g.add_interaction(u, q);
+            for &keep in &us {
+                g.add_interaction(keep, q);
             }
-            covers.push(g.solve());
+            let _ = g.solve_query_membership(q);
+            g.remove_update(u);
+            g.remove_query(q);
         }
-        for c in &covers[1..] {
-            prop_assert_eq!(c.weight, covers[0].weight);
-            prop_assert_eq!(&c.updates, &covers[0].updates);
-            prop_assert_eq!(&c.queries, &covers[0].queries);
+        g.compact();
+        let (mut fresh, _, fresh_qs) = build(&inst);
+        for (&qn, &fq) in qs.iter().zip(&fresh_qs) {
+            prop_assert_eq!(g.solve_query_membership(qn), fresh.solve_query_membership(fq));
         }
+        let (got, want) = (g.solve(), fresh.solve());
+        prop_assert_eq!(got.weight, want.weight);
+        prop_assert_eq!(got.updates, want.updates);
+        prop_assert_eq!(got.queries, want.queries);
+        g.check().unwrap();
     }
 }
