@@ -105,6 +105,18 @@ fn engine_benches(out: &mut Vec<Measurement>) {
     }
 }
 
+/// Cheap deterministic draws (LCG) so every round of a cover bench sees
+/// the identical instance stream.
+fn lcg() -> impl FnMut() -> u64 {
+    let mut x = 0x9e3779b97f4a7c15u64;
+    move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 33
+    }
+}
+
 /// The cover-graph churn pattern the `UpdateManager` hot path produces:
 /// a steady population of `n` live segment vertices, one membership solve
 /// per arriving query, remainder-rule removals, and the compactions they
@@ -116,15 +128,7 @@ fn flow_solve_benches(out: &mut Vec<Measurement>) {
         let mut counts = (0u64, 0u64);
         out.push(measure(&format!("flow_solve/n{n}"), || {
             let mut g = CoverGraph::new();
-            // Cheap deterministic weights (LCG) so every round sees the
-            // identical instance stream.
-            let mut x = 0x9e3779b97f4a7c15u64;
-            let mut rng = move || {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                x >> 33
-            };
+            let mut rng = lcg();
             let mut segments: Vec<UpdateNode> =
                 (0..n).map(|_| g.add_update(1 + rng() % 1000)).collect();
             let mut oldest = 0usize;
@@ -165,6 +169,78 @@ fn flow_solve_benches(out: &mut Vec<Measurement>) {
             counts.1 as f64 / FLOW_SOLVES as f64
         );
     }
+}
+
+/// The regime the robustness caps pin a busy shard at, which the churn
+/// above (64 retained queries) never reaches: one object with
+/// `MAX_SEGMENTS_PER_OBJECT` prefix-nested segments under
+/// `MAX_RETAINED_QUERIES` retained, saturated queries. Every step one
+/// cheap query arrives at a random horizon — inside a segment seven times
+/// in eight (a split), past the newest otherwise (a fresh segment) — is
+/// shipped and retained, the oldest retained query is dropped, and the
+/// oldest segments are coalesced whenever the object passes its cap (every
+/// 64 steps). `RETAINED` steps fill the retained cap, as many again run at
+/// it; the search's counts per solve and the worst single step are printed
+/// for the second half and repeat exactly from run to run.
+fn flow_solve_capped(out: &mut Vec<Measurement>) {
+    const SEGMENTS: usize = 128;
+    const RETAINED: usize = 4096;
+    let mut counts = (0u64, 0u64, 0u64, 0u64);
+    out.push(measure("flow_solve/capped", || {
+        let mut g = CoverGraph::new();
+        let mut rng = lcg();
+        let mut segments: Vec<UpdateNode> =
+            (0..SEGMENTS).map(|_| g.add_update(1_000_000)).collect();
+        let mut retained = std::collections::VecDeque::with_capacity(RETAINED + 1);
+        let mut worst = (0u64, 0u64);
+        for step in 0..2 * RETAINED {
+            if step == RETAINED {
+                worst = (0, 0);
+                counts = (g.edges_scanned(), g.augmentations(), 0, 0);
+            }
+            let before = (g.edges_scanned(), g.augmentations());
+            let at = (rng() as usize) % segments.len();
+            let horizon = if rng().is_multiple_of(8) {
+                segments.push(g.add_update(1_000_000));
+                segments.len()
+            } else {
+                let w = g.update_weight(segments[at]);
+                let second = g.split_update(segments[at], w / 2, w - w / 2);
+                segments.insert(at + 1, second);
+                at + 1
+            };
+            let qn = g.add_query(1 + rng() % 7);
+            for &segment in &segments[..horizon] {
+                g.add_interaction(segment, qn);
+            }
+            assert!(g.solve_query_membership(qn), "cheap queries are shipped");
+            retained.push_back(qn);
+            if retained.len() > RETAINED {
+                g.remove_query(retained.pop_front().expect("non-empty"));
+            }
+            if segments.len() > SEGMENTS {
+                let k = segments.len() - SEGMENTS / 2;
+                g.merge_updates(segments[0], segments.drain(1..k));
+            }
+            worst.0 = worst.0.max(g.edges_scanned() - before.0);
+            worst.1 = worst.1.max(g.augmentations() - before.1);
+        }
+        counts = (
+            g.edges_scanned() - counts.0,
+            g.augmentations() - counts.1,
+            worst.0,
+            worst.1,
+        );
+        2 * RETAINED as u64
+    }));
+    println!(
+        "{:<40} {:>14.1} edges scanned, {:.2} augmentations per solve; worst step {} edges, {} augmentations",
+        "",
+        counts.0 as f64 / RETAINED as f64,
+        counts.1 as f64 / RETAINED as f64,
+        counts.2,
+        counts.3
+    );
 }
 
 fn codec_benches(out: &mut Vec<Measurement>) {
@@ -239,6 +315,7 @@ fn main() {
     let mut measurements = Vec::new();
     engine_benches(&mut measurements);
     flow_solve_benches(&mut measurements);
+    flow_solve_capped(&mut measurements);
     codec_benches(&mut measurements);
 
     let path = std::env::var("DELTA_BENCH_JSON").unwrap_or_else(|_| {

@@ -106,7 +106,7 @@ pub struct UpdateManagerStats {
 
 /// One materialized run of outstanding updates `[start, end)` of an
 /// object, represented by a single cover vertex.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Segment {
     start: u64,
     end: u64,
@@ -125,14 +125,9 @@ pub struct UpdateManager {
     /// Live update-node count across all objects (kept so the hot path
     /// never has to sum the slab).
     live_nodes: usize,
-    /// Live queries adjacent to each segment vertex (needed to re-wire on
-    /// splits). A dense slab indexed by `UpdateNode.0` — node handles are
-    /// monotonically assigned and never reused, so no hashing on the hot
-    /// path; dead nodes leave an empty (recycled) slot behind.
-    node_queries: Vec<Vec<QueryNode>>,
-    /// Recycled adjacency Vecs from dead slab slots.
-    adj_pool: Vec<Vec<QueryNode>>,
-    /// Retained (shipped) query vertices.
+    /// Retained (shipped) query vertices; between decisions each is alive
+    /// with a live edge: shipping and eviction end in `prune_isolated`,
+    /// and nothing else (split, coalesce, the query cap) isolates a query.
     retained: Vec<QueryNode>,
     /// Reusable scratch for the per-query needed-update ranges — no
     /// per-event heap allocation on the hot path.
@@ -141,37 +136,6 @@ pub struct UpdateManager {
     /// pure sim/bench runs — decisions are identical either way).
     instruments: Option<PolicyInstruments>,
     stats: UpdateManagerStats,
-}
-
-/// Recycled adjacency Vecs kept in the pool (beyond this, capacity is
-/// returned to the allocator).
-const MAX_POOLED_ADJ: usize = 256;
-
-/// The slab slot for `node`, growing the slab on demand. Free-standing so
-/// callers holding disjoint borrows of other `UpdateManager` fields can
-/// still use it.
-fn nq_slot(nq: &mut Vec<Vec<QueryNode>>, node: UpdateNode) -> &mut Vec<QueryNode> {
-    if node.0 >= nq.len() {
-        nq.resize_with(node.0 + 1, Vec::new);
-    }
-    &mut nq[node.0]
-}
-
-/// Empties `node`'s slab slot and returns its contents (an empty Vec if
-/// the node never had adjacency recorded).
-fn nq_take(nq: &mut [Vec<QueryNode>], node: UpdateNode) -> Vec<QueryNode> {
-    match nq.get_mut(node.0) {
-        Some(slot) => std::mem::take(slot),
-        None => Vec::new(),
-    }
-}
-
-/// Returns a drained adjacency Vec to the pool for reuse.
-fn nq_recycle(pool: &mut Vec<Vec<QueryNode>>, mut v: Vec<QueryNode>) {
-    if pool.len() < MAX_POOLED_ADJ {
-        v.clear();
-        pool.push(v);
-    }
 }
 
 impl UpdateManager {
@@ -274,14 +238,13 @@ impl UpdateManager {
         let qn = self.graph.add_query(q.result_bytes);
         for &(o, from, to) in &ranges {
             self.materialize(o, from, to, ctx);
-            let i = o.index();
-            for s in 0..self.by_object[i].len() {
-                let seg = &self.by_object[i][s];
-                if seg.end <= to {
-                    let node = seg.node;
-                    self.graph.add_interaction(node, qn);
-                    nq_slot(&mut self.node_queries, node).push(qn);
+            // Sorted and disjoint: q's segments are the prefix ending at
+            // `to`.
+            for seg in &self.by_object[o.index()] {
+                if seg.end > to {
+                    break;
                 }
+                self.graph.add_interaction(seg.node, qn);
             }
         }
 
@@ -332,43 +295,26 @@ impl UpdateManager {
             if segs.len() <= MAX_SEGMENTS_PER_OBJECT {
                 continue;
             }
-            // Coalesce the oldest half into one vertex.
+            // Coalesce the oldest half into its first vertex.
             let k = segs.len() - MAX_SEGMENTS_PER_OBJECT / 2;
-            let merged: Vec<Segment> = segs.drain(..k).collect();
-            let start = merged.first().expect("k >= 1").start;
-            let end = merged.last().expect("k >= 1").end;
-            let mut weight = 0u64;
-            let mut adjacency: Vec<QueryNode> = self.adj_pool.pop().unwrap_or_default();
-            for seg in &merged {
-                weight += self.graph.update_weight(seg.node);
-                let adj = nq_take(&mut self.node_queries, seg.node);
-                adjacency.extend_from_slice(&adj);
-                nq_recycle(&mut self.adj_pool, adj);
-                self.graph.remove_update(seg.node);
-            }
-            adjacency.sort_unstable_by_key(|qn| qn.0);
-            adjacency.dedup();
-            let node = self.graph.add_update(weight);
-            for &adj_q in &adjacency {
-                if self.graph.query_alive(adj_q) {
-                    self.graph.add_interaction(node, adj_q);
-                }
-            }
-            adjacency.retain(|&adj_q| self.graph.query_alive(adj_q));
-            *nq_slot(&mut self.node_queries, node) = adjacency;
-            segs.insert(0, Segment { start, end, node });
-            self.live_nodes -= merged.len() - 1;
-            self.stats.segments_coalesced += merged.len() as u64;
+            segs[0].end = segs[k - 1].end;
+            self.graph
+                .merge_updates(segs[0].node, segs.drain(1..k).map(|seg| seg.node));
+            self.live_nodes -= k - 1;
+            self.stats.segments_coalesced += k as u64;
         }
         if self.retained.len() > MAX_RETAINED_QUERIES {
             let drop = self.retained.len() - MAX_RETAINED_QUERIES;
             for qn in self.retained.drain(..drop) {
-                if self.graph.query_alive(qn) {
-                    self.graph.remove_query(qn);
-                }
+                self.graph.remove_query(qn);
                 self.stats.retained_dropped += 1;
             }
-            self.prune_isolated();
+            // Removing a query cannot isolate another query, so there is
+            // nothing to prune (the invariant on `retained`).
+            debug_assert!(self
+                .retained
+                .iter()
+                .all(|&qn| self.graph.query_alive(qn) && self.graph.query_degree(qn) > 0));
         }
     }
 
@@ -392,39 +338,20 @@ impl UpdateManager {
             });
             self.live_nodes += 1;
         } else if let Some(idx) = segs.iter().position(|s| s.start < to && to < s.end) {
-            // Split the straddling segment at `to`.
+            // Split the straddling segment at `to`; every query adjacent
+            // to it needed all of it, so both halves keep them all.
             self.stats.segment_splits += 1;
-            let old = segs[idx].clone();
-            let adjacency = nq_take(&mut self.node_queries, old.node);
-            graph.remove_update(old.node);
-            let w1 = ctx.repo.update_bytes(o, old.start, to);
-            let w2 = ctx.repo.update_bytes(o, to, old.end);
-            let n1 = graph.add_update(w1);
-            let n2 = graph.add_update(w2);
-            // Every query adjacent to the old segment needed all of it:
-            // re-wire to both halves.
-            for &adj_q in &adjacency {
-                if graph.query_alive(adj_q) {
-                    graph.add_interaction(n1, adj_q);
-                    graph.add_interaction(n2, adj_q);
-                    nq_slot(&mut self.node_queries, n1).push(adj_q);
-                    nq_slot(&mut self.node_queries, n2).push(adj_q);
-                }
-            }
-            nq_recycle(&mut self.adj_pool, adjacency);
-            segs[idx] = Segment {
-                start: old.start,
-                end: to,
-                node: n1,
+            let (start, end) = (segs[idx].start, segs[idx].end);
+            let w1 = ctx.repo.update_bytes(o, start, to);
+            let w2 = ctx.repo.update_bytes(o, to, end);
+            let node = graph.split_update(segs[idx].node, w1, w2);
+            segs[idx].end = to;
+            let second = Segment {
+                start: to,
+                end,
+                node,
             };
-            segs.insert(
-                idx + 1,
-                Segment {
-                    start: to,
-                    end: old.end,
-                    node: n2,
-                },
-            );
+            segs.insert(idx + 1, second);
             self.live_nodes += 1;
         }
     }
@@ -437,8 +364,6 @@ impl UpdateManager {
             let k = segs.iter().position(|s| s.end > to).unwrap_or(segs.len());
             for seg in segs.drain(..k) {
                 self.graph.remove_update(seg.node);
-                let adj = nq_take(&mut self.node_queries, seg.node);
-                nq_recycle(&mut self.adj_pool, adj);
                 self.live_nodes -= 1;
                 self.stats.update_nodes_shipped += 1;
             }
@@ -457,8 +382,6 @@ impl UpdateManager {
         }
         for seg in std::mem::take(segs) {
             self.graph.remove_update(seg.node);
-            let adj = nq_take(&mut self.node_queries, seg.node);
-            nq_recycle(&mut self.adj_pool, adj);
             self.live_nodes -= 1;
         }
         self.prune_isolated();

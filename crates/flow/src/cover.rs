@@ -19,7 +19,9 @@
 //! previous flow, and nodes leave (updates shipped, queries answered,
 //! objects evicted) via closed-form flow cancellation that keeps the
 //! retained flow feasible — precisely the remainder-subgraph technique of
-//! §4 of the paper.
+//! §4 of the paper. Restructuring that removes nothing — splitting an
+//! update vertex, merging several — *carries* the routed flow across in
+//! closed form instead, so the next solve finds only genuinely new paths.
 //!
 //! ## The membership fast path
 //!
@@ -30,7 +32,9 @@
 //! answers exactly that: augment the flow to maximality (incrementally),
 //! then search `s ⇝ q` with the same bidirectional routine that finds
 //! augmenting paths (see [`crate::graph`]) — and not even that when `q`'s
-//! sink edge still has residual capacity. No reachability vector, no
+//! sink edge still has residual capacity. Both searches start their
+//! backward side from the *open* sink edges (`CoverGraph::open`), not from
+//! one adjacency entry per retained query. No reachability vector, no
 //! `HashSet` materialization, no allocation at all. The full
 //! [`CoverGraph::solve`] survives for tests, stats, and offline planning.
 //!
@@ -75,6 +79,8 @@ struct QEntry {
     edges: Vec<(EdgeId, UpdateNode)>,
     live_deg: usize,
     alive: bool,
+    /// Listed in [`CoverGraph::open`].
+    open: bool,
 }
 
 /// The result of a cover computation.
@@ -106,6 +112,14 @@ pub struct CoverGraph {
     /// nodes, reused by `add_update` / `add_query`.
     u_edge_pool: Vec<Vec<(EdgeId, QueryNode)>>,
     q_edge_pool: Vec<Vec<(EdgeId, UpdateNode)>>,
+    /// The open-sink set: lists every live query whose `q -> t` edge has
+    /// residual capacity (once: `QEntry::open`). Entered by `add_query`
+    /// and wherever flow is taken off a sink edge (`remove_update`; an
+    /// augmentation only adds to one). A superset: saturated and dead
+    /// entries leave when a solve next reads the list.
+    open: Vec<QueryNode>,
+    /// `open` as the searches read it in place of `adj[t]`, per solve.
+    open_edges: Vec<EdgeId>,
     /// Compaction scratch: `(u index, q index, carried flow)` per
     /// surviving interaction edge.
     rewires: Vec<(usize, usize, u64)>,
@@ -137,6 +151,8 @@ impl CoverGraph {
             removed_nodes: 0,
             u_edge_pool: Vec::new(),
             q_edge_pool: Vec::new(),
+            open: Vec::new(),
+            open_edges: Vec::new(),
             rewires: Vec::new(),
             unode_scratch: Vec::new(),
         }
@@ -169,9 +185,12 @@ impl CoverGraph {
             edges: self.q_edge_pool.pop().unwrap_or_default(),
             live_deg: 0,
             alive: true,
+            open: true,
         });
         self.live_q += 1;
-        QueryNode(self.qs.len() - 1)
+        let q = QueryNode(self.qs.len() - 1);
+        self.open.push(q);
+        q
     }
 
     /// Adds an interaction edge: query `q`'s currency requirement depends on
@@ -261,12 +280,10 @@ impl CoverGraph {
         if !self.us[u.0].alive {
             return;
         }
-        let node = self.us[u.0].node;
         let s_edge = self.us[u.0].s_edge;
-        // Cancel flow on each interaction edge and the matching q->t edge.
-        // The entry is dead after this call and its edge list is never
-        // read again, so move it out instead of cloning it.
-        let mut edges = std::mem::take(&mut self.us[u.0].edges);
+        // Cancel flow on each interaction edge and the matching q->t edge
+        // (which reopens it).
+        let edges = std::mem::take(&mut self.us[u.0].edges);
         for &(e, q) in &edges {
             let qe = &mut self.qs[q.0];
             if qe.alive {
@@ -276,22 +293,130 @@ impl CoverGraph {
             let f = self.net.flow_on(e) as i64;
             if f > 0 {
                 self.net.force_flow(e, -f);
-                self.net.force_flow(self.qs[q.0].t_edge, -f);
+                self.net.force_flow(qe.t_edge, -f);
+                if !qe.open {
+                    qe.open = true;
+                    self.open.push(q);
+                }
             }
         }
+        let f_su = self.net.flow_on(s_edge) as i64;
+        self.net.force_flow(s_edge, -f_su);
+        self.retire_update(u, edges);
+        self.maybe_compact();
+    }
+
+    /// Deletes `u`, its flow cancelled or moved and its edge list taken.
+    fn retire_update(&mut self, u: UpdateNode, mut edges: Vec<(EdgeId, QueryNode)>) {
         if self.u_edge_pool.len() < MAX_POOLED_EDGE_LISTS {
             edges.clear();
             self.u_edge_pool.push(edges);
         }
-        let f_su = self.net.flow_on(s_edge) as i64;
-        if f_su > 0 {
-            self.net.force_flow(s_edge, -f_su);
-        }
-        self.net.delete_node(node);
+        self.net.delete_node(self.us[u.0].node);
         self.us[u.0].alive = false;
         self.us[u.0].live_deg = 0;
         self.live_u -= 1;
         self.removed_nodes += 1;
+    }
+
+    /// Splits update vertex `u` into two of weights `w1 + w2 = w(u)`, both
+    /// adjacent to every live neighbour of `u`: `u` becomes the first, the
+    /// returned vertex is the second. Each `f(u -> q)` stays on the first
+    /// while `w1` lasts and the rest moves to the second; no sink edge
+    /// changes, so the flow stays feasible at the same value.
+    ///
+    /// # Panics
+    /// Panics if `u` has been removed or the weights do not sum to `w(u)`.
+    pub fn split_update(&mut self, u: UpdateNode, w1: u64, w2: u64) -> UpdateNode {
+        assert!(self.us[u.0].alive, "update node removed");
+        assert_eq!(w1 + w2, self.us[u.0].weight, "halves must sum to w(u)");
+        let second = self.add_update(w2);
+        let UEntry { node, s_edge, .. } = self.us[second.0];
+        let mut edges = std::mem::take(&mut self.us[u.0].edges);
+        let mut edges2 = std::mem::take(&mut self.us[second.0].edges);
+        let (mut room, mut moved) = (w1, 0i64);
+        edges.retain(|&(e, q)| {
+            let qe = &mut self.qs[q.0];
+            if !qe.alive {
+                return false;
+            }
+            let f = self.net.flow_on(e);
+            let stays = f.min(room);
+            room -= stays;
+            let e2 = self.net.add_edge(node, qe.node, INF);
+            let over = (f - stays) as i64;
+            self.net.force_flow(e, -over);
+            self.net.force_flow(e2, over);
+            moved += over;
+            qe.edges.push((e2, second));
+            qe.live_deg += 1;
+            edges2.push((e2, q));
+            true
+        });
+        self.live_edges += edges2.len();
+        self.us[second.0].live_deg = edges2.len();
+        self.us[second.0].edges = edges2;
+        let first = &mut self.us[u.0];
+        first.edges = edges;
+        first.weight = w1;
+        self.net.force_flow(first.s_edge, -moved);
+        self.net.set_capacity(first.s_edge, w1);
+        self.net.force_flow(s_edge, moved);
+        second
+    }
+
+    /// Merges update vertices `parts` into `into`, which ends with their
+    /// total weight and the union of their live neighbours. `f(s -> into)`
+    /// and each `f(into -> q)` grow by what the parts carried; no sink edge
+    /// changes, so the flow stays feasible at the same value.
+    ///
+    /// # Panics
+    /// Panics unless `into` and the parts are live and distinct.
+    pub fn merge_updates(&mut self, into: UpdateNode, parts: impl IntoIterator<Item = UpdateNode>) {
+        assert!(self.us[into.0].alive, "update node removed");
+        let UEntry { node, s_edge, .. } = self.us[into.0];
+        // `into`'s own edge to each neighbour, filed under the neighbour.
+        self.net.bump_epoch();
+        let mut edges = std::mem::take(&mut self.us[into.0].edges);
+        edges.retain(|&(e, q)| {
+            let qe = &self.qs[q.0];
+            if qe.alive {
+                self.net.set_slot(qe.node, e);
+            }
+            qe.alive
+        });
+        for part in parts {
+            assert!(part != into && self.us[part.0].alive, "not a live part");
+            self.us[into.0].weight += self.us[part.0].weight;
+            self.net.set_capacity(s_edge, self.us[into.0].weight);
+            let part_edges = std::mem::take(&mut self.us[part.0].edges);
+            for &(e, q) in &part_edges {
+                let qe = &mut self.qs[q.0];
+                if !qe.alive {
+                    continue;
+                }
+                let onto = self.net.slot(qe.node).unwrap_or_else(|| {
+                    let onto = self.net.add_edge(node, qe.node, INF);
+                    self.net.set_slot(qe.node, onto);
+                    qe.edges.push((onto, into));
+                    qe.live_deg += 1;
+                    self.live_edges += 1;
+                    edges.push((onto, q));
+                    onto
+                });
+                qe.live_deg -= 1;
+                self.live_edges -= 1;
+                let f = self.net.flow_on(e) as i64;
+                self.net.force_flow(e, -f);
+                self.net.force_flow(onto, f);
+            }
+            let f = self.net.flow_on(self.us[part.0].s_edge) as i64;
+            self.net.force_flow(self.us[part.0].s_edge, -f);
+            self.net.force_flow(s_edge, f);
+            self.retire_update(part, part_edges);
+        }
+        self.us[into.0].live_deg = edges.len();
+        self.us[into.0].edges = edges;
         self.maybe_compact();
     }
 
@@ -341,7 +466,7 @@ impl CoverGraph {
     /// Panics if `q` has been removed.
     pub fn solve_query_membership(&mut self, q: QueryNode) -> bool {
         assert!(self.qs[q.0].alive, "query node removed");
-        self.net.max_flow(self.s, self.t);
+        self.max_flow();
         let QEntry { node, t_edge, .. } = self.qs[q.0];
         // A query that can still reach `t` cannot be reachable from `s`:
         // together that would be an augmenting path, and the flow is
@@ -349,7 +474,35 @@ impl CoverGraph {
         if self.net.edge(t_edge).residual() > 0 {
             return false;
         }
-        self.net.residual_reaches(self.s, node)
+        // The probe's backward side reaches `t` over `q`'s own sink edge;
+        // from there it too follows the open edges only.
+        let open = (self.t, &mut self.open_edges);
+        self.net.search(self.s, node, Some(open)).is_some()
+    }
+
+    /// Brings the flow to maximum, continuing from the current one, with
+    /// every search's backward side starting from the open-sink set.
+    fn max_flow(&mut self) {
+        self.open_edges.clear();
+        self.open.retain(|q| {
+            let qe = &mut self.qs[q.0];
+            qe.open = qe.alive && self.net.edge(qe.t_edge).residual() > 0;
+            if qe.open {
+                self.open_edges.push(qe.t_edge ^ 1);
+            }
+            qe.open
+        });
+        let (s, t) = (self.s, self.t);
+        while self
+            .net
+            .augment(s, t, Some((t, &mut self.open_edges)))
+            .is_some()
+        {}
+    }
+
+    /// Value of the current flow (maximum right after a solve).
+    pub fn flow_value(&self) -> u64 {
+        self.net.flow_value(self.s)
     }
 
     /// Cumulative augmenting paths pushed by every solve so far.
@@ -369,7 +522,7 @@ impl CoverGraph {
     /// full cover — tests, stats, and offline planning; the online hot
     /// path uses [`Self::solve_query_membership`].
     pub fn solve(&mut self) -> Cover {
-        self.net.max_flow(self.s, self.t);
+        self.max_flow();
         self.net.mark_residual_reachable(self.s);
         let mut cover = Cover {
             weight: self.net.flow_value(self.s),
@@ -480,9 +633,20 @@ impl CoverGraph {
         debug_assert!(self.net.check_conservation(self.s, self.t).is_ok());
     }
 
-    /// Sanity check: the flow is conserved. For tests.
+    /// Sanity check: the flow is conserved, and the open-sink set lists
+    /// each flagged query once and misses no live query whose sink edge
+    /// has residual capacity. For tests.
     pub fn check(&self) -> Result<(), String> {
-        self.net.check_conservation(self.s, self.t)
+        self.net.check_conservation(self.s, self.t)?;
+        let listed: HashSet<QueryNode> = self.open.iter().copied().collect();
+        let sound = listed.len() == self.open.len()
+            && self.qs.iter().enumerate().all(|(i, q)| {
+                q.open == listed.contains(&QueryNode(i))
+                    && (q.open || !q.alive || self.net.edge(q.t_edge).residual() == 0)
+            });
+        sound
+            .then_some(())
+            .ok_or_else(|| "the open-sink set misses a query or lists one twice".into())
     }
 }
 
@@ -709,6 +873,65 @@ mod tests {
         // Removing again is a no-op.
         g.remove_update(u2);
         g.check().unwrap();
+    }
+
+    #[test]
+    fn split_carries_the_flow_across() {
+        // u (10) feeds q1 (4) and q2 (8): s -> u is saturated at 10.
+        let mut g = CoverGraph::new();
+        let u = g.add_update(10);
+        let q1 = g.add_query(4);
+        let q2 = g.add_query(8);
+        g.add_interaction(u, q1);
+        g.add_interaction(u, q2);
+        assert_eq!(g.solve().weight, 10);
+        let pushed = g.augmentations();
+        let second = g.split_update(u, 3, 7);
+        g.check().unwrap();
+        assert_eq!(g.flow_value(), 10, "3 stayed, 7 moved");
+        assert_eq!((g.update_weight(u), g.update_weight(second)), (3, 7));
+        assert_eq!((g.update_degree(u), g.update_degree(second)), (2, 2));
+        assert_eq!((g.query_degree(q1), g.live_interactions()), (2, 4));
+        // Still maximum: the halves are cover-equivalent to the whole.
+        let cover = g.solve();
+        assert_eq!(cover.weight, 10);
+        assert!(cover.updates.contains(&u) && cover.updates.contains(&second));
+        assert_eq!(g.augmentations(), pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "halves must sum")]
+    fn split_rejects_weights_that_do_not_add_up() {
+        let mut g = CoverGraph::new();
+        let u = g.add_update(10);
+        g.split_update(u, 3, 8);
+    }
+
+    #[test]
+    fn merge_carries_the_flow_across_and_unions_the_neighbours() {
+        // u1 (2) -- q1 (5) and u2 (3) -- q2 (1), q3 dead: flow 2 + 1.
+        let mut g = CoverGraph::new();
+        let u1 = g.add_update(2);
+        let u2 = g.add_update(3);
+        let q1 = g.add_query(5);
+        let q2 = g.add_query(1);
+        let q3 = g.add_query(9);
+        g.add_interaction(u1, q1);
+        g.add_interaction(u2, q2);
+        g.add_interaction(u2, q3);
+        g.remove_query(q3);
+        assert_eq!(g.solve().weight, 3);
+        g.merge_updates(u1, [u2]);
+        g.check().unwrap();
+        assert_eq!(g.flow_value(), 3);
+        assert!(!g.update_alive(u2));
+        assert_eq!((g.update_weight(u1), g.update_degree(u1)), (5, 2));
+        assert_eq!((g.query_degree(q1), g.query_degree(q2)), (1, 1));
+        assert_eq!((g.live_updates(), g.live_interactions()), (1, 2));
+        // The union is conservative: shipping u' (5) now beats q1 + q2 (6).
+        let cover = g.solve();
+        assert_eq!(cover.weight, 5);
+        assert!(cover.updates.contains(&u1) && cover.queries.is_empty());
     }
 
     #[test]

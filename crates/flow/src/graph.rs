@@ -36,6 +36,15 @@
 //! ends with, is bounded by the smaller residual-reachable side instead
 //! of always the source's.
 //!
+//! ## Where the backward side starts
+//!
+//! A sink's adjacency is as long as the layer that points at it, nearly
+//! all of it saturated and uncrossable. A caller that tracks which sink
+//! edges can still take flow passes them as an `OpenSink`; for that one
+//! search the list *is* the sink's adjacency. The backward side's first
+//! level is then the open edges' tails, each discovered over its own sink
+//! edge: the levels, and so the shortest-path argument, are untouched.
+//!
 //! ## Scratch epochs
 //!
 //! Each frontier needs per-node visited/parent state. Allocating it per
@@ -61,6 +70,12 @@ pub const INF: u64 = u64::MAX / 4;
 /// Recycled adjacency Vecs kept for reuse after node deletion (beyond
 /// this, capacity is returned to the allocator).
 const MAX_POOLED_ADJ: usize = 1024;
+
+/// A sink and its in-edges that may still have residual capacity, in the
+/// form `adj[sink]` holds them (the twin `e ^ 1` of each edge `e` into it).
+/// Must list *every* such edge; saturated ones and deleted tails are
+/// skipped (the latter dropped) as they would be in the full list.
+pub(crate) type OpenSink<'a> = (NodeId, &'a mut Vec<EdgeId>);
 
 /// A directed edge with explicit flow (residual capacity is `cap - flow`).
 #[derive(Clone, Copy, Debug)]
@@ -119,9 +134,9 @@ impl Frontier {
     /// *into* `v`). Returns the first vertex `theirs` has marked too.
     ///
     /// Entries whose head was deleted are dropped where they are met (edge
-    /// ids stay valid, only the list shrinks): `s` and `t` are adjacent to
-    /// every vertex that ever lived, and are scanned by nearly every
-    /// search, so their dead entries must not wait for a compaction.
+    /// ids stay valid, only the list shrinks): `s` is adjacent to every
+    /// update vertex that ever lived and is scanned by nearly every
+    /// search, so its dead entries must not wait for a compaction.
     fn expand_level(
         &mut self,
         theirs: &Frontier,
@@ -289,6 +304,12 @@ impl FlowNetwork {
         debug_assert!(self.edges[e ^ 1].flow <= self.edges[e ^ 1].cap as i64);
     }
 
+    /// Re-weights edge `e` in place. The flow on it must already fit.
+    pub(crate) fn set_capacity(&mut self, e: EdgeId, cap: u64) {
+        debug_assert!(self.edges[e].flow <= cap as i64);
+        self.edges[e].cap = cap;
+    }
+
     /// Zeroes all flow (turning the next [`Self::max_flow`] into a
     /// from-scratch computation).
     pub fn reset_flow(&mut self) {
@@ -308,7 +329,7 @@ impl FlowNetwork {
     /// Starts a fresh traversal: grows both sides' stamp buffers to the
     /// current node count and returns the new epoch.
     #[inline]
-    fn bump_epoch(&mut self) -> u64 {
+    pub(crate) fn bump_epoch(&mut self) -> u64 {
         let n = self.adj.len();
         for side in [&mut self.fwd, &mut self.bwd] {
             if side.mark.len() < n {
@@ -323,12 +344,23 @@ impl FlowNetwork {
     /// The one path search (see the module docs): a shortest residual path
     /// `from ⇝ to`, reported as the vertex where the two frontiers met.
     /// `fwd.parent` then leads from the meeting vertex back to `from` and
-    /// `bwd.parent` on to `to`.
-    fn search(&mut self, from: NodeId, to: NodeId) -> Option<NodeId> {
+    /// `bwd.parent` on to `to`. `open`'s list stands in for its sink's
+    /// adjacency until the search returns (module docs); only the backward
+    /// side reads it, since the forward side stops where it meets the sink
+    /// and never reaches it on a maximum flow.
+    pub(crate) fn search(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        mut open: Option<OpenSink<'_>>,
+    ) -> Option<NodeId> {
         if self.deleted[from] || self.deleted[to] {
             return None;
         }
         let epoch = self.bump_epoch();
+        if let Some((sink, list)) = &mut open {
+            std::mem::swap(&mut self.adj[*sink], list);
+        }
         let Self {
             adj,
             edges,
@@ -350,6 +382,9 @@ impl FlowNetwork {
             };
         }
         self.edges_scanned += fwd.scanned + bwd.scanned;
+        if let Some((sink, list)) = open {
+            std::mem::swap(&mut self.adj[sink], list);
+        }
         met
     }
 
@@ -367,8 +402,19 @@ impl FlowNetwork {
     /// Finds one shortest augmenting path and pushes flow along it.
     /// Returns the amount pushed, or `None` if no augmenting path exists.
     pub fn augment_once(&mut self, s: NodeId, t: NodeId) -> Option<u64> {
+        self.augment(s, t, None)
+    }
+
+    /// [`Self::augment_once`], the search's backward side starting from
+    /// `open` when given.
+    pub(crate) fn augment(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+        open: Option<OpenSink<'_>>,
+    ) -> Option<u64> {
         debug_assert!(s != t && !self.deleted[s] && !self.deleted[t]);
-        let met = self.search(s, t)?;
+        let met = self.search(s, t, open)?;
         let mut bottleneck = u64::MAX;
         self.walk_path(s, met, t, |edges, e| {
             bottleneck = bottleneck.min(edges[e].residual());
@@ -410,7 +456,7 @@ impl FlowNetwork {
     /// the single-node question behind a cover membership test.
     /// Allocation-free (epoch-stamped scratch).
     pub fn residual_reaches(&mut self, s: NodeId, target: NodeId) -> bool {
-        self.search(s, target).is_some()
+        self.search(s, target, None).is_some()
     }
 
     /// Cumulative adjacency entries examined by path searches
@@ -423,6 +469,18 @@ impl FlowNetwork {
     /// Cumulative augmenting paths pushed.
     pub fn augmentations(&self) -> u64 {
         self.augmentations
+    }
+
+    /// The edge [`Self::set_slot`] filed under `v` since the last
+    /// [`Self::bump_epoch`]: a node -> edge map on the forward scratch.
+    pub(crate) fn slot(&self, v: NodeId) -> Option<EdgeId> {
+        (self.fwd.mark[v] == self.epoch).then(|| self.fwd.parent[v])
+    }
+
+    /// Files edge `e` under node `v` until the next traversal.
+    pub(crate) fn set_slot(&mut self, v: NodeId, e: EdgeId) {
+        self.fwd.mark[v] = self.epoch;
+        self.fwd.parent[v] = e;
     }
 
     /// Stamps every node reachable from `s` in the residual graph with a

@@ -13,7 +13,8 @@
 //! * [`CoverGraph`] — the bipartite update/query interaction graph with
 //!   minimum-weight vertex cover via the max-flow reduction, node removal
 //!   with closed-form flow cancellation (the paper's *remainder subgraph*),
-//!   and automatic compaction.
+//!   vertex split/merge that carry the routed flow across, and automatic
+//!   compaction.
 //!
 //! ```
 //! use delta_flow::CoverGraph;

@@ -429,3 +429,136 @@ proptest! {
         g.check().unwrap();
     }
 }
+
+/// The bipartite graph a [`CoverGraph`] should hold, kept beside it by
+/// [`restructure`]: live vertices by handle, weights, and interaction
+/// pairs.
+#[derive(Default)]
+struct Model {
+    us: Vec<(UpdateNode, u64)>,
+    qs: Vec<(QueryNode, u64)>,
+    edges: Vec<(UpdateNode, QueryNode)>,
+}
+
+impl Model {
+    /// The from-scratch forward reference's flow value on the model.
+    fn reference_flow(&self) -> u64 {
+        let u_at = |u: UpdateNode| 2 + self.us.iter().position(|&(v, _)| v == u).unwrap();
+        let q_at =
+            |q: QueryNode| 2 + self.us.len() + self.qs.iter().position(|&(v, _)| v == q).unwrap();
+        let mut edges = Vec::new();
+        for &(u, w) in &self.us {
+            edges.push((0, u_at(u), w));
+        }
+        for &(q, w) in &self.qs {
+            edges.push((q_at(q), 1, w));
+        }
+        for &(u, q) in &self.edges {
+            edges.push((u_at(u), q_at(q), INF));
+        }
+        reference_max_flow(2 + self.us.len() + self.qs.len(), &edges, 0, 1)
+    }
+}
+
+/// Applies one scripted operation to the graph and its model. `a` and `b`
+/// pick vertices among the live ones, `w` is a weight or a split point.
+fn restructure(g: &mut CoverGraph, m: &mut Model, (kind, a, b, w): (u8, usize, usize, u64)) {
+    let flow = g.flow_value();
+    match kind {
+        0 => m.us.push((g.add_update(w), w)),
+        1 => m.qs.push((g.add_query(w), w)),
+        2..=4 if !m.us.is_empty() && !m.qs.is_empty() => {
+            let (u, q) = (m.us[a % m.us.len()].0, m.qs[b % m.qs.len()].0);
+            g.add_interaction(u, q);
+            m.edges.push((u, q));
+        }
+        5 if !m.us.is_empty() => {
+            let (u, _) = m.us.swap_remove(a % m.us.len());
+            g.remove_update(u);
+            m.edges.retain(|&(v, _)| v != u);
+        }
+        6 if !m.qs.is_empty() => {
+            let (q, _) = m.qs.swap_remove(b % m.qs.len());
+            g.remove_query(q);
+            m.edges.retain(|&(_, v)| v != q);
+        }
+        7 if !m.us.is_empty() => {
+            let i = a % m.us.len();
+            let (u, weight) = m.us[i];
+            let w1 = w % (weight + 1);
+            let second = g.split_update(u, w1, weight - w1);
+            assert_eq!(g.flow_value(), flow, "split changed the flow value");
+            m.us[i].1 = w1;
+            m.us.push((second, weight - w1));
+            let copies: Vec<_> = m.edges.iter().filter(|&&(v, _)| v == u).copied().collect();
+            m.edges.extend(copies.into_iter().map(|(_, q)| (second, q)));
+        }
+        8 if m.us.len() >= 2 => {
+            // Merge the 1–3 vertices after `into` (cyclically) into it.
+            let i = a % m.us.len();
+            let k = (1 + b % 3).min(m.us.len() - 1);
+            let parts: Vec<_> = (1..=k).map(|d| m.us[(i + d) % m.us.len()].0).collect();
+            let into = m.us[i].0;
+            g.merge_updates(into, parts.iter().copied());
+            assert_eq!(g.flow_value(), flow, "merge changed the flow value");
+            let total: u64 =
+                m.us.iter()
+                    .filter(|(v, _)| parts.contains(v))
+                    .map(|&(_, w)| w)
+                    .sum();
+            m.us.iter_mut().find(|(v, _)| *v == into).unwrap().1 += total;
+            m.us.retain(|(v, _)| !parts.contains(v));
+            for e in &mut m.edges {
+                if parts.contains(&e.0) {
+                    e.0 = into;
+                }
+            }
+        }
+        9 => g.compact(),
+        _ => {}
+    }
+}
+
+proptest! {
+    /// Random add / remove / split / merge / compact sequences: the flow
+    /// stays conserved and the open-sink set complete after every step
+    /// (`check`), splits and merges carry the flow value across
+    /// (`restructure`), and whenever the script solves, the cover weight
+    /// is the from-scratch forward reference's flow on the modelled graph
+    /// and the membership probe agrees with the full extraction.
+    #[test]
+    fn restructuring_preserves_flow_and_answers(
+        inst in arb_instance(6, 14),
+        ops in proptest::collection::vec((0u8..12, 0usize..64, 0usize..64, 0u64..100), 0..40),
+    ) {
+        let (mut g, us, qs) = build(&inst);
+        let mut m = Model {
+            us: us.iter().copied().zip(inst.u_weights.iter().copied()).collect(),
+            qs: qs.iter().copied().zip(inst.q_weights.iter().copied()).collect(),
+            edges: inst.edges.iter().map(|&(u, q)| (us[u], qs[q])).collect(),
+        };
+        for (step, &op) in ops.iter().enumerate() {
+            restructure(&mut g, &mut m, op);
+            g.check().unwrap();
+            // Kinds 10 and 11 (and every fourth step) solve, so the
+            // restructuring also meets flows that are not maximum.
+            if op.0 >= 10 || step % 4 == 3 {
+                let cover = g.solve();
+                prop_assert_eq!(cover.weight, m.reference_flow(), "after step {}", step);
+                for &(q, _) in &m.qs {
+                    prop_assert_eq!(g.solve_query_membership(q), cover.queries.contains(&q));
+                }
+                g.check().unwrap();
+            }
+        }
+        prop_assert_eq!(g.solve().weight, m.reference_flow());
+        prop_assert_eq!(g.live_updates(), m.us.len());
+        prop_assert_eq!(g.live_queries(), m.qs.len());
+        // The O(1) degree counters (each accessor recounts in debug
+        // builds) survived every in-place split and merge.
+        let by_update: usize = m.us.iter().map(|&(u, _)| g.update_degree(u)).sum();
+        let by_query: usize = m.qs.iter().map(|&(q, _)| g.query_degree(q)).sum();
+        prop_assert_eq!(by_update, g.live_interactions());
+        prop_assert_eq!(by_query, g.live_interactions());
+    }
+}

@@ -5,7 +5,10 @@
 //! segments in the graph, so nearly all of it is residual-reachable from
 //! the source; a search that walks it from `s` to prove the flow maximal
 //! pays for every live interaction on every solve. The bidirectional
-//! search must instead pay for the two terminals' own adjacency and stop.
+//! search must instead pay for the source's adjacency and the *open* sink
+//! edges and stop — nothing per retained (saturated) query — and a
+//! coalesce must carry the routed flow across instead of leaving it to be
+//! found again, one augmenting path per retained query.
 
 use delta::flow::CoverGraph;
 
@@ -13,32 +16,69 @@ const SEGMENTS: usize = 128;
 const RETAINED: usize = 1024;
 
 /// One object whose outstanding updates were split into 128 nested
-/// segments by 1 024 shipped queries, query `j` needing the prefix up to
-/// its horizon. Queries are cheap and segments dear, so the cover is "ship
-/// every query": every `q -> t` edge saturated, every `s -> u` edge not.
-fn staircase() -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
+/// segments by `retained` shipped queries, query `j` needing the prefix up
+/// to its horizon. Queries are cheap and segments dear, so the cover is
+/// "ship every query": every `q -> t` edge saturated, every `s -> u` edge
+/// not.
+fn staircase_of(retained: usize) -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
     let mut g = CoverGraph::new();
     let segments: Vec<_> = (0..SEGMENTS).map(|_| g.add_update(1_000_000)).collect();
-    for j in 0..RETAINED {
+    for j in 0..retained {
         let q = g.add_query(1 + (j % 7) as u64);
         for &segment in &segments[..=j % SEGMENTS] {
             g.add_interaction(segment, q);
         }
     }
     let cover = g.solve();
-    assert_eq!(cover.queries.len(), RETAINED, "every query is shipped");
+    assert_eq!(cover.queries.len(), retained, "every query is shipped");
     assert!(cover.updates.is_empty());
     (g, segments)
+}
+
+fn staircase() -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
+    staircase_of(RETAINED)
+}
+
+/// Entries one failed search scans: the flow is maximum, so a `solve` is
+/// exactly that (the cover extraction's sweep is not a search and is not
+/// counted).
+fn failed_search(g: &mut CoverGraph) -> u64 {
+    let before = g.edges_scanned();
+    let _ = g.solve();
+    g.edges_scanned() - before
+}
+
+#[test]
+fn failed_search_does_not_grow_with_retained_queries() {
+    let (mut small, _) = staircase_of(256);
+    let (mut capped, _) = staircase_of(4096);
+    let scanned = failed_search(&mut small);
+    assert_eq!(scanned, failed_search(&mut capped));
+    assert!(
+        scanned <= SEGMENTS as u64,
+        "{scanned} entries for no open sink"
+    );
+}
+
+#[test]
+fn a_coalesce_leaves_no_flow_to_find_again() {
+    let (mut g, segments) = staircase();
+    let flow = g.flow_value();
+    g.merge_updates(segments[0], segments[1..64].iter().copied());
+    assert_eq!(g.flow_value(), flow);
+    // The next decision pushes its own path and nothing else.
+    let before = g.augmentations();
+    let q = g.add_query(3);
+    g.add_interaction(segments[0], q);
+    assert!(g.solve_query_membership(q), "a cheap query is shipped");
+    assert_eq!(g.augmentations() - before, 1);
+    g.check().unwrap();
 }
 
 #[test]
 fn failed_search_pays_for_the_terminals_not_the_graph() {
     let (mut g, _) = staircase();
-    // The flow is maximum, so this solve is exactly one failed search
-    // (the cover extraction's sweep is not a search and is not counted).
-    let before = g.edges_scanned();
-    let _ = g.solve();
-    let failed = g.edges_scanned() - before;
+    let failed = failed_search(&mut g);
     let terminals = (SEGMENTS + RETAINED) as u64; // deg(s) + deg(t)
     assert!(
         failed <= 2 * terminals,
