@@ -14,7 +14,7 @@
 //! committed baseline and diffs the two with the `bench_gate` binary).
 
 use delta_core::{sim, Benefit, BenefitConfig, CachingPolicy, NoCache, Replica, VCover};
-use delta_flow::{CoverGraph, QueryNode, UpdateNode};
+use delta_flow::{CoverGraph, QueryNode, Relay, UpdateNode};
 use delta_server::{BatchItem, Request, Response};
 use delta_storage::ObjectId;
 use delta_workload::{QueryEvent, QueryKind, SyntheticSurvey, UpdateEvent, WorkloadConfig};
@@ -177,7 +177,7 @@ fn flow_solve_benches(out: &mut Vec<Measurement>) {
 /// `MAX_RETAINED_QUERIES` retained, saturated queries. Every step one
 /// cheap query arrives at a random horizon — inside a segment seven times
 /// in eight (a split), past the newest otherwise (a fresh segment) — is
-/// shipped and retained, the oldest retained query is dropped, and the
+/// attached to the object's relay chain there, shipped and retained, the oldest retained query is dropped, and the
 /// oldest segments are coalesced whenever the object passes its cap (every
 /// 64 steps). `RETAINED` steps fill the retained cap, as many again run at
 /// it; the search's counts per solve and the worst single step are printed
@@ -189,8 +189,11 @@ fn flow_solve_capped(out: &mut Vec<Measurement>) {
     out.push(measure("flow_solve/capped", || {
         let mut g = CoverGraph::new();
         let mut rng = lcg();
-        let mut segments: Vec<UpdateNode> =
-            (0..SEGMENTS).map(|_| g.add_update(1_000_000)).collect();
+        let mut segments: Vec<(UpdateNode, Relay)> = Vec::new();
+        for _ in 0..SEGMENTS {
+            let after = segments.last().map(|s| s.1);
+            segments.push(g.append_segment(after, 1_000_000));
+        }
         let mut retained = std::collections::VecDeque::with_capacity(RETAINED + 1);
         let mut worst = (0u64, 0u64);
         for step in 0..2 * RETAINED {
@@ -201,18 +204,17 @@ fn flow_solve_capped(out: &mut Vec<Measurement>) {
             let before = (g.edges_scanned(), g.augmentations());
             let at = (rng() as usize) % segments.len();
             let horizon = if rng().is_multiple_of(8) {
-                segments.push(g.add_update(1_000_000));
-                segments.len()
+                let after = segments.last().map(|s| s.1);
+                segments.push(g.append_segment(after, 1_000_000));
+                segments.len() - 1
             } else {
-                let w = g.update_weight(segments[at]);
-                let second = g.split_update(segments[at], w / 2, w - w / 2);
-                segments.insert(at + 1, second);
-                at + 1
+                let w = g.update_weight(segments[at].0);
+                let first = g.split_segment(segments[at].0, w / 2, w - w / 2);
+                segments.insert(at, first);
+                at
             };
             let qn = g.add_query(1 + rng() % 7);
-            for &segment in &segments[..horizon] {
-                g.add_interaction(segment, qn);
-            }
+            g.attach(segments[horizon].1, qn);
             assert!(g.solve_query_membership(qn), "cheap queries are shipped");
             retained.push_back(qn);
             if retained.len() > RETAINED {
@@ -220,7 +222,8 @@ fn flow_solve_capped(out: &mut Vec<Measurement>) {
             }
             if segments.len() > SEGMENTS {
                 let k = segments.len() - SEGMENTS / 2;
-                g.merge_updates(segments[0], segments.drain(1..k));
+                g.merge_segments(segments[0].0, segments[k - 1].0);
+                segments.drain(1..k);
             }
             worst.0 = worst.0.max(g.edges_scanned() - before.0);
             worst.1 = worst.1.max(g.augmentations() - before.1);

@@ -16,9 +16,14 @@ use std::sync::Arc;
 pub struct PolicyInstruments {
     /// Cover solve latency per decided query (`um.solve_ns`).
     pub solve_ns: Arc<Histogram>,
-    /// Live interaction-graph node count (`um.graph_nodes`).
+    /// Live segment and query vertices of the cover graph
+    /// (`um.graph_nodes`): the retained single-object queries of one relay
+    /// share a vertex and count once, and the relays are not counted.
     pub graph_nodes: Arc<Gauge>,
-    /// Live interaction-graph edge count (`um.graph_edges`).
+    /// Live infinite-capacity edges the cover graph's flow network holds
+    /// (`um.graph_edges`): segment, relay-chain and attachment edges.
+    /// Before relay chains this counted one edge per (query, segment)
+    /// interaction, so values from older builds are not comparable.
     pub graph_edges: Arc<Gauge>,
     /// Cover solves performed (`um.solves`).
     pub solves: Arc<Counter>,

@@ -31,9 +31,27 @@
 //! per-update graph (all-or-nothing shipping of identically-connected
 //! vertices) while keeping the graph proportional to the number of
 //! *distinct horizons*, not updates.
+//!
+//! A query needs a *prefix* of an object's segments — everything from the
+//! applied version up to its horizon — so it is not wired to each of them.
+//! Each object's segments hang off a **relay chain** in the cover graph
+//! (`delta_flow::cover` draws it): segment `k` feeds relay `k`, relay `k`
+//! feeds relay `k + 1`, and a query attaches once per object, to the relay
+//! of the last segment it needs. That reaches exactly the prefix, so the
+//! covers are those of the per-segment wiring, at one edge per (query,
+//! object) instead of one per (query, segment). A split inserts one relay
+//! (two edges), a new tail segment adds one relay (two edges, one for an
+//! object's first), and a coalesce adds none; [`UpdateManagerStats`]
+//! counts them as `wiring_edges`. A shipped query that reads one object
+//! is retained folded into its relay's vertex for such queries (they are
+//! cover-indistinguishable), which the retained cap later shrinks member
+//! by member. Shipping a prefix drops its relays, and the queries attached
+//! there are the only ones it can isolate, so pruning costs what it
+//! prunes.
 
 use crate::context::SimContext;
-use delta_flow::{CoverGraph, QueryNode, UpdateNode};
+use delta_flow::{CoverGraph, QueryNode, Relay, UpdateNode};
+use std::collections::VecDeque;
 
 /// Robustness cap (public so callers and docs can reference the bound):
 /// live segment vertices per object. Continuous
@@ -90,6 +108,9 @@ pub struct UpdateManagerStats {
     pub update_nodes_shipped: u64,
     /// Segment splits caused by new staleness horizons.
     pub segment_splits: u64,
+    /// Segments added past the end of an object's chain by a horizon
+    /// beyond every materialized one.
+    pub segments_appended: u64,
     /// Retained query vertices pruned after becoming isolated.
     pub queries_pruned: u64,
     /// Segment coalesces forced by [`MAX_SEGMENTS_PER_OBJECT`].
@@ -102,15 +123,21 @@ pub struct UpdateManagerStats {
     /// Adjacency entries the solves' path searches examined
     /// (`CoverGraph::edges_scanned`) — search cost as a count.
     pub edges_scanned: u64,
+    /// Infinite-capacity edges the decisions wired: one per (query,
+    /// object) attachment plus two per segment split or appended
+    /// (`CoverGraph::wiring_edges`).
+    pub wiring_edges: u64,
 }
 
 /// One materialized run of outstanding updates `[start, end)` of an
-/// object, represented by a single cover vertex.
+/// object, represented by a single cover vertex hanging off `relay`, the
+/// first relay of its run on the object's chain.
 #[derive(Debug)]
 struct Segment {
     start: u64,
     end: u64,
     node: UpdateNode,
+    relay: Relay,
 }
 
 /// Online decision engine for queries hitting fully-resident object sets.
@@ -125,10 +152,17 @@ pub struct UpdateManager {
     /// Live update-node count across all objects (kept so the hot path
     /// never has to sum the slab).
     live_nodes: usize,
-    /// Retained (shipped) query vertices; between decisions each is alive
-    /// with a live edge: shipping and eviction end in `prune_isolated`,
-    /// and nothing else (split, coalesce, the query cap) isolates a query.
-    retained: Vec<QueryNode>,
+    /// Retained (shipped) queries, oldest first, as the vertex standing for
+    /// each (`CoverGraph::retain_query`) and its weight, plus the pruned
+    /// ones not yet swept out (their vertex is dead). Between decisions
+    /// every live vertex has a live edge: shipping and eviction end in
+    /// `prune_isolated`, and nothing else (split, coalesce, the query cap)
+    /// isolates a query.
+    retained: VecDeque<(QueryNode, u64)>,
+    /// Live entries of `retained`.
+    retained_live: usize,
+    /// Queries the last chain drop left without a live edge.
+    isolated: Vec<QueryNode>,
     /// Reusable scratch for the per-query needed-update ranges — no
     /// per-event heap allocation on the hot path.
     ranges_scratch: Vec<(ObjectId, u64, u64)>,
@@ -149,6 +183,7 @@ impl UpdateManager {
         UpdateManagerStats {
             augmentations: self.graph.augmentations(),
             edges_scanned: self.graph.edges_scanned(),
+            wiring_edges: self.graph.wiring_edges(),
             ..self.stats
         }
     }
@@ -166,7 +201,7 @@ impl UpdateManager {
 
     /// Number of retained query vertices (for tests).
     pub fn retained_queries(&self) -> usize {
-        self.retained.len()
+        self.retained_live
     }
 
     /// The segment slot for `o`, growing the slab on demand.
@@ -233,18 +268,12 @@ impl UpdateManager {
             return;
         }
 
-        // Materialize segment vertices for the needed ranges and wire up
-        // the query vertex.
+        // Materialize segment vertices for the needed ranges and attach
+        // the query vertex once per object, at the end of its prefix.
         let qn = self.graph.add_query(q.result_bytes);
         for &(o, from, to) in &ranges {
-            self.materialize(o, from, to, ctx);
-            // Sorted and disjoint: q's segments are the prefix ending at
-            // `to`.
-            for seg in &self.by_object[o.index()] {
-                if seg.end > to {
-                    break;
-                }
-                self.graph.add_interaction(seg.node, qn);
+            if let Some(relay) = self.materialize(o, from, to, ctx) {
+                self.graph.attach(relay, qn);
             }
         }
 
@@ -259,13 +288,15 @@ impl UpdateManager {
             ins.solves.inc();
             ins.graph_nodes
                 .set((self.graph.live_updates() + self.graph.live_queries()) as u64);
-            ins.graph_edges.set(self.graph.live_interactions() as u64);
+            ins.graph_edges.set(self.graph.live_inf_edges() as u64);
         }
 
         if ship_query {
             // Ship the query; retain its vertex (remainder rule).
             ctx.ship_query(q);
-            self.retained.push(qn);
+            let vertex = self.graph.retain_query(qn);
+            self.retained.push_back((vertex, q.result_bytes));
+            self.retained_live += 1;
             self.stats.queries_shipped += 1;
         } else {
             // Ship all updates interacting with q, per object, then answer
@@ -297,77 +328,108 @@ impl UpdateManager {
             }
             // Coalesce the oldest half into its first vertex.
             let k = segs.len() - MAX_SEGMENTS_PER_OBJECT / 2;
+            self.graph.merge_segments(segs[0].node, segs[k - 1].node);
             segs[0].end = segs[k - 1].end;
-            self.graph
-                .merge_updates(segs[0].node, segs.drain(1..k).map(|seg| seg.node));
+            segs.drain(1..k);
             self.live_nodes -= k - 1;
             self.stats.segments_coalesced += k as u64;
         }
-        if self.retained.len() > MAX_RETAINED_QUERIES {
-            let drop = self.retained.len() - MAX_RETAINED_QUERIES;
-            for qn in self.retained.drain(..drop) {
-                self.graph.remove_query(qn);
-                self.stats.retained_dropped += 1;
+        if self.retained_live > MAX_RETAINED_QUERIES {
+            let mut drop = self.retained_live - MAX_RETAINED_QUERIES;
+            while drop > 0 {
+                let (vertex, weight) = self.retained.pop_front().expect("live entries remain");
+                // Entries pruned since they were retained are already gone.
+                if self.graph.query_alive(vertex) {
+                    self.graph.release_query(vertex, weight);
+                    self.stats.retained_dropped += 1;
+                    drop -= 1;
+                }
             }
+            self.retained_live = MAX_RETAINED_QUERIES;
             // Removing a query cannot isolate another query, so there is
             // nothing to prune (the invariant on `retained`).
             debug_assert!(self
                 .retained
                 .iter()
-                .all(|&qn| self.graph.query_alive(qn) && self.graph.query_degree(qn) > 0));
+                .filter(|&&(vertex, _)| self.graph.query_alive(vertex))
+                .all(|&(vertex, _)| self.graph.query_degree(vertex) > 0));
         }
     }
 
     /// Ensures segments exist covering `[from, to)` with a boundary at
-    /// `to` (splitting if a segment straddles it).
-    fn materialize(&mut self, o: ObjectId, from: u64, to: u64, ctx: &SimContext<'_>) {
+    /// `to` (splitting if a segment straddles it), and returns the relay a
+    /// query with horizon `to` attaches to: that of the last segment
+    /// ending at or before `to` (`None` if there is none).
+    fn materialize(
+        &mut self,
+        o: ObjectId,
+        from: u64,
+        to: u64,
+        ctx: &SimContext<'_>,
+    ) -> Option<Relay> {
         self.segs_mut(o); // grow the slab before taking field borrows
         let graph = &mut self.graph;
         let segs = &mut self.by_object[o.index()];
-        debug_assert!(segs.first().map(|s| s.start).unwrap_or(from) == from || !segs.is_empty());
         // Extend coverage to `to` if needed.
         let covered_to = segs.last().map(|s| s.end).unwrap_or(from);
         if to > covered_to {
             let start = covered_to.max(from);
             let w = ctx.repo.update_bytes(o, start, to);
-            let node = graph.add_update(w);
+            let (node, relay) = graph.append_segment(segs.last().map(|s| s.relay), w);
             segs.push(Segment {
                 start,
                 end: to,
                 node,
+                relay,
             });
             self.live_nodes += 1;
-        } else if let Some(idx) = segs.iter().position(|s| s.start < to && to < s.end) {
-            // Split the straddling segment at `to`; every query adjacent
-            // to it needed all of it, so both halves keep them all.
+            self.stats.segments_appended += 1;
+            return Some(relay);
+        }
+        if let Some(idx) = segs.iter().position(|s| s.start < to && to < s.end) {
+            // Split the straddling segment at `to`: the first half goes on
+            // a new relay in front of the segment's own, where the queries
+            // that needed all of it still reach both halves.
             self.stats.segment_splits += 1;
             let (start, end) = (segs[idx].start, segs[idx].end);
             let w1 = ctx.repo.update_bytes(o, start, to);
             let w2 = ctx.repo.update_bytes(o, to, end);
-            let node = graph.split_update(segs[idx].node, w1, w2);
-            segs[idx].end = to;
-            let second = Segment {
-                start: to,
-                end,
+            let (node, relay) = graph.split_segment(segs[idx].node, w1, w2);
+            segs[idx].start = to;
+            let first = Segment {
+                start,
+                end: to,
                 node,
+                relay,
             };
-            segs.insert(idx + 1, second);
+            segs.insert(idx, first);
             self.live_nodes += 1;
+            return Some(relay);
         }
+        // Sorted and disjoint: q's segments are the prefix ending at `to`.
+        segs.iter()
+            .take_while(|s| s.end <= to)
+            .last()
+            .map(|s| s.relay)
     }
 
     /// Removes all segments of `o` ending at or before `to` (they were
     /// shipped and applied). Segments are sorted and disjoint, so the
-    /// shipped ones form a prefix — drained in place, no scratch Vec.
+    /// shipped ones form a prefix of the chain — dropped in one walk.
     fn drop_prefix(&mut self, o: ObjectId, to: u64) {
-        if let Some(segs) = self.by_object.get_mut(o.index()) {
-            let k = segs.iter().position(|s| s.end > to).unwrap_or(segs.len());
-            for seg in segs.drain(..k) {
-                self.graph.remove_update(seg.node);
-                self.live_nodes -= 1;
-                self.stats.update_nodes_shipped += 1;
-            }
+        let Some(segs) = self.by_object.get_mut(o.index()) else {
+            return;
+        };
+        let k = segs.iter().position(|s| s.end > to).unwrap_or(segs.len());
+        if k == 0 {
+            return;
         }
+        let keep = segs.get(k).map(|s| s.relay);
+        self.graph
+            .drop_chain(segs[0].relay, keep, &mut self.isolated);
+        segs.drain(..k);
+        self.live_nodes -= k;
+        self.stats.update_nodes_shipped += k as u64;
     }
 
     /// Removes every live segment of an evicted object: with the object
@@ -377,30 +439,34 @@ impl UpdateManager {
         let Some(segs) = self.by_object.get_mut(o.index()) else {
             return;
         };
-        if segs.is_empty() {
+        let Some(head) = segs.first() else {
             return;
-        }
-        for seg in std::mem::take(segs) {
-            self.graph.remove_update(seg.node);
-            self.live_nodes -= 1;
-        }
+        };
+        self.graph.drop_chain(head.relay, None, &mut self.isolated);
+        self.live_nodes -= segs.len();
+        segs.clear();
         self.prune_isolated();
     }
 
-    /// Drops retained query vertices that no longer have live edges — they
-    /// can never influence a future cover.
+    /// Drops the retained query vertices the last chain drops left with
+    /// no live edges — they can never influence a future cover.
     fn prune_isolated(&mut self) {
-        let graph = &mut self.graph;
-        let stats = &mut self.stats;
-        self.retained.retain(|&qn| {
-            if graph.query_alive(qn) && graph.query_degree(qn) == 0 {
-                graph.remove_query(qn);
-                stats.queries_pruned += 1;
-                false
-            } else {
-                graph.query_alive(qn)
+        for vertex in self.isolated.drain(..) {
+            // The deciding query may be on the list, already removed.
+            if self.graph.query_alive(vertex) {
+                debug_assert_eq!(self.graph.query_degree(vertex), 0);
+                let members = self.graph.query_members(vertex);
+                self.graph.remove_query(vertex);
+                self.stats.queries_pruned += members as u64;
+                self.retained_live -= members;
             }
-        });
+        }
+        // Sweep the pruned entries out once they outnumber the live ones.
+        if self.retained.len() > 2 * self.retained_live + 64 {
+            let graph = &self.graph;
+            self.retained
+                .retain(|&(vertex, _)| graph.query_alive(vertex));
+        }
     }
 }
 

@@ -19,9 +19,42 @@
 //! previous flow, and nodes leave (updates shipped, queries answered,
 //! objects evicted) via closed-form flow cancellation that keeps the
 //! retained flow feasible — precisely the remainder-subgraph technique of
-//! §4 of the paper. Restructuring that removes nothing — splitting an
-//! update vertex, merging several — *carries* the routed flow across in
-//! closed form instead, so the next solve finds only genuinely new paths.
+//! §4 of the paper.
+//!
+//! ## Segment chains
+//!
+//! The online `UpdateManager`'s update vertices are *segments*: runs of an
+//! object's outstanding updates, sorted, and every query needs a prefix of
+//! them. Wiring a query to each segment of its prefix costs one infinite
+//! edge per (query, segment); a **relay chain** costs one per (query,
+//! object). Each segment hangs off a relay vertex (`u --INF--> r`), each
+//! relay feeds the next one (`r --INF--> r'`), and a query attaches once,
+//! to the relay at its horizon:
+//!
+//! ```text
+//!   s --w--> u0    u1    u2          (segments, oldest first)
+//!            |     |     |
+//!            r0 -> r1 -> r2          (relays; everything INF)
+//!            |           |
+//!            q (needs u0)  q' (needs u0..u2)
+//! ```
+//!
+//! A segment reaches exactly the queries attached at or after its relay,
+//! so the finite edges — the only ones a finite cut can use — separate `s`
+//! from `t` in the same ways as in the bipartite graph: same minimum cuts,
+//! same canonical cut, same membership answers. A segment hangs off the
+//! *first* relay of its run; a coalesce leaves the relays of the merged
+//! segments behind it, still carrying their attachments, so a run can be
+//! longer than one. Splitting, coalescing and dropping a shipped prefix
+//! ([`CoverGraph::split_segment`], [`CoverGraph::merge_segments`],
+//! [`CoverGraph::drop_chain`]) carry or cancel the routed flow in closed
+//! form, so the next solve finds only genuinely new paths.
+//!
+//! Queries attached to one relay and to nothing else have the same
+//! neighbourhood, so every cover ships all of them or none:
+//! [`CoverGraph::retain_query`] folds each kept one into a single vertex
+//! per relay of their total weight, and a search crossing the relay pays
+//! for one attachment instead of one per retained query.
 //!
 //! ## The membership fast path
 //!
@@ -43,7 +76,7 @@
 //! augmenting order produced maximality, membership answers are
 //! identical.
 
-use crate::graph::{EdgeId, FlowNetwork, NodeId, INF};
+use crate::graph::{EdgeId, FlowNetwork, NodeId, INF, POOLED_CAPACITY};
 use std::collections::HashSet;
 
 /// Handle to an update node in a [`CoverGraph`]. Stable across compaction.
@@ -54,20 +87,35 @@ pub struct UpdateNode(pub usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryNode(pub usize);
 
+/// Handle to a relay of a segment chain in a [`CoverGraph`]. Stable
+/// across compaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Relay(pub usize);
+
 /// Pooled edge-list Vecs retained for reuse (beyond this, capacity is
 /// returned to the allocator).
 const MAX_POOLED_EDGE_LISTS: usize = 256;
+
+/// Where an edge into a query vertex comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tail {
+    Update(UpdateNode),
+    Relay(Relay),
+}
 
 #[derive(Clone, Debug)]
 struct UEntry {
     node: NodeId,
     s_edge: EdgeId,
     weight: u64,
-    /// Live interaction edges, paired with the query handle.
+    /// Live interaction edges, paired with the query handle (bipartite
+    /// wiring; a chain segment has none).
     edges: Vec<(EdgeId, QueryNode)>,
     /// Count of `edges` whose query endpoint is still alive, maintained
     /// eagerly so degree queries are O(1).
     live_deg: usize,
+    /// A chain segment's edge to the relay it hangs off.
+    relay: Option<(EdgeId, Relay)>,
     alive: bool,
 }
 
@@ -76,11 +124,28 @@ struct QEntry {
     node: NodeId,
     t_edge: EdgeId,
     weight: u64,
-    edges: Vec<(EdgeId, UpdateNode)>,
+    edges: Vec<(EdgeId, Tail)>,
     live_deg: usize,
+    /// Queries this vertex stands for ([`CoverGraph::retain_query`]).
+    members: usize,
     alive: bool,
     /// Listed in [`CoverGraph::open`].
     open: bool,
+}
+
+#[derive(Clone, Debug)]
+struct REntry {
+    node: NodeId,
+    pred: Option<Relay>,
+    /// The chain edge to the next relay, and that relay.
+    succ: Option<(EdgeId, Relay)>,
+    /// The segment hanging off this relay, if any.
+    segment: Option<UpdateNode>,
+    /// The vertex retained queries with no other edge are folded into.
+    bundle: Option<QueryNode>,
+    /// Attached queries; entries whose query died leave lazily.
+    attached: Vec<(EdgeId, QueryNode)>,
+    alive: bool,
 }
 
 /// The result of a cover computation.
@@ -103,33 +168,44 @@ pub struct CoverGraph {
     t: NodeId,
     us: Vec<UEntry>,
     qs: Vec<QEntry>,
+    rs: Vec<REntry>,
     live_u: usize,
     live_q: usize,
+    live_r: usize,
     /// Live interaction edges (both endpoints alive).
     live_edges: usize,
+    /// Live infinite-capacity edges of any kind (both endpoints alive).
+    live_inf: usize,
+    /// Infinite-capacity edges ever added (compaction's copies aside).
+    wiring: u64,
     removed_nodes: usize,
-    /// Recycled `UEntry::edges` / `QEntry::edges` Vecs from removed
-    /// nodes, reused by `add_update` / `add_query`.
-    u_edge_pool: Vec<Vec<(EdgeId, QueryNode)>>,
-    q_edge_pool: Vec<Vec<(EdgeId, UpdateNode)>>,
+    /// Recycled `UEntry::edges` / `REntry::attached` and `QEntry::edges`
+    /// Vecs from removed nodes, reused by the node constructors.
+    list_pool: Vec<Vec<(EdgeId, QueryNode)>>,
+    q_edge_pool: Vec<Vec<(EdgeId, Tail)>>,
     /// The open-sink set: lists every live query whose `q -> t` edge has
-    /// residual capacity (once: `QEntry::open`). Entered by `add_query`
-    /// and wherever flow is taken off a sink edge (`remove_update`; an
-    /// augmentation only adds to one). A superset: saturated and dead
-    /// entries leave when a solve next reads the list.
+    /// residual capacity (once: `QEntry::open`). Entered by `add_query`,
+    /// wherever flow is taken off a sink edge (`remove_update`,
+    /// `drop_chain`; an augmentation only adds to one) and where a sink
+    /// edge grows (`retain_query`). A superset:
+    /// saturated and dead entries leave when a solve next reads the list.
     open: Vec<QueryNode>,
     /// `open` as the searches read it in place of `adj[t]`, per solve.
     open_edges: Vec<EdgeId>,
-    /// Compaction scratch: `(u index, q index, carried flow)` per
-    /// surviving interaction edge.
-    rewires: Vec<(usize, usize, u64)>,
-    /// Compaction scratch: old update index -> rebuilt NodeId.
-    unode_scratch: Vec<NodeId>,
 }
 
 impl Default for CoverGraph {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Returns `list` to `pool`, emptied and trimmed, while the pool has room.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if pool.len() < MAX_POOLED_EDGE_LISTS {
+        list.clear();
+        list.shrink_to(POOLED_CAPACITY);
+        pool.push(list);
     }
 }
 
@@ -145,16 +221,18 @@ impl CoverGraph {
             t,
             us: Vec::new(),
             qs: Vec::new(),
+            rs: Vec::new(),
             live_u: 0,
             live_q: 0,
+            live_r: 0,
             live_edges: 0,
+            live_inf: 0,
+            wiring: 0,
             removed_nodes: 0,
-            u_edge_pool: Vec::new(),
+            list_pool: Vec::new(),
             q_edge_pool: Vec::new(),
             open: Vec::new(),
             open_edges: Vec::new(),
-            rewires: Vec::new(),
-            unode_scratch: Vec::new(),
         }
     }
 
@@ -166,8 +244,9 @@ impl CoverGraph {
             node,
             s_edge,
             weight,
-            edges: self.u_edge_pool.pop().unwrap_or_default(),
+            edges: self.list_pool.pop().unwrap_or_default(),
             live_deg: 0,
+            relay: None,
             alive: true,
         });
         self.live_u += 1;
@@ -184,6 +263,7 @@ impl CoverGraph {
             weight,
             edges: self.q_edge_pool.pop().unwrap_or_default(),
             live_deg: 0,
+            members: 1,
             alive: true,
             open: true,
         });
@@ -193,20 +273,86 @@ impl CoverGraph {
         q
     }
 
+    /// Adds an infinite-capacity edge, counted as wiring.
+    fn wire(&mut self, from: NodeId, to: NodeId) -> EdgeId {
+        self.wiring += 1;
+        self.live_inf += 1;
+        self.net.add_edge(from, to, INF)
+    }
+
     /// Adds an interaction edge: query `q`'s currency requirement depends on
     /// update `u`.
     ///
     /// # Panics
-    /// Panics if either endpoint has been removed.
+    /// Panics if either endpoint has been removed, or if `u` is a chain
+    /// segment (those are wired through their relays).
     pub fn add_interaction(&mut self, u: UpdateNode, q: QueryNode) {
         assert!(self.us[u.0].alive, "update node removed");
         assert!(self.qs[q.0].alive, "query node removed");
-        let e = self.net.add_edge(self.us[u.0].node, self.qs[q.0].node, INF);
+        assert!(
+            self.us[u.0].relay.is_none(),
+            "chain segments attach via relays"
+        );
+        let e = self.wire(self.us[u.0].node, self.qs[q.0].node);
         self.us[u.0].edges.push((e, q));
         self.us[u.0].live_deg += 1;
-        self.qs[q.0].edges.push((e, u));
+        self.qs[q.0].edges.push((e, Tail::Update(u)));
         self.qs[q.0].live_deg += 1;
         self.live_edges += 1;
+    }
+
+    /// Adds a segment of shipping cost `weight` at the end of the chain
+    /// through `after` (any relay on it; `None` starts a new chain), and
+    /// returns the segment and the relay it hangs off. Wires two infinite
+    /// edges (one for a new chain).
+    ///
+    /// # Panics
+    /// Panics if `after` has been removed.
+    pub fn append_segment(&mut self, after: Option<Relay>, weight: u64) -> (UpdateNode, Relay) {
+        let u = self.add_update(weight);
+        let r = self.add_relay();
+        let e = self.wire(self.us[u.0].node, self.rs[r.0].node);
+        self.us[u.0].relay = Some((e, r));
+        self.rs[r.0].segment = Some(u);
+        if let Some(mut tail) = after {
+            assert!(self.rs[tail.0].alive, "relay removed");
+            while let Some((_, next)) = self.rs[tail.0].succ {
+                tail = next;
+            }
+            let e = self.wire(self.rs[tail.0].node, self.rs[r.0].node);
+            self.rs[tail.0].succ = Some((e, r));
+            self.rs[r.0].pred = Some(tail);
+        }
+        (u, r)
+    }
+
+    fn add_relay(&mut self) -> Relay {
+        let node = self.net.add_node();
+        self.rs.push(REntry {
+            node,
+            pred: None,
+            succ: None,
+            segment: None,
+            bundle: None,
+            attached: self.list_pool.pop().unwrap_or_default(),
+            alive: true,
+        });
+        self.live_r += 1;
+        Relay(self.rs.len() - 1)
+    }
+
+    /// Attaches query `q` to relay `r`: `q` needs every segment hanging at
+    /// or before `r` on its chain. One infinite edge.
+    ///
+    /// # Panics
+    /// Panics if either endpoint has been removed.
+    pub fn attach(&mut self, r: Relay, q: QueryNode) {
+        assert!(self.rs[r.0].alive, "relay removed");
+        assert!(self.qs[q.0].alive, "query node removed");
+        let e = self.wire(self.rs[r.0].node, self.qs[q.0].node);
+        self.rs[r.0].attached.push((e, q));
+        self.qs[q.0].edges.push((e, Tail::Relay(r)));
+        self.qs[q.0].live_deg += 1;
     }
 
     /// Shipping cost of an update node.
@@ -229,8 +375,9 @@ impl CoverGraph {
         self.qs[q.0].alive
     }
 
-    /// Number of live edges incident to `u` (edges to removed queries don't
-    /// count). O(1): maintained eagerly on edge and node mutations.
+    /// Number of live interaction edges incident to `u` (edges to removed
+    /// queries don't count; a chain segment has none). O(1): maintained
+    /// eagerly on edge and node mutations.
     pub fn update_degree(&self, u: UpdateNode) -> usize {
         debug_assert_eq!(
             self.us[u.0].live_deg,
@@ -244,21 +391,28 @@ impl CoverGraph {
         self.us[u.0].live_deg
     }
 
-    /// Number of live edges incident to `q`. O(1).
+    /// Number of live edges into `q`: interactions plus attachments. O(1).
     pub fn query_degree(&self, q: QueryNode) -> usize {
         debug_assert_eq!(
             self.qs[q.0].live_deg,
             self.qs[q.0]
                 .edges
                 .iter()
-                .filter(|(_, u)| self.us[u.0].alive)
+                .filter(|&&(_, tail)| self.tail_alive(tail))
                 .count(),
             "query live-degree counter out of sync"
         );
         self.qs[q.0].live_deg
     }
 
-    /// Live update-node count.
+    fn tail_alive(&self, tail: Tail) -> bool {
+        match tail {
+            Tail::Update(u) => self.us[u.0].alive,
+            Tail::Relay(r) => self.rs[r.0].alive,
+        }
+    }
+
+    /// Live update-node count (segments included).
     pub fn live_updates(&self) -> usize {
         self.live_u
     }
@@ -268,36 +422,80 @@ impl CoverGraph {
         self.live_q
     }
 
+    /// Live relay count.
+    #[cfg(test)]
+    fn live_relays(&self) -> usize {
+        self.live_r
+    }
+
     /// Live interaction-edge count (both endpoints alive).
     pub fn live_interactions(&self) -> usize {
         self.live_edges
     }
 
+    /// Live infinite-capacity edges the network holds: interactions, and
+    /// the segment, chain and attachment edges of relay chains.
+    pub fn live_inf_edges(&self) -> usize {
+        self.live_inf
+    }
+
+    /// Cumulative infinite-capacity edges added by [`Self::add_interaction`],
+    /// [`Self::append_segment`], [`Self::split_segment`] and
+    /// [`Self::attach`] (compaction's copies are not counted).
+    pub fn wiring_edges(&self) -> u64 {
+        self.wiring
+    }
+
+    /// Lowers the flow on `e` into query `q` and on `q`'s sink edge by
+    /// `f`, which reopens the sink edge.
+    fn cancel_into_sink(&mut self, e: EdgeId, q: QueryNode, f: u64) {
+        let qe = &mut self.qs[q.0];
+        self.net.force_flow(e, -(f as i64));
+        self.net.force_flow(qe.t_edge, -(f as i64));
+        if !qe.open {
+            qe.open = true;
+            self.open.push(q);
+        }
+    }
+
+    /// Zeroes the flow a segment routes (`s -> u -> relay`) and returns it.
+    fn drain_segment(&mut self, u: UpdateNode) -> u64 {
+        let UEntry { s_edge, relay, .. } = self.us[u.0];
+        let (e, _) = relay.expect("not a chain segment");
+        let f = self.net.flow_on(s_edge);
+        self.net.force_flow(s_edge, -(f as i64));
+        self.net.force_flow(e, -(f as i64));
+        f
+    }
+
     /// Removes an update node (it was shipped, or its object was evicted),
     /// cancelling any flow routed through it so the remaining flow stays
     /// feasible.
+    ///
+    /// # Panics
+    /// Panics if `u` is a chain segment: those leave with their chain
+    /// ([`Self::drop_chain`]) or merge ([`Self::merge_segments`]).
     pub fn remove_update(&mut self, u: UpdateNode) {
         if !self.us[u.0].alive {
             return;
         }
+        assert!(
+            self.us[u.0].relay.is_none(),
+            "chain segments leave with their chain"
+        );
         let s_edge = self.us[u.0].s_edge;
         // Cancel flow on each interaction edge and the matching q->t edge
         // (which reopens it).
         let edges = std::mem::take(&mut self.us[u.0].edges);
         for &(e, q) in &edges {
-            let qe = &mut self.qs[q.0];
-            if qe.alive {
-                qe.live_deg -= 1;
+            if self.qs[q.0].alive {
+                self.qs[q.0].live_deg -= 1;
                 self.live_edges -= 1;
+                self.live_inf -= 1;
             }
-            let f = self.net.flow_on(e) as i64;
+            let f = self.net.flow_on(e);
             if f > 0 {
-                self.net.force_flow(e, -f);
-                self.net.force_flow(qe.t_edge, -f);
-                if !qe.open {
-                    qe.open = true;
-                    self.open.push(q);
-                }
+                self.cancel_into_sink(e, q, f);
             }
         }
         let f_su = self.net.flow_on(s_edge) as i64;
@@ -307,11 +505,8 @@ impl CoverGraph {
     }
 
     /// Deletes `u`, its flow cancelled or moved and its edge list taken.
-    fn retire_update(&mut self, u: UpdateNode, mut edges: Vec<(EdgeId, QueryNode)>) {
-        if self.u_edge_pool.len() < MAX_POOLED_EDGE_LISTS {
-            edges.clear();
-            self.u_edge_pool.push(edges);
-        }
+    fn retire_update(&mut self, u: UpdateNode, edges: Vec<(EdgeId, QueryNode)>) {
+        recycle(&mut self.list_pool, edges);
         self.net.delete_node(self.us[u.0].node);
         self.us[u.0].alive = false;
         self.us[u.0].live_deg = 0;
@@ -319,142 +514,370 @@ impl CoverGraph {
         self.removed_nodes += 1;
     }
 
-    /// Splits update vertex `u` into two of weights `w1 + w2 = w(u)`, both
-    /// adjacent to every live neighbour of `u`: `u` becomes the first, the
-    /// returned vertex is the second. Each `f(u -> q)` stays on the first
-    /// while `w1` lasts and the rest moves to the second; no sink edge
-    /// changes, so the flow stays feasible at the same value.
-    ///
-    /// # Panics
-    /// Panics if `u` has been removed or the weights do not sum to `w(u)`.
-    pub fn split_update(&mut self, u: UpdateNode, w1: u64, w2: u64) -> UpdateNode {
-        assert!(self.us[u.0].alive, "update node removed");
-        assert_eq!(w1 + w2, self.us[u.0].weight, "halves must sum to w(u)");
-        let second = self.add_update(w2);
-        let UEntry { node, s_edge, .. } = self.us[second.0];
-        let mut edges = std::mem::take(&mut self.us[u.0].edges);
-        let mut edges2 = std::mem::take(&mut self.us[second.0].edges);
-        let (mut room, mut moved) = (w1, 0i64);
-        edges.retain(|&(e, q)| {
-            let qe = &mut self.qs[q.0];
-            if !qe.alive {
-                return false;
-            }
-            let f = self.net.flow_on(e);
-            let stays = f.min(room);
-            room -= stays;
-            let e2 = self.net.add_edge(node, qe.node, INF);
-            let over = (f - stays) as i64;
-            self.net.force_flow(e, -over);
-            self.net.force_flow(e2, over);
-            moved += over;
-            qe.edges.push((e2, second));
-            qe.live_deg += 1;
-            edges2.push((e2, q));
-            true
-        });
-        self.live_edges += edges2.len();
-        self.us[second.0].live_deg = edges2.len();
-        self.us[second.0].edges = edges2;
-        let first = &mut self.us[u.0];
-        first.edges = edges;
-        first.weight = w1;
-        self.net.force_flow(first.s_edge, -moved);
-        self.net.set_capacity(first.s_edge, w1);
-        self.net.force_flow(s_edge, moved);
-        second
+    /// Deletes relay `r`, every edge on it already free of flow.
+    fn retire_relay(&mut self, r: Relay) {
+        let attached = std::mem::take(&mut self.rs[r.0].attached);
+        recycle(&mut self.list_pool, attached);
+        self.net.delete_node(self.rs[r.0].node);
+        self.rs[r.0].alive = false;
+        self.live_r -= 1;
+        self.removed_nodes += 1;
     }
 
-    /// Merges update vertices `parts` into `into`, which ends with their
-    /// total weight and the union of their live neighbours. `f(s -> into)`
-    /// and each `f(into -> q)` grow by what the parts carried; no sink edge
+    /// Splits chain segment `u` into two of weights `w1 + w2 = w(u)`: a new
+    /// segment of weight `w1` on a new relay inserted just before `u`'s,
+    /// returned, and `u` itself as the second half. Queries attached at or
+    /// after `u`'s relay still reach both halves; one attached to the new
+    /// relay reaches only the first. The predecessor's chain edge is
+    /// re-pointed, not copied, so the split wires two edges. The first half
+    /// carries `min(f(s -> u), w1)` of `u`'s flow into the chain, and no
+    /// sink edge changes: the flow stays feasible at the same value.
+    ///
+    /// # Panics
+    /// Panics if `u` has been removed or is not a chain segment, or the
+    /// weights do not sum to `w(u)`.
+    pub fn split_segment(&mut self, u: UpdateNode, w1: u64, w2: u64) -> (UpdateNode, Relay) {
+        assert!(self.us[u.0].alive, "update node removed");
+        assert_eq!(w1 + w2, self.us[u.0].weight, "halves must sum to w(u)");
+        let (seg_edge, r) = self.us[u.0].relay.expect("not a chain segment");
+        let s_edge = self.us[u.0].s_edge;
+        let f1 = self.net.flow_on(s_edge).min(w1);
+        self.net.force_flow(s_edge, -(f1 as i64));
+        self.net.force_flow(seg_edge, -(f1 as i64));
+        self.net.set_capacity(s_edge, w2);
+        self.us[u.0].weight = w2;
+
+        let first = self.add_update(w1);
+        let r1 = self.add_relay();
+        let e = self.wire(self.us[first.0].node, self.rs[r1.0].node);
+        self.us[first.0].relay = Some((e, r1));
+        self.rs[r1.0].segment = Some(first);
+        self.net.force_flow(self.us[first.0].s_edge, f1 as i64);
+        self.net.force_flow(e, f1 as i64);
+        let mut carried = f1;
+        if let Some(p) = self.rs[r.0].pred {
+            let (e_in, _) = self.rs[p.0].succ.expect("chain links agree");
+            self.net.retarget(e_in, self.rs[r1.0].node);
+            carried += self.net.flow_on(e_in);
+            self.rs[p.0].succ = Some((e_in, r1));
+            self.rs[r1.0].pred = Some(p);
+        }
+        let e = self.wire(self.rs[r1.0].node, self.rs[r.0].node);
+        self.net.force_flow(e, carried as i64);
+        self.rs[r1.0].succ = Some((e, r));
+        self.rs[r.0].pred = Some(r1);
+        (first, r1)
+    }
+
+    /// Coalesces the chain segments after `into` up to and including
+    /// `last` into `into`, which ends with their total weight. Their relays
+    /// stay where they are while queries are attached to them — `into`
+    /// reaches them down the chain, which is exactly the union of the
+    /// parts' neighbourhoods — and are spliced out once empty, so a
+    /// coalesce wires nothing. Each part's flow enters at `into` instead
+    /// and travels down the chain to where it used to enter; no sink edge
     /// changes, so the flow stays feasible at the same value.
     ///
     /// # Panics
-    /// Panics unless `into` and the parts are live and distinct.
-    pub fn merge_updates(&mut self, into: UpdateNode, parts: impl IntoIterator<Item = UpdateNode>) {
-        assert!(self.us[into.0].alive, "update node removed");
-        let UEntry { node, s_edge, .. } = self.us[into.0];
-        // `into`'s own edge to each neighbour, filed under the neighbour.
-        self.net.bump_epoch();
-        let mut edges = std::mem::take(&mut self.us[into.0].edges);
-        edges.retain(|&(e, q)| {
-            let qe = &self.qs[q.0];
-            if qe.alive {
-                self.net.set_slot(qe.node, e);
+    /// Panics unless `into` and `last` are live segments with `last` after
+    /// `into` on one chain.
+    pub fn merge_segments(&mut self, into: UpdateNode, last: UpdateNode) {
+        assert!(
+            self.us[into.0].alive && self.us[last.0].alive,
+            "update node removed"
+        );
+        let (into_edge, r0) = self.us[into.0].relay.expect("not a chain segment");
+        let (_, mut x) = self.us[last.0].relay.expect("not a chain segment");
+        let (mut carried, mut weight) = (0, self.us[into.0].weight);
+        while x != r0 {
+            if let Some(part) = self.rs[x.0].segment.take() {
+                carried += self.drain_segment(part);
+                weight += self.us[part.0].weight;
+                self.live_inf -= 1;
+                let edges = std::mem::take(&mut self.us[part.0].edges);
+                self.retire_update(part, edges);
             }
-            qe.alive
-        });
-        for part in parts {
-            assert!(part != into && self.us[part.0].alive, "not a live part");
-            self.us[into.0].weight += self.us[part.0].weight;
-            self.net.set_capacity(s_edge, self.us[into.0].weight);
-            let part_edges = std::mem::take(&mut self.us[part.0].edges);
-            for &(e, q) in &part_edges {
-                let qe = &mut self.qs[q.0];
-                if !qe.alive {
+            let pred = self.rs[x.0]
+                .pred
+                .expect("`last` follows `into` on one chain");
+            let (e_in, _) = self.rs[pred.0].succ.expect("chain links agree");
+            self.net.force_flow(e_in, carried as i64);
+            self.splice_if_empty(x);
+            x = pred;
+        }
+        let s_edge = self.us[into.0].s_edge;
+        self.us[into.0].weight = weight;
+        self.net.set_capacity(s_edge, weight);
+        self.net.force_flow(s_edge, carried as i64);
+        self.net.force_flow(into_edge, carried as i64);
+        self.maybe_compact();
+    }
+
+    /// Removes relay `x` if no segment hangs off it and no live query is
+    /// attached: then what enters it is what it passes on, and its
+    /// predecessor's chain edge is re-pointed past it.
+    fn splice_if_empty(&mut self, x: Relay) {
+        let qs = &self.qs;
+        let rx = &mut self.rs[x.0];
+        rx.attached.retain(|&(_, q)| qs[q.0].alive);
+        if rx.segment.is_some() || !rx.attached.is_empty() {
+            return;
+        }
+        let (pred, succ) = (rx.pred, rx.succ);
+        if let Some((e_out, y)) = succ {
+            let f = self.net.flow_on(e_out);
+            self.net.force_flow(e_out, -(f as i64));
+            self.rs[y.0].pred = pred;
+        }
+        if let Some(p) = pred {
+            let (e_in, _) = self.rs[p.0].succ.expect("chain links agree");
+            match succ {
+                Some((_, y)) => self.net.retarget(e_in, self.rs[y.0].node),
+                None => debug_assert_eq!(self.net.flow_on(e_in), 0, "flow into a dead end"),
+            }
+            self.rs[p.0].succ = succ.map(|(_, y)| (e_in, y));
+        }
+        if pred.is_some() || succ.is_some() {
+            self.live_inf -= 1;
+        }
+        self.retire_relay(x);
+    }
+
+    /// Removes the chain prefix from `head` up to (not including) `keep` —
+    /// the whole chain when `None` — with every segment hanging off it:
+    /// the updates were shipped, or the object was evicted. Flow into
+    /// queries attached to the prefix is cancelled at their sink edges,
+    /// and the flow the prefix passed on to `keep` is cancelled greedily
+    /// down the chain, attachments first; every sink edge lowered reopens.
+    /// Queries left with no live edge are appended to `isolated`.
+    ///
+    /// # Panics
+    /// Panics unless `head` is the live head of a chain and `keep` lies on
+    /// it.
+    pub fn drop_chain(&mut self, head: Relay, keep: Option<Relay>, isolated: &mut Vec<QueryNode>) {
+        assert!(
+            self.rs[head.0].alive && self.rs[head.0].pred.is_none(),
+            "not the head of a chain"
+        );
+        let mut next = Some(head);
+        let mut passed_on = 0;
+        while next != keep {
+            let r = next.expect("`keep` lies on the chain after `head`");
+            if let Some(u) = self.rs[r.0].segment.take() {
+                self.drain_segment(u);
+                self.live_inf -= 1;
+                let edges = std::mem::take(&mut self.us[u.0].edges);
+                self.retire_update(u, edges);
+            }
+            let attached = std::mem::take(&mut self.rs[r.0].attached);
+            for &(e, q) in &attached {
+                if !self.qs[q.0].alive {
                     continue;
                 }
-                let onto = self.net.slot(qe.node).unwrap_or_else(|| {
-                    let onto = self.net.add_edge(node, qe.node, INF);
-                    self.net.set_slot(qe.node, onto);
-                    qe.edges.push((onto, into));
-                    qe.live_deg += 1;
-                    self.live_edges += 1;
-                    edges.push((onto, q));
-                    onto
-                });
-                qe.live_deg -= 1;
-                self.live_edges -= 1;
-                let f = self.net.flow_on(e) as i64;
-                self.net.force_flow(e, -f);
-                self.net.force_flow(onto, f);
+                self.qs[q.0].live_deg -= 1;
+                self.live_inf -= 1;
+                let f = self.net.flow_on(e);
+                if f > 0 {
+                    self.cancel_into_sink(e, q, f);
+                }
+                if self.qs[q.0].live_deg == 0 {
+                    isolated.push(q);
+                }
             }
-            let f = self.net.flow_on(self.us[part.0].s_edge) as i64;
-            self.net.force_flow(self.us[part.0].s_edge, -f);
-            self.net.force_flow(s_edge, f);
-            self.retire_update(part, part_edges);
+            self.rs[r.0].attached = attached;
+            next = self.rs[r.0].succ.map(|(e, y)| {
+                let f = self.net.flow_on(e);
+                self.net.force_flow(e, -(f as i64));
+                self.live_inf -= 1;
+                if Some(y) == keep {
+                    passed_on = f;
+                    self.rs[y.0].pred = None;
+                }
+                y
+            });
+            self.retire_relay(r);
         }
-        self.us[into.0].live_deg = edges.len();
-        self.us[into.0].edges = edges;
+        if let Some(mut x) = keep {
+            let mut rem = passed_on;
+            while rem > 0 {
+                for i in 0..self.rs[x.0].attached.len() {
+                    let (e, q) = self.rs[x.0].attached[i];
+                    let f = self.net.flow_on(e).min(rem);
+                    if f > 0 {
+                        self.cancel_into_sink(e, q, f);
+                        rem -= f;
+                        if rem == 0 {
+                            break;
+                        }
+                    }
+                }
+                if rem > 0 {
+                    let (e, y) = self.rs[x.0]
+                        .succ
+                        .expect("flow leaves a chain by attachments");
+                    self.net.force_flow(e, -(rem as i64));
+                    x = y;
+                }
+            }
+        }
         self.maybe_compact();
     }
 
     /// Removes a query node (it was answered at the cache or shipped and its
-    /// retention is no longer needed), cancelling flow through it.
+    /// retention is no longer needed), cancelling flow through it: back to
+    /// the source directly from an update, or up a chain — segments first —
+    /// from a relay.
     pub fn remove_query(&mut self, q: QueryNode) {
         if !self.qs[q.0].alive {
             return;
         }
         let node = self.qs[q.0].node;
         let t_edge = self.qs[q.0].t_edge;
-        let mut edges = std::mem::take(&mut self.qs[q.0].edges);
-        for &(e, u) in &edges {
-            let ue = &mut self.us[u.0];
-            if ue.alive {
-                ue.live_deg -= 1;
-                self.live_edges -= 1;
+        let edges = std::mem::take(&mut self.qs[q.0].edges);
+        for &(e, tail) in &edges {
+            // A dead tail took its edges' flow with it.
+            if !self.tail_alive(tail) {
+                continue;
             }
-            let f = self.net.flow_on(e) as i64;
-            if f > 0 {
-                self.net.force_flow(e, -f);
-                self.net.force_flow(self.us[u.0].s_edge, -f);
+            self.live_inf -= 1;
+            let f = self.net.flow_on(e);
+            self.net.force_flow(e, -(f as i64));
+            match tail {
+                Tail::Update(u) => {
+                    self.us[u.0].live_deg -= 1;
+                    self.live_edges -= 1;
+                    self.net.force_flow(self.us[u.0].s_edge, -(f as i64));
+                }
+                Tail::Relay(r) => self.cancel_up_chain(r, f),
             }
         }
-        if self.q_edge_pool.len() < MAX_POOLED_EDGE_LISTS {
-            edges.clear();
-            self.q_edge_pool.push(edges);
-        }
+        recycle(&mut self.q_edge_pool, edges);
         let f_qt = self.net.flow_on(t_edge) as i64;
-        if f_qt > 0 {
-            self.net.force_flow(t_edge, -f_qt);
-        }
+        self.net.force_flow(t_edge, -f_qt);
         self.net.delete_node(node);
         self.qs[q.0].alive = false;
         self.qs[q.0].live_deg = 0;
         self.live_q -= 1;
         self.removed_nodes += 1;
         self.maybe_compact();
+    }
+
+    /// Keeps query `q` for later covers (it was shipped) and returns the
+    /// vertex that now stands for it. A query whose only live edge is one
+    /// attachment has the same neighbourhood as every other such query on
+    /// that relay, so every cover takes all of them or none: they share one
+    /// vertex per relay, of their total weight, and `q` is folded into it
+    /// with its flow. Any other query stands for itself.
+    ///
+    /// # Panics
+    /// Panics if `q` has been removed.
+    pub fn retain_query(&mut self, q: QueryNode) -> QueryNode {
+        assert!(self.qs[q.0].alive, "query node removed");
+        let Some((e, r)) = self.sole_attachment(q) else {
+            return q;
+        };
+        let into = match self.rs[r.0].bundle {
+            Some(b) if b != q && self.qs[b.0].alive => b,
+            _ => {
+                self.rs[r.0].bundle = Some(q);
+                return q;
+            }
+        };
+        let (into_edge, _) = self
+            .sole_attachment(into)
+            .expect("a bundle hangs off its relay");
+        let QEntry {
+            t_edge,
+            weight,
+            members,
+            ..
+        } = self.qs[q.0];
+        let f = self.net.flow_on(e);
+        self.net.force_flow(e, -(f as i64));
+        self.net.force_flow(t_edge, -(f as i64));
+        let b = &mut self.qs[into.0];
+        b.weight += weight;
+        b.members += members;
+        self.net.set_capacity(b.t_edge, b.weight);
+        self.net.force_flow(b.t_edge, f as i64);
+        self.net.force_flow(into_edge, f as i64);
+        if !b.open && self.net.edge(b.t_edge).residual() > 0 {
+            b.open = true;
+            self.open.push(into);
+        }
+        self.remove_query(q);
+        into
+    }
+
+    /// Lets go of one of the queries vertex `q` stands for, of weight
+    /// `weight`: the vertex loses that weight, cancelling the flow that no
+    /// longer fits, and leaves the graph with its last member.
+    ///
+    /// # Panics
+    /// Panics if `q` has been removed or stands for less than `weight`.
+    pub fn release_query(&mut self, q: QueryNode, weight: u64) {
+        assert!(self.qs[q.0].alive, "query node removed");
+        let qe = &mut self.qs[q.0];
+        qe.members -= 1;
+        if qe.members == 0 {
+            debug_assert_eq!(qe.weight, weight, "the last member carries the rest");
+            self.remove_query(q);
+            return;
+        }
+        qe.weight -= weight;
+        let (t_edge, rest) = (qe.t_edge, qe.weight);
+        let excess = self.net.flow_on(t_edge).saturating_sub(rest);
+        if excess > 0 {
+            let (e, r) = self
+                .sole_attachment(q)
+                .expect("a bundle hangs off its relay");
+            self.net.force_flow(t_edge, -(excess as i64));
+            self.net.force_flow(e, -(excess as i64));
+            self.cancel_up_chain(r, excess);
+        }
+        self.net.set_capacity(t_edge, rest);
+    }
+
+    /// The edge and relay of `q`'s attachment, when that is its only
+    /// live edge.
+    fn sole_attachment(&self, q: QueryNode) -> Option<(EdgeId, Relay)> {
+        let qe = &self.qs[q.0];
+        if qe.live_deg != 1 {
+            return None;
+        }
+        match qe.edges.iter().find(|&&(_, tail)| self.tail_alive(tail)) {
+            Some(&(e, Tail::Relay(r))) => Some((e, r)),
+            _ => None,
+        }
+    }
+
+    /// Queries vertex `q` stands for (1 unless [`Self::retain_query`]
+    /// folded others into it).
+    pub fn query_members(&self, q: QueryNode) -> usize {
+        self.qs[q.0].members
+    }
+
+    /// Lowers the inflow of relay `x` by `rem`, which left it through an
+    /// edge that was just cancelled: from the segment hanging off it
+    /// first, the rest from its predecessor, and so on up the chain.
+    fn cancel_up_chain(&mut self, mut x: Relay, mut rem: u64) {
+        while rem > 0 {
+            if let Some(u) = self.rs[x.0].segment {
+                let UEntry { s_edge, relay, .. } = self.us[u.0];
+                let (e, _) = relay.expect("segments hang off relays");
+                let f = self.net.flow_on(e).min(rem);
+                self.net.force_flow(e, -(f as i64));
+                self.net.force_flow(s_edge, -(f as i64));
+                rem -= f;
+            }
+            if rem == 0 {
+                break;
+            }
+            let pred = self.rs[x.0].pred.expect("flow enters a chain by segments");
+            let (e, _) = self.rs[pred.0].succ.expect("chain links agree");
+            self.net.force_flow(e, -(rem as i64));
+            x = pred;
+        }
     }
 
     /// Answers the one question the online decision loop needs: after
@@ -551,91 +974,56 @@ impl CoverGraph {
         cover
     }
 
-    /// Rebuilds the underlying network without deleted nodes when bloat
-    /// passes a threshold, carrying over the feasible flow. External handles
-    /// remain valid.
+    /// Rebuilds the underlying network without deleted nodes and dead
+    /// edges once either makes up four fifths of it, carrying over the
+    /// feasible flow. Restructuring abandons edges without deleting as
+    /// many nodes, so the edge count is watched on its own. External
+    /// handles remain valid.
     fn maybe_compact(&mut self) {
-        let live = self.live_u + self.live_q + 2;
-        if self.removed_nodes < 64 || self.removed_nodes < live * 4 {
-            return;
+        let live_nodes = self.live_u + self.live_q + self.live_r + 2;
+        let live_edges = self.live_u + self.live_q + self.live_inf;
+        let dead_edges = self.net.edge_count() - live_edges;
+        let bloated = |dead: usize, live: usize| dead >= 64 && dead >= 4 * live;
+        if bloated(self.removed_nodes, live_nodes) || bloated(dead_edges, live_edges) {
+            self.compact();
         }
-        self.compact();
     }
 
     /// Forces a compaction (normally triggered automatically).
     pub fn compact(&mut self) {
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let t = net.add_node();
-        // Recreate live nodes and carry flows across.
-        let mut new_unode = std::mem::take(&mut self.unode_scratch);
-        new_unode.clear();
-        new_unode.resize(self.us.len(), usize::MAX);
-        for (i, u) in self.us.iter_mut().enumerate() {
-            if !u.alive {
-                continue;
-            }
-            let node = net.add_node();
-            let old_flow = self.net.flow_on(u.s_edge);
-            let s_edge = net.add_edge(s, node, u.weight);
-            net.force_flow(s_edge, old_flow as i64);
-            new_unode[i] = node;
-            u.node = node;
-            u.s_edge = s_edge;
-        }
-        for q in self.qs.iter_mut() {
-            if !q.alive {
-                continue;
-            }
-            let node = net.add_node();
-            let old_flow = self.net.flow_on(q.t_edge);
-            let t_edge = net.add_edge(node, t, q.weight);
-            net.force_flow(t_edge, old_flow as i64);
-            q.node = node;
-            q.t_edge = t_edge;
-        }
-        // Interaction edges (only between live endpoints).
-        let mut rewires = std::mem::take(&mut self.rewires);
-        rewires.clear();
-        for (qi, q) in self.qs.iter().enumerate() {
-            if !q.alive {
-                continue;
-            }
-            for &(e, u) in &q.edges {
-                if self.us[u.0].alive {
-                    rewires.push((u.0, qi, self.net.flow_on(e)));
-                }
+        let (nodes, edges) = self.net.compact();
+        let live = |e: &mut EdgeId| {
+            *e = edges[*e];
+            *e != usize::MAX
+        };
+        for u in self.us.iter_mut().filter(|u| u.alive) {
+            u.node = nodes[u.node];
+            u.s_edge = edges[u.s_edge];
+            u.edges.retain_mut(|(e, _)| live(e));
+            if let Some((e, _)) = &mut u.relay {
+                *e = edges[*e];
             }
         }
-        for q in self.qs.iter_mut() {
-            q.edges.clear();
+        for q in self.qs.iter_mut().filter(|q| q.alive) {
+            q.node = nodes[q.node];
+            q.t_edge = edges[q.t_edge];
+            q.edges.retain_mut(|(e, _)| live(e));
         }
-        for u in self.us.iter_mut() {
-            u.edges.clear();
+        for r in self.rs.iter_mut().filter(|r| r.alive) {
+            r.node = nodes[r.node];
+            if let Some((e, _)) = &mut r.succ {
+                *e = edges[*e];
+            }
+            r.attached.retain_mut(|(e, _)| live(e));
         }
-        for &(ui, qi, flow) in &rewires {
-            let e = net.add_edge(new_unode[ui], self.qs[qi].node, INF);
-            net.force_flow(e, flow as i64);
-            self.us[ui].edges.push((e, QueryNode(qi)));
-            self.qs[qi].edges.push((e, UpdateNode(ui)));
-        }
-        rewires.clear();
-        self.rewires = rewires;
-        new_unode.clear();
-        self.unode_scratch = new_unode;
-        // The rebuilt network starts with cold scratch buffers; inherit
-        // the old ones so post-compaction solves stay allocation-free.
-        net.adopt_scratch(&mut self.net);
-        self.net = net;
-        self.s = s;
-        self.t = t;
         self.removed_nodes = 0;
-        debug_assert!(self.net.check_conservation(self.s, self.t).is_ok());
+        debug_assert!(self.check().is_ok());
     }
 
-    /// Sanity check: the flow is conserved, and the open-sink set lists
-    /// each flagged query once and misses no live query whose sink edge
-    /// has residual capacity. For tests.
+    /// Sanity check, for tests: the flow is conserved; the open-sink set
+    /// lists each flagged query once and misses no live query whose sink
+    /// edge has residual capacity; chain links agree with the network; and
+    /// the live infinite-edge count is exact.
     pub fn check(&self) -> Result<(), String> {
         self.net.check_conservation(self.s, self.t)?;
         let listed: HashSet<QueryNode> = self.open.iter().copied().collect();
@@ -644,9 +1032,47 @@ impl CoverGraph {
                 q.open == listed.contains(&QueryNode(i))
                     && (q.open || !q.alive || self.net.edge(q.t_edge).residual() == 0)
             });
-        sound
-            .then_some(())
-            .ok_or_else(|| "the open-sink set misses a query or lists one twice".into())
+        if !sound {
+            return Err("the open-sink set misses a query or lists one twice".into());
+        }
+        let tail_of = |e: EdgeId| self.net.edge(e ^ 1).to;
+        for (i, r) in self.rs.iter().enumerate().filter(|(_, r)| r.alive) {
+            let linked = r.succ.is_none_or(|(e, y)| {
+                let next = &self.rs[y.0];
+                next.alive
+                    && next.pred == Some(Relay(i))
+                    && tail_of(e) == r.node
+                    && self.net.edge(e).to == next.node
+            }) && r.segment.is_none_or(|u| {
+                self.us[u.0].alive && self.us[u.0].relay.is_some_and(|(_, at)| at == Relay(i))
+            });
+            if !linked {
+                return Err(format!("relay {i} disagrees with its chain"));
+            }
+        }
+        let live_inf = (0..self.net.edge_count())
+            .map(|i| 2 * i)
+            .filter(|&e| {
+                let edge = self.net.edge(e);
+                edge.cap == INF && !self.net.is_deleted(edge.to) && !self.net.is_deleted(tail_of(e))
+            })
+            .count();
+        if live_inf != self.live_inf {
+            return Err(format!(
+                "{live_inf} live INF edges, {} counted",
+                self.live_inf
+            ));
+        }
+        Ok(())
+    }
+
+    /// Entries the recycled lists of the graph and its network hold room
+    /// for (for tests).
+    #[cfg(test)]
+    fn pooled_capacity(&self) -> usize {
+        let lists = self.list_pool.iter().map(Vec::capacity).sum::<usize>();
+        let q_lists = self.q_edge_pool.iter().map(Vec::capacity).sum::<usize>();
+        lists + q_lists + self.net.pooled_capacity()
     }
 }
 
@@ -876,65 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn split_carries_the_flow_across() {
-        // u (10) feeds q1 (4) and q2 (8): s -> u is saturated at 10.
-        let mut g = CoverGraph::new();
-        let u = g.add_update(10);
-        let q1 = g.add_query(4);
-        let q2 = g.add_query(8);
-        g.add_interaction(u, q1);
-        g.add_interaction(u, q2);
-        assert_eq!(g.solve().weight, 10);
-        let pushed = g.augmentations();
-        let second = g.split_update(u, 3, 7);
-        g.check().unwrap();
-        assert_eq!(g.flow_value(), 10, "3 stayed, 7 moved");
-        assert_eq!((g.update_weight(u), g.update_weight(second)), (3, 7));
-        assert_eq!((g.update_degree(u), g.update_degree(second)), (2, 2));
-        assert_eq!((g.query_degree(q1), g.live_interactions()), (2, 4));
-        // Still maximum: the halves are cover-equivalent to the whole.
-        let cover = g.solve();
-        assert_eq!(cover.weight, 10);
-        assert!(cover.updates.contains(&u) && cover.updates.contains(&second));
-        assert_eq!(g.augmentations(), pushed);
-    }
-
-    #[test]
-    #[should_panic(expected = "halves must sum")]
-    fn split_rejects_weights_that_do_not_add_up() {
-        let mut g = CoverGraph::new();
-        let u = g.add_update(10);
-        g.split_update(u, 3, 8);
-    }
-
-    #[test]
-    fn merge_carries_the_flow_across_and_unions_the_neighbours() {
-        // u1 (2) -- q1 (5) and u2 (3) -- q2 (1), q3 dead: flow 2 + 1.
-        let mut g = CoverGraph::new();
-        let u1 = g.add_update(2);
-        let u2 = g.add_update(3);
-        let q1 = g.add_query(5);
-        let q2 = g.add_query(1);
-        let q3 = g.add_query(9);
-        g.add_interaction(u1, q1);
-        g.add_interaction(u2, q2);
-        g.add_interaction(u2, q3);
-        g.remove_query(q3);
-        assert_eq!(g.solve().weight, 3);
-        g.merge_updates(u1, [u2]);
-        g.check().unwrap();
-        assert_eq!(g.flow_value(), 3);
-        assert!(!g.update_alive(u2));
-        assert_eq!((g.update_weight(u1), g.update_degree(u1)), (5, 2));
-        assert_eq!((g.query_degree(q1), g.query_degree(q2)), (1, 1));
-        assert_eq!((g.live_updates(), g.live_interactions()), (1, 2));
-        // The union is conservative: shipping u' (5) now beats q1 + q2 (6).
-        let cover = g.solve();
-        assert_eq!(cover.weight, 5);
-        assert!(cover.updates.contains(&u1) && cover.queries.is_empty());
-    }
-
-    #[test]
     fn remove_query_then_resolve() {
         let mut g = CoverGraph::new();
         let u = g.add_update(5);
@@ -1011,5 +1378,246 @@ mod tests {
         assert_eq!(brute_force_cover_weight(&[3], &[10], &[(0, 0)]), 3);
         assert_eq!(brute_force_cover_weight(&[10], &[3], &[(0, 0)]), 3);
         assert_eq!(brute_force_cover_weight(&[], &[], &[]), 0);
+    }
+
+    /// Three segments of weight 10 with a query of weight `w` attached at
+    /// each: (graph, segments, relays, queries).
+    fn chain_of_three(w: [u64; 3]) -> (CoverGraph, Vec<UpdateNode>, Vec<Relay>, Vec<QueryNode>) {
+        let mut g = CoverGraph::new();
+        let (mut us, mut rs, mut qs) = (Vec::new(), Vec::new(), Vec::new());
+        for &wq in &w {
+            let (u, r) = g.append_segment(rs.last().copied(), 10);
+            let q = g.add_query(wq);
+            g.attach(r, q);
+            us.push(u);
+            rs.push(r);
+            qs.push(q);
+        }
+        (g, us, rs, qs)
+    }
+
+    #[test]
+    fn a_chain_covers_like_its_prefix_wiring() {
+        // q_j needs segments 0..=j: the cheap queries ship, the dear one
+        // is worth shipping u0 for (12 > 10) and rides on the rest too.
+        let (mut g, us, _, qs) = chain_of_three([4, 12, 25]);
+        assert_eq!(g.wiring_edges(), 3 + 2 + 3);
+        assert_eq!(g.live_inf_edges(), 8);
+        let cover = g.solve();
+        let brute = brute_force_cover_weight(
+            &[10, 10, 10],
+            &[4, 12, 25],
+            &[(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)],
+        );
+        assert_eq!(cover.weight, brute);
+        for (i, &q) in qs.iter().enumerate() {
+            assert_eq!(
+                g.solve_query_membership(q),
+                cover.queries.contains(&q),
+                "q{i}"
+            );
+        }
+        assert!(cover.updates.contains(&us[0]));
+        g.check().unwrap();
+    }
+
+    #[test]
+    fn split_carries_the_flow_across_with_two_edges() {
+        let (mut g, us, rs, qs) = chain_of_three([4, 12, 25]);
+        let weight = g.solve().weight;
+        let (wired, pushed) = (g.wiring_edges(), g.augmentations());
+        let (first, r1) = g.split_segment(us[1], 3, 7);
+        g.check().unwrap();
+        assert_eq!(g.wiring_edges() - wired, 2);
+        assert_eq!(g.flow_value(), weight);
+        assert_eq!((g.update_weight(first), g.update_weight(us[1])), (3, 7));
+        // Still maximum: nothing is attached to the new relay yet.
+        assert_eq!(g.solve().weight, weight);
+        assert_eq!(g.augmentations(), pushed);
+        // A query needing u0 and the first half only.
+        let q = g.add_query(100);
+        g.attach(r1, q);
+        let cover = g.solve();
+        assert!(cover.updates.contains(&first) && !cover.queries.contains(&q));
+        assert!(g.solve_query_membership(qs[0]) == cover.queries.contains(&qs[0]));
+        let _ = rs;
+        g.check().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "halves must sum")]
+    fn split_rejects_weights_that_do_not_add_up() {
+        let mut g = CoverGraph::new();
+        let (u, _) = g.append_segment(None, 10);
+        g.split_segment(u, 3, 8);
+    }
+
+    #[test]
+    fn merge_wires_nothing_and_keeps_attached_relays() {
+        let (mut g, us, rs, qs) = chain_of_three([4, 12, 25]);
+        assert_eq!(g.solve().weight, 3 * 10, "ship every segment");
+        let (wired, flow) = (g.wiring_edges(), g.flow_value());
+        g.merge_segments(us[0], us[1]);
+        g.check().unwrap();
+        assert_eq!(g.wiring_edges(), wired);
+        assert_eq!(g.flow_value(), flow);
+        assert!(!g.update_alive(us[1]));
+        assert_eq!(g.update_weight(us[0]), 20);
+        // r1 keeps q1, so it stays; one segment edge died.
+        assert_eq!((g.live_relays(), g.live_inf_edges()), (3, 7));
+        // The union is conservative: q0 now needs the merged segment too.
+        let cover = g.solve();
+        let brute =
+            brute_force_cover_weight(&[20, 10], &[4, 12, 25], &[(0, 0), (0, 1), (0, 2), (1, 2)]);
+        assert_eq!(cover.weight, brute);
+        // Once q1 leaves, the next coalesce over r1 splices it out.
+        g.remove_query(qs[1]);
+        g.merge_segments(us[0], us[2]);
+        g.check().unwrap();
+        assert_eq!(g.live_relays(), 2, "r1 spliced, r2 keeps q2");
+        assert_eq!(g.solve().weight, 4 + 25);
+        let _ = rs;
+    }
+
+    #[test]
+    fn dropping_a_prefix_isolates_exactly_its_queries() {
+        let (mut g, us, rs, qs) = chain_of_three([40, 12, 25]);
+        let _ = g.solve();
+        let mut isolated = Vec::new();
+        g.drop_chain(rs[0], Some(rs[1]), &mut isolated);
+        g.check().unwrap();
+        assert_eq!(isolated, vec![qs[0]]);
+        assert!(!g.update_alive(us[0]) && g.update_alive(us[1]));
+        assert_eq!((g.query_degree(qs[0]), g.query_degree(qs[2])), (0, 1));
+        g.remove_query(qs[0]);
+        let cover = g.solve();
+        let brute = brute_force_cover_weight(&[10, 10], &[12, 25], &[(0, 0), (0, 1), (1, 1)]);
+        assert_eq!(cover.weight, brute);
+        // Evicting the rest isolates the others; nothing is left wired.
+        g.drop_chain(rs[1], None, &mut isolated);
+        assert_eq!(isolated, vec![qs[0], qs[1], qs[2]]);
+        assert_eq!(
+            (g.live_updates(), g.live_relays(), g.live_inf_edges()),
+            (0, 0, 0)
+        );
+        assert_eq!(g.solve().weight, 0);
+        g.check().unwrap();
+    }
+
+    #[test]
+    fn removing_a_query_cancels_its_flow_up_the_chain() {
+        // q2 (25) draws 10 from each segment; its removal must hand back
+        // flow from the chain's upstream segments, not just its own relay.
+        let (mut g, _, _, qs) = chain_of_three([1, 1, 25]);
+        let _ = g.solve();
+        g.remove_query(qs[2]);
+        g.check().unwrap();
+        assert_eq!(g.flow_value(), 2);
+        assert_eq!(g.solve().weight, 2);
+    }
+
+    #[test]
+    fn retained_queries_on_a_relay_share_one_vertex() {
+        // Two cheap queries on u0 (10) are shipped and folded: one vertex
+        // of weight 7. A third (5) makes shipping u0 cheaper than all three.
+        let mut g = CoverGraph::new();
+        let (_, r) = g.append_segment(None, 10);
+        let mut kept = Vec::new();
+        for w in [3, 4] {
+            let q = g.add_query(w);
+            g.attach(r, q);
+            assert!(g.solve_query_membership(q));
+            kept.push(g.retain_query(q));
+        }
+        assert_eq!(kept[0], kept[1]);
+        let bundle = kept[0];
+        assert_eq!((g.query_members(bundle), g.query_weight(bundle)), (2, 7));
+        assert_eq!((g.live_queries(), g.live_inf_edges()), (1, 2));
+        let q = g.add_query(5);
+        g.attach(r, q);
+        assert!(!g.solve_query_membership(q), "12 > 10: ship the segment");
+        // Letting the 4 go leaves 3 + 5 < 10, and the flow that no longer
+        // fits is cancelled up the chain.
+        g.release_query(bundle, 4);
+        g.check().unwrap();
+        assert!(g.solve_query_membership(q));
+        assert_eq!(g.solve().weight, 8);
+        g.release_query(bundle, 3);
+        assert!(!g.query_alive(bundle), "its last member took it along");
+        g.check().unwrap();
+    }
+
+    /// Retained memory follows the live graph: under a churn of splits,
+    /// coalesces, drops and query turnover the network never holds more
+    /// than four dead edges per live one (plus the compaction floor), and
+    /// the recycled-list pools never hold more than their trimmed capacity.
+    #[test]
+    fn retained_memory_is_bounded_by_live_size() {
+        let mut g = CoverGraph::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut segs: Vec<(UpdateNode, Relay)> = Vec::new();
+        let mut retained = std::collections::VecDeque::new();
+        let mut isolated = Vec::new();
+        for step in 0..20_000u64 {
+            let at = match rng(8) {
+                0 | 1 if !segs.is_empty() => {
+                    let i = rng(segs.len() as u64) as usize;
+                    let w = g.update_weight(segs[i].0);
+                    let first = g.split_segment(segs[i].0, w / 2, w - w / 2);
+                    segs.insert(i, first);
+                    i
+                }
+                2 if segs.len() > 1 => {
+                    // Ship a prefix.
+                    let k = 1 + rng(segs.len() as u64 - 1) as usize;
+                    let keep = segs.get(k).map(|s| s.1);
+                    g.drop_chain(segs[0].1, keep, &mut isolated);
+                    segs.drain(..k);
+                    for q in isolated.drain(..) {
+                        if g.query_alive(q) {
+                            g.remove_query(q);
+                        }
+                    }
+                    continue;
+                }
+                _ => {
+                    let after = segs.last().map(|s| s.1);
+                    segs.push(g.append_segment(after, 1 + rng(1_000)));
+                    segs.len() - 1
+                }
+            };
+            let w = 1 + rng(600);
+            let q = g.add_query(w);
+            g.attach(segs[at].1, q);
+            if g.solve_query_membership(q) {
+                retained.push_back((g.retain_query(q), w));
+                if retained.len() > 64 {
+                    let (q, w) = retained.pop_front().unwrap();
+                    if g.query_alive(q) {
+                        g.release_query(q, w);
+                    }
+                }
+            } else {
+                g.remove_query(q);
+            }
+            if segs.len() > 32 {
+                g.merge_segments(segs[0].0, segs[15].0);
+                segs.drain(1..16);
+            }
+            let live = g.live_updates() + g.live_queries() + g.live_inf_edges();
+            let held = g.net.edge_count();
+            assert!(
+                held <= 5 * live + 64,
+                "step {step}: {held} edges for {live} live"
+            );
+            assert!(g.pooled_capacity() <= (1024 + 2 * 256) * POOLED_CAPACITY);
+        }
+        g.check().unwrap();
     }
 }

@@ -71,6 +71,10 @@ pub const INF: u64 = u64::MAX / 4;
 /// this, capacity is returned to the allocator).
 const MAX_POOLED_ADJ: usize = 1024;
 
+/// Capacity a recycled Vec keeps in a pool: enough for a typical vertex,
+/// so a pooled list never pins what one long-lived hub once held.
+pub(crate) const POOLED_CAPACITY: usize = 16;
+
 /// A sink and its in-edges that may still have residual capacity, in the
 /// form `adj[sink]` holds them (the twin `e ^ 1` of each edge `e` into it).
 /// Must list *every* such edge; saturated ones and deleted tails are
@@ -283,8 +287,15 @@ impl FlowNetwork {
         let mut adj = std::mem::take(&mut self.adj[v]);
         if self.free_adj.len() < MAX_POOLED_ADJ {
             adj.clear();
+            adj.shrink_to(POOLED_CAPACITY);
             self.free_adj.push(adj);
         }
+    }
+
+    /// Entries the recycled-adjacency pool holds room for (for tests).
+    #[cfg(test)]
+    pub(crate) fn pooled_capacity(&self) -> usize {
+        self.free_adj.iter().map(Vec::capacity).sum()
     }
 
     /// Whether the node has been deleted.
@@ -310,6 +321,21 @@ impl FlowNetwork {
         self.edges[e].cap = cap;
     }
 
+    /// Points edge `e` at a new head `to`, keeping its id, capacity and
+    /// flow: the twin leaves the old head's adjacency (one scan of it,
+    /// skipped when that head is deleted) and joins `to`'s. Flow
+    /// conservation moves with the edge; the caller rebalances it.
+    pub(crate) fn retarget(&mut self, e: EdgeId, to: NodeId) {
+        debug_assert!(!self.deleted[to], "endpoint deleted");
+        let old = std::mem::replace(&mut self.edges[e].to, to);
+        if !self.deleted[old] {
+            let list = &mut self.adj[old];
+            let at = list.iter().position(|&x| x == e ^ 1);
+            list.swap_remove(at.expect("twin listed at its head"));
+        }
+        self.adj[to].push(e ^ 1);
+    }
+
     /// Zeroes all flow (turning the next [`Self::max_flow`] into a
     /// from-scratch computation).
     pub fn reset_flow(&mut self) {
@@ -329,7 +355,7 @@ impl FlowNetwork {
     /// Starts a fresh traversal: grows both sides' stamp buffers to the
     /// current node count and returns the new epoch.
     #[inline]
-    pub(crate) fn bump_epoch(&mut self) -> u64 {
+    fn bump_epoch(&mut self) -> u64 {
         let n = self.adj.len();
         for side in [&mut self.fwd, &mut self.bwd] {
             if side.mark.len() < n {
@@ -471,18 +497,6 @@ impl FlowNetwork {
         self.augmentations
     }
 
-    /// The edge [`Self::set_slot`] filed under `v` since the last
-    /// [`Self::bump_epoch`]: a node -> edge map on the forward scratch.
-    pub(crate) fn slot(&self, v: NodeId) -> Option<EdgeId> {
-        (self.fwd.mark[v] == self.epoch).then(|| self.fwd.parent[v])
-    }
-
-    /// Files edge `e` under node `v` until the next traversal.
-    pub(crate) fn set_slot(&mut self, v: NodeId, e: EdgeId) {
-        self.fwd.mark[v] = self.epoch;
-        self.fwd.parent[v] = e;
-    }
-
     /// Stamps every node reachable from `s` in the residual graph with a
     /// fresh epoch; query the result with [`Self::reached`]. This is the
     /// allocation-free form of [`Self::residual_reachable`] used by full
@@ -525,28 +539,65 @@ impl FlowNetwork {
         (0..self.adj.len()).map(|v| self.reached(v)).collect()
     }
 
-    /// Moves the reusable scratch capacity (and the cumulative search
-    /// counters) out of `old` (typically the pre-compaction network about
-    /// to be dropped) so a rebuilt network starts warm instead of
-    /// re-growing its buffers from zero.
-    pub(crate) fn adopt_scratch(&mut self, old: &mut FlowNetwork) {
-        // Stamps are only comparable against the epoch they were written
-        // under; inheriting `old.epoch` keeps every later epoch strictly
-        // above anything either side's buffer ever held, and the buffers
-        // are zeroed to this network's size besides.
-        self.epoch = self.epoch.max(old.epoch);
-        let n = self.adj.len();
-        for (mine, theirs) in [(&mut self.fwd, &mut old.fwd), (&mut self.bwd, &mut old.bwd)] {
-            *mine = std::mem::take(theirs);
-            mine.mark.clear();
-            mine.mark.resize(n, 0);
-            mine.parent.clear();
-            mine.parent.resize(n, 0);
-            mine.queue.clear();
+    /// Rebuilds the network in place without its deleted nodes and the
+    /// edges that touch them, carrying every surviving edge's capacity and
+    /// flow. Survivors keep their relative order (so `s` and `t`, added
+    /// first and never deleted, keep their ids). Returns each old node's
+    /// and edge's new id, `usize::MAX` for the dropped. The search scratch
+    /// and the cumulative counters carry over.
+    pub(crate) fn compact(&mut self) -> (Vec<NodeId>, Vec<EdgeId>) {
+        let mut node_map = Vec::with_capacity(self.adj.len());
+        let mut adj = Vec::with_capacity(self.adj.len());
+        for (v, list) in self.adj.iter_mut().enumerate() {
+            if self.deleted[v] {
+                node_map.push(usize::MAX);
+            } else {
+                node_map.push(adj.len());
+                let mut list = std::mem::take(list);
+                list.clear();
+                adj.push(list);
+            }
         }
-        self.free_adj = std::mem::take(&mut old.free_adj);
-        self.edges_scanned += old.edges_scanned;
-        self.augmentations += old.augmentations;
+        let mut edge_map = vec![usize::MAX; self.edges.len()];
+        let mut edges = Vec::with_capacity(self.edges.len());
+        for (e, pair) in self.edges.chunks_exact(2).enumerate() {
+            let (from, to) = (node_map[pair[1].to], node_map[pair[0].to]);
+            if from == usize::MAX || to == usize::MAX {
+                continue;
+            }
+            let id = edges.len();
+            edges.push(Edge { to, ..pair[0] });
+            edges.push(Edge {
+                to: from,
+                ..pair[1]
+            });
+            adj[from].push(id);
+            adj[to].push(id + 1);
+            edge_map[2 * e] = id;
+            edge_map[2 * e + 1] = id + 1;
+        }
+        for list in &mut adj {
+            if list.capacity() > 2 * list.len() + POOLED_CAPACITY {
+                list.shrink_to_fit();
+            }
+        }
+        edges.shrink_to_fit();
+        self.deleted = vec![false; adj.len()];
+        self.adj = adj;
+        self.edges = edges;
+        // Every traversal bumps the epoch before reading a stamp, so
+        // zeroed stamps can never read as visited under the new numbering.
+        let n = self.adj.len();
+        for side in [&mut self.fwd, &mut self.bwd] {
+            side.mark.clear();
+            side.mark.resize(n, 0);
+            side.parent.clear();
+            side.parent.resize(n, 0);
+            side.queue.clear();
+            side.mark.shrink_to_fit();
+            side.parent.shrink_to_fit();
+        }
+        (node_map, edge_map)
     }
 
     /// Verifies flow conservation at every live node except `s` and `t`.

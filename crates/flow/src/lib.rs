@@ -13,8 +13,9 @@
 //! * [`CoverGraph`] — the bipartite update/query interaction graph with
 //!   minimum-weight vertex cover via the max-flow reduction, node removal
 //!   with closed-form flow cancellation (the paper's *remainder subgraph*),
-//!   vertex split/merge that carry the routed flow across, and automatic
-//!   compaction.
+//!   per-object relay chains that wire a prefix-needing query once per
+//!   object (segment split/coalesce carry the routed flow across), and
+//!   automatic compaction bounded by the live graph.
 //!
 //! ```
 //! use delta_flow::CoverGraph;
@@ -34,5 +35,5 @@
 pub mod cover;
 pub mod graph;
 
-pub use cover::{brute_force_cover_weight, Cover, CoverGraph, QueryNode, UpdateNode};
+pub use cover::{brute_force_cover_weight, Cover, CoverGraph, QueryNode, Relay, UpdateNode};
 pub use graph::{Edge, EdgeId, FlowNetwork, NodeId, INF};

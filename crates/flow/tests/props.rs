@@ -1,10 +1,11 @@
 //! Property-based tests: the incremental cover engine against brute force
 //! and against from-scratch recomputation under random mutation sequences,
-//! and the bidirectional search against a forward-only reference kept in
-//! this module.
+//! the bidirectional search against a forward-only reference kept in this
+//! module, and the relay-chain encoding against the per-segment wiring it
+//! replaced.
 
 use delta_flow::{
-    brute_force_cover_weight, CoverGraph, FlowNetwork, NodeId, QueryNode, UpdateNode, INF,
+    brute_force_cover_weight, CoverGraph, FlowNetwork, NodeId, QueryNode, Relay, UpdateNode, INF,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -392,11 +393,11 @@ proptest! {
         g.check().unwrap();
     }
 
-    /// Compaction hands *both* sides' stamp buffers to the rebuilt
-    /// network, which renumbers every vertex. A stamp surviving from
-    /// before — on either side — would read as "already visited" (a path
-    /// missed) or as a meeting (a path invented); the post-compaction
-    /// answers must equal those of a graph that never had the history.
+    /// Compaction keeps *both* sides' stamp buffers while it renumbers
+    /// every vertex. A stamp surviving from before — on either side —
+    /// would read as "already visited" (a path missed) or as a meeting (a
+    /// path invented); the post-compaction answers must equal those of a
+    /// graph that never had the history.
     #[test]
     fn adopted_scratch_never_reads_as_visited(
         inst in arb_instance(8, 20),
@@ -430,135 +431,338 @@ proptest! {
     }
 }
 
-/// The bipartite graph a [`CoverGraph`] should hold, kept beside it by
-/// [`restructure`]: live vertices by handle, weights, and interaction
-/// pairs.
+/// Objects a cut-equivalence script spreads its segments over.
+const OBJECTS: usize = 3;
+
+/// One segment as both encodings hold it.
+#[derive(Clone, Copy, Debug)]
+struct Seg {
+    chain: UpdateNode,
+    relay: Relay,
+    flat: UpdateNode,
+    weight: u64,
+}
+
+/// One query as both encodings hold it: `chain` is the vertex standing for
+/// it there (its own, or the one `retain_query` folded it into).
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    chain: QueryNode,
+    flat: QueryNode,
+    weight: u64,
+}
+
+/// The same segment graph twice: `chain` wires each query once per object
+/// through the relay chains, `flat` to every segment of its prefix with
+/// plain interactions, and restructures with nothing but `add_update`,
+/// `add_interaction` and `remove_update` — the encoding `chain` replaced.
 #[derive(Default)]
-struct Model {
-    us: Vec<(UpdateNode, u64)>,
-    qs: Vec<(QueryNode, u64)>,
-    edges: Vec<(UpdateNode, QueryNode)>,
+struct Twin {
+    chain: CoverGraph,
+    flat: CoverGraph,
+    /// Each object's live segments, oldest first.
+    objects: [Vec<Seg>; OBJECTS],
+    /// Live queries.
+    queries: Vec<Member>,
+    /// `flat`'s live interactions.
+    flat_edges: Vec<(UpdateNode, QueryNode)>,
 }
 
-impl Model {
-    /// The from-scratch forward reference's flow value on the model.
-    fn reference_flow(&self) -> u64 {
-        let u_at = |u: UpdateNode| 2 + self.us.iter().position(|&(v, _)| v == u).unwrap();
-        let q_at =
-            |q: QueryNode| 2 + self.us.len() + self.qs.iter().position(|&(v, _)| v == q).unwrap();
-        let mut edges = Vec::new();
-        for &(u, w) in &self.us {
-            edges.push((0, u_at(u), w));
-        }
-        for &(q, w) in &self.qs {
-            edges.push((q_at(q), 1, w));
-        }
-        for &(u, q) in &self.edges {
-            edges.push((u_at(u), q_at(q), INF));
-        }
-        reference_max_flow(2 + self.us.len() + self.qs.len(), &edges, 0, 1)
+impl Twin {
+    /// Runs `op` on `chain` and returns how many edges it wired.
+    fn wired(&mut self, op: impl FnOnce(&mut CoverGraph)) -> u64 {
+        let before = self.chain.wiring_edges();
+        op(&mut self.chain);
+        self.chain.wiring_edges() - before
     }
-}
 
-/// Applies one scripted operation to the graph and its model. `a` and `b`
-/// pick vertices among the live ones, `w` is a weight or a split point.
-fn restructure(g: &mut CoverGraph, m: &mut Model, (kind, a, b, w): (u8, usize, usize, u64)) {
-    let flow = g.flow_value();
-    match kind {
-        0 => m.us.push((g.add_update(w), w)),
-        1 => m.qs.push((g.add_query(w), w)),
-        2..=4 if !m.us.is_empty() && !m.qs.is_empty() => {
-            let (u, q) = (m.us[a % m.us.len()].0, m.qs[b % m.qs.len()].0);
-            g.add_interaction(u, q);
-            m.edges.push((u, q));
+    fn flat_wire(&mut self, u: UpdateNode, q: QueryNode) {
+        self.flat.add_interaction(u, q);
+        self.flat_edges.push((u, q));
+    }
+
+    fn flat_remove(&mut self, u: UpdateNode) {
+        self.flat.remove_update(u);
+        self.flat_edges.retain(|&(v, _)| v != u);
+    }
+
+    /// Queries `flat` links to `u`, each once.
+    fn flat_neighbours(&self, parts: &[Seg]) -> Vec<QueryNode> {
+        let mut qs: Vec<_> = self
+            .flat_edges
+            .iter()
+            .filter(|&&(u, _)| parts.iter().any(|s| s.flat == u))
+            .map(|&(_, q)| q)
+            .collect();
+        qs.sort();
+        qs.dedup();
+        qs
+    }
+
+    fn append(&mut self, o: usize, weight: u64) -> usize {
+        let after = self.objects[o].last().map(|s| s.relay);
+        let mut made = None;
+        let wired = self.wired(|g| made = Some(g.append_segment(after, weight)));
+        assert_eq!(wired, if after.is_some() { 2 } else { 1 });
+        let (chain, relay) = made.unwrap();
+        let flat = self.flat.add_update(weight);
+        self.objects[o].push(Seg {
+            chain,
+            relay,
+            flat,
+            weight,
+        });
+        self.objects[o].len() - 1
+    }
+
+    /// Splits segment `j` of `o` into `w1` and the rest; returns the first
+    /// half's index (`j`).
+    fn split(&mut self, o: usize, j: usize, w1: u64) -> usize {
+        let seg = self.objects[o][j];
+        let w2 = seg.weight - w1;
+        let flow = self.chain.flow_value();
+        let mut made = None;
+        assert_eq!(
+            self.wired(|g| made = Some(g.split_segment(seg.chain, w1, w2))),
+            2
+        );
+        assert_eq!(
+            self.chain.flow_value(),
+            flow,
+            "split changed the flow value"
+        );
+        let (chain, relay) = made.unwrap();
+        let (first, second) = (self.flat.add_update(w1), self.flat.add_update(w2));
+        for q in self.flat_neighbours(&[seg]) {
+            self.flat_wire(first, q);
+            self.flat_wire(second, q);
         }
-        5 if !m.us.is_empty() => {
-            let (u, _) = m.us.swap_remove(a % m.us.len());
-            g.remove_update(u);
-            m.edges.retain(|&(v, _)| v != u);
+        self.flat_remove(seg.flat);
+        self.objects[o][j] = Seg {
+            flat: second,
+            weight: w2,
+            ..seg
+        };
+        let first = Seg {
+            chain,
+            relay,
+            flat: first,
+            weight: w1,
+        };
+        self.objects[o].insert(j, first);
+        j
+    }
+
+    /// The segment index a new query's horizon on `o` ends at: a fresh
+    /// segment, the first half of a split one, or an existing boundary.
+    fn horizon(&mut self, o: usize, pick: usize, w: u64) -> usize {
+        let n = self.objects[o].len();
+        match pick % 3 {
+            1 if n > 0 => {
+                let j = pick / 3 % n;
+                let w1 = w % (self.objects[o][j].weight + 1);
+                self.split(o, j, w1)
+            }
+            2 if n > 0 => pick / 3 % n,
+            _ => self.append(o, 1 + w),
         }
-        6 if !m.qs.is_empty() => {
-            let (q, _) = m.qs.swap_remove(b % m.qs.len());
-            g.remove_query(q);
-            m.edges.retain(|&(_, v)| v != q);
-        }
-        7 if !m.us.is_empty() => {
-            let i = a % m.us.len();
-            let (u, weight) = m.us[i];
-            let w1 = w % (weight + 1);
-            let second = g.split_update(u, w1, weight - w1);
-            assert_eq!(g.flow_value(), flow, "split changed the flow value");
-            m.us[i].1 = w1;
-            m.us.push((second, weight - w1));
-            let copies: Vec<_> = m.edges.iter().filter(|&&(v, _)| v == u).copied().collect();
-            m.edges.extend(copies.into_iter().map(|(_, q)| (second, q)));
-        }
-        8 if m.us.len() >= 2 => {
-            // Merge the 1–3 vertices after `into` (cyclically) into it.
-            let i = a % m.us.len();
-            let k = (1 + b % 3).min(m.us.len() - 1);
-            let parts: Vec<_> = (1..=k).map(|d| m.us[(i + d) % m.us.len()].0).collect();
-            let into = m.us[i].0;
-            g.merge_updates(into, parts.iter().copied());
-            assert_eq!(g.flow_value(), flow, "merge changed the flow value");
-            let total: u64 =
-                m.us.iter()
-                    .filter(|(v, _)| parts.contains(v))
-                    .map(|&(_, w)| w)
-                    .sum();
-            m.us.iter_mut().find(|(v, _)| *v == into).unwrap().1 += total;
-            m.us.retain(|(v, _)| !parts.contains(v));
-            for e in &mut m.edges {
-                if parts.contains(&e.0) {
-                    e.0 = into;
-                }
+    }
+
+    /// Adds a query needing the given prefixes and, if `retain`, keeps it
+    /// the way the `UpdateManager` keeps a shipped one.
+    fn query(&mut self, weight: u64, horizons: &[(usize, usize)], retain: bool) {
+        let (mut chain, flat) = (self.chain.add_query(weight), self.flat.add_query(weight));
+        for &(o, j) in horizons {
+            let relay = self.objects[o][j].relay;
+            assert_eq!(self.wired(|g| g.attach(relay, chain)), 1);
+            for i in 0..=j {
+                let u = self.objects[o][i].flat;
+                self.flat_wire(u, flat);
             }
         }
-        9 => g.compact(),
-        _ => {}
+        if retain {
+            let flow = self.chain.flow_value();
+            chain = self.chain.retain_query(chain);
+            assert_eq!(
+                self.chain.flow_value(),
+                flow,
+                "folding changed the flow value"
+            );
+        }
+        self.queries.push(Member {
+            chain,
+            flat,
+            weight,
+        });
+    }
+
+    /// Coalesces the first `k` segments of `o`.
+    fn coalesce(&mut self, o: usize, k: usize) {
+        let n = self.objects[o].len();
+        if n < 2 {
+            return;
+        }
+        let k = k.clamp(2, n);
+        let parts: Vec<Seg> = self.objects[o][..k].to_vec();
+        let flow = self.chain.flow_value();
+        assert_eq!(
+            self.wired(|g| g.merge_segments(parts[0].chain, parts[k - 1].chain)),
+            0
+        );
+        assert_eq!(
+            self.chain.flow_value(),
+            flow,
+            "coalesce changed the flow value"
+        );
+        let weight = parts.iter().map(|s| s.weight).sum();
+        let merged = self.flat.add_update(weight);
+        for q in self.flat_neighbours(&parts) {
+            self.flat_wire(merged, q);
+        }
+        for part in &parts {
+            self.flat_remove(part.flat);
+        }
+        self.objects[o].drain(1..k);
+        self.objects[o][0] = Seg {
+            flat: merged,
+            weight,
+            ..parts[0]
+        };
+    }
+
+    /// Ships the first `k` segments of `o` (all of them: an eviction),
+    /// then prunes the queries that left isolated — the same ones in both.
+    fn drop_prefix(&mut self, o: usize, k: usize) {
+        let n = self.objects[o].len();
+        if n == 0 {
+            return;
+        }
+        let k = k.clamp(1, n);
+        let keep = self.objects[o].get(k).map(|s| s.relay);
+        let mut isolated = Vec::new();
+        self.chain
+            .drop_chain(self.objects[o][0].relay, keep, &mut isolated);
+        for seg in self.objects[o].drain(..k).collect::<Vec<_>>() {
+            self.flat_remove(seg.flat);
+        }
+        let (chain, flat) = (&mut self.chain, &mut self.flat);
+        let mut flat_isolated = Vec::new();
+        self.queries.retain(|m| {
+            let alone = flat.query_degree(m.flat) == 0;
+            if alone {
+                flat_isolated.push(m.chain);
+                chain.remove_query(m.chain);
+                flat.remove_query(m.flat);
+            }
+            !alone
+        });
+        isolated.sort();
+        flat_isolated.sort();
+        flat_isolated.dedup();
+        assert_eq!(
+            isolated, flat_isolated,
+            "the encodings isolate different queries"
+        );
+    }
+
+    fn remove_query(&mut self, i: usize) {
+        if self.queries.is_empty() {
+            return;
+        }
+        let m = self.queries.swap_remove(i % self.queries.len());
+        self.chain.release_query(m.chain, m.weight);
+        self.flat.remove_query(m.flat);
+        self.flat_edges.retain(|&(_, q)| q != m.flat);
+    }
+
+    /// Solves both graphs: same cover weight, same side for every segment,
+    /// and for every live query the same membership answer in both — which
+    /// is also the chain's own full extraction.
+    fn same_cut(&self, chain: &mut CoverGraph, flat: &mut CoverGraph) {
+        let (cover, flat_cover) = (chain.solve(), flat.solve());
+        assert_eq!(
+            cover.weight, flat_cover.weight,
+            "the encodings' cuts differ"
+        );
+        for seg in self.objects.iter().flatten() {
+            assert_eq!(
+                cover.updates.contains(&seg.chain),
+                flat_cover.updates.contains(&seg.flat),
+                "a segment changed sides"
+            );
+        }
+        for m in &self.queries {
+            let member = chain.solve_query_membership(m.chain);
+            assert_eq!(member, cover.queries.contains(&m.chain));
+            assert_eq!(
+                member,
+                flat.solve_query_membership(m.flat),
+                "membership differs"
+            );
+        }
+        chain.check().unwrap();
     }
 }
 
 proptest! {
-    /// Random add / remove / split / merge / compact sequences: the flow
-    /// stays conserved and the open-sink set complete after every step
-    /// (`check`), splits and merges carry the flow value across
-    /// (`restructure`), and whenever the script solves, the cover weight
-    /// is the from-scratch forward reference's flow on the modelled graph
-    /// and the membership probe agrees with the full extraction.
+    // The CI job's release-mode step runs many more scripts than tier-1.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 4096 }))]
+
+    /// Random scripts of the `UpdateManager`'s operations — queries whose
+    /// horizons append, split or reuse segments on one or two objects (and
+    /// are kept the way shipped ones are, folded together per relay), coalesces,
+    /// shipped prefixes, evictions, query removals and forced compactions — run on the relay chains and on the per-segment wiring
+    /// they replace. After every step (on copies, so later steps also meet
+    /// flows that are not maximum) both have the same minimum cut, every
+    /// segment and query is on the same side of it, and restructuring
+    /// carried the flow value and wired what it should; every fourth step
+    /// and kinds 11 and 12 also solve the graphs themselves.
     #[test]
-    fn restructuring_preserves_flow_and_answers(
-        inst in arb_instance(6, 14),
-        ops in proptest::collection::vec((0u8..12, 0usize..64, 0usize..64, 0u64..100), 0..40),
+    fn relay_chains_cut_like_prefix_wiring(
+        ops in proptest::collection::vec((0u8..13, 0usize..64, 0usize..64, 0u64..100), 0..60),
     ) {
-        let (mut g, us, qs) = build(&inst);
-        let mut m = Model {
-            us: us.iter().copied().zip(inst.u_weights.iter().copied()).collect(),
-            qs: qs.iter().copied().zip(inst.q_weights.iter().copied()).collect(),
-            edges: inst.edges.iter().map(|&(u, q)| (us[u], qs[q])).collect(),
-        };
-        for (step, &op) in ops.iter().enumerate() {
-            restructure(&mut g, &mut m, op);
-            g.check().unwrap();
-            // Kinds 10 and 11 (and every fourth step) solve, so the
-            // restructuring also meets flows that are not maximum.
-            if op.0 >= 10 || step % 4 == 3 {
-                let cover = g.solve();
-                prop_assert_eq!(cover.weight, m.reference_flow(), "after step {}", step);
-                for &(q, _) in &m.qs {
-                    prop_assert_eq!(g.solve_query_membership(q), cover.queries.contains(&q));
+        let mut twin = Twin::default();
+        for (step, &(kind, a, b, w)) in ops.iter().enumerate() {
+            let o = a % OBJECTS;
+            match kind {
+                0..=2 => {
+                    let j = twin.horizon(o, b, w);
+                    twin.query(1 + w, &[(o, j)], b / 7 % 2 == 0);
                 }
-                g.check().unwrap();
+                3 => {
+                    let other = (o + 1) % OBJECTS;
+                    let j = twin.horizon(o, b, w);
+                    let k = twin.horizon(other, b / 2, w / 2);
+                    twin.query(1 + w, &[(o, j), (other, k)], b / 7 % 2 == 0);
+                }
+                4 | 5 => twin.coalesce(o, b % 5),
+                6 => twin.drop_prefix(o, 1 + b % 4),
+                7 => twin.drop_prefix(o, usize::MAX),
+                8 => twin.remove_query(b),
+                9 => twin.chain.compact(),
+                10 => twin.flat.compact(),
+                _ => {}
+            }
+            twin.chain.check().unwrap();
+            let (mut chain, mut flat) = (twin.chain.clone(), twin.flat.clone());
+            twin.same_cut(&mut chain, &mut flat);
+            if kind >= 11 || step % 4 == 3 {
+                let (mut chain, mut flat) = (
+                    std::mem::take(&mut twin.chain),
+                    std::mem::take(&mut twin.flat),
+                );
+                twin.same_cut(&mut chain, &mut flat);
+                (twin.chain, twin.flat) = (chain, flat);
             }
         }
-        prop_assert_eq!(g.solve().weight, m.reference_flow());
-        prop_assert_eq!(g.live_updates(), m.us.len());
-        prop_assert_eq!(g.live_queries(), m.qs.len());
-        // The O(1) degree counters (each accessor recounts in debug
-        // builds) survived every in-place split and merge.
-        let by_update: usize = m.us.iter().map(|&(u, _)| g.update_degree(u)).sum();
-        let by_query: usize = m.qs.iter().map(|&(q, _)| g.query_degree(q)).sum();
-        prop_assert_eq!(by_update, g.live_interactions());
-        prop_assert_eq!(by_query, g.live_interactions());
+        let live: usize = twin.objects.iter().map(Vec::len).sum();
+        prop_assert_eq!(twin.chain.live_updates(), live);
+        let mut vertices: Vec<_> = twin.queries.iter().map(|m| m.chain).collect();
+        vertices.sort();
+        vertices.dedup();
+        prop_assert_eq!(twin.chain.live_queries(), vertices.len());
+        let members: usize = vertices.iter().map(|&q| twin.chain.query_members(q)).sum();
+        prop_assert_eq!(members, twin.queries.len());
+        prop_assert_eq!(twin.flat.live_interactions(), twin.flat_edges.len());
     }
 }

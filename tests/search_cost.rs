@@ -10,7 +10,7 @@
 //! coalesce must carry the routed flow across instead of leaving it to be
 //! found again, one augmenting path per retained query.
 
-use delta::flow::CoverGraph;
+use delta::flow::{CoverGraph, Relay, UpdateNode};
 
 const SEGMENTS: usize = 128;
 const RETAINED: usize = 1024;
@@ -20,7 +20,7 @@ const RETAINED: usize = 1024;
 /// to its horizon. Queries are cheap and segments dear, so the cover is
 /// "ship every query": every `q -> t` edge saturated, every `s -> u` edge
 /// not.
-fn staircase_of(retained: usize) -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
+fn staircase_of(retained: usize) -> (CoverGraph, Vec<UpdateNode>) {
     let mut g = CoverGraph::new();
     let segments: Vec<_> = (0..SEGMENTS).map(|_| g.add_update(1_000_000)).collect();
     for j in 0..retained {
@@ -35,7 +35,7 @@ fn staircase_of(retained: usize) -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
     (g, segments)
 }
 
-fn staircase() -> (CoverGraph, Vec<delta::flow::UpdateNode>) {
+fn staircase() -> (CoverGraph, Vec<UpdateNode>) {
     staircase_of(RETAINED)
 }
 
@@ -62,14 +62,27 @@ fn failed_search_does_not_grow_with_retained_queries() {
 
 #[test]
 fn a_coalesce_leaves_no_flow_to_find_again() {
-    let (mut g, segments) = staircase();
-    let flow = g.flow_value();
-    g.merge_updates(segments[0], segments[1..64].iter().copied());
+    // The staircase as the `UpdateManager` builds it: one relay chain,
+    // each retained query attached once, at its horizon.
+    let mut g = CoverGraph::new();
+    let mut segments: Vec<(UpdateNode, Relay)> = Vec::new();
+    for _ in 0..SEGMENTS {
+        let after = segments.last().map(|&(_, relay)| relay);
+        segments.push(g.append_segment(after, 1_000_000));
+    }
+    for j in 0..RETAINED {
+        let q = g.add_query(1 + (j % 7) as u64);
+        g.attach(segments[j % SEGMENTS].1, q);
+    }
+    assert_eq!(g.solve().queries.len(), RETAINED, "every query is shipped");
+    let (flow, wired) = (g.flow_value(), g.wiring_edges());
+    g.merge_segments(segments[0].0, segments[63].0);
     assert_eq!(g.flow_value(), flow);
+    assert_eq!(g.wiring_edges(), wired, "a coalesce wires nothing");
     // The next decision pushes its own path and nothing else.
     let before = g.augmentations();
     let q = g.add_query(3);
-    g.add_interaction(segments[0], q);
+    g.attach(segments[0].1, q);
     assert!(g.solve_query_membership(q), "a cheap query is shipped");
     assert_eq!(g.augmentations() - before, 1);
     g.check().unwrap();
