@@ -121,11 +121,12 @@ impl WireTelemetry {
 }
 
 /// A per-connection frame handler with **suspension**: the reactor
-/// front's generalization of the plain closure handler.
+/// front's per-connection state machine.
 ///
 /// `on_frame` may answer synchronously (appending response frames to
 /// `wbuf`) or *suspend* the response — park the frame's outcome on an
-/// internal event (a node reply on a shared link) and return with
+/// internal event (a node reply on a shared link, a backup's
+/// acknowledgement) and return with
 /// nothing appended. A suspended connection is resumed by the event
 /// loop via `on_resume` when its [`LoopBackend`] reports progress, not
 /// by socket readiness. Response **order always equals frame arrival
@@ -174,29 +175,10 @@ pub(crate) trait FrameHandler: Send {
     }
 }
 
-/// Plain request/response handlers (the server tier, the router's
-/// threaded twin) wrapped as a never-suspending [`FrameHandler`].
-pub(crate) struct ClosureHandler<F>(pub(crate) F);
-
-impl<F> FrameHandler for ClosureHandler<F>
-where
-    F: FnMut(&[u8], &mut Vec<u8>) -> io::Result<bool> + Send,
-{
-    fn on_frame(
-        &mut self,
-        _key: usize,
-        payload: &[u8],
-        wbuf: &mut Vec<u8>,
-        _backend: &mut dyn LoopBackend,
-    ) -> io::Result<bool> {
-        (self.0)(payload, wbuf)
-    }
-}
-
 /// Per-event-loop machinery that frame handlers suspend on: the
 /// reactor loop drives it alongside the client connections. The
-/// router's shared node links implement this; tiers without internal
-/// events use [`NoBackend`].
+/// router's shared node links and a replicating node's ack wake pipe
+/// implement this; tiers without internal events use [`NoBackend`].
 ///
 /// The loop contract per iteration: readiness events whose token has
 /// the backend bit set are routed to `on_event`; `tick` fires internal

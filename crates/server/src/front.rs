@@ -45,8 +45,8 @@
 
 use crate::connection::{
     append_oversize_reply, buffered_frame_len, classify_drop, drop_cause, drop_error,
-    prepare_read_buffer, ClosureHandler, DropCause, FrameHandler, LoopBackend, NoBackend,
-    WireTelemetry, POLL, READ_BUF, WRITE_COALESCE_BYTES,
+    prepare_read_buffer, DropCause, FrameHandler, LoopBackend, NoBackend, WireTelemetry, POLL,
+    READ_BUF, WRITE_COALESCE_BYTES,
 };
 use delta_reactor::{Events, Interest, Poller, Slab, TimerKey, TimerWheel};
 use delta_telemetry::{Counter, Histogram, Telemetry};
@@ -58,15 +58,8 @@ use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A per-connection frame handler: payload in, response frames appended
-/// to the write buffer, `true` to close after the flush.
-pub(crate) type Handler = Box<dyn FnMut(&[u8], &mut Vec<u8>) -> io::Result<bool> + Send>;
-
-/// Builds one [`Handler`] per accepted connection (each gets its own
-/// mutable per-connection state, e.g. a SQL compiler clone).
-pub(crate) type HandlerFactory = Arc<dyn Fn() -> Handler + Send + Sync>;
-
-/// Builds one suspension-capable [`FrameHandler`] per connection.
+/// Builds one [`FrameHandler`] per accepted connection (each gets its
+/// own mutable per-connection state, e.g. a SQL compiler clone).
 pub(crate) type FrameFactory = Arc<dyn Fn() -> Box<dyn FrameHandler> + Send + Sync>;
 
 /// Builds one [`LoopBackend`] per reactor event loop. The backend gets
@@ -85,12 +78,6 @@ pub(crate) const BACKEND_TOKEN: usize = 1 << (usize::BITS - 1);
 /// next `POLL` timeout (up to 25 ms later — a whole pipeline window's
 /// worth of stall on the connection's first frames).
 const WAKE_TOKEN: usize = BACKEND_TOKEN - 1;
-
-/// Wraps a plain closure factory as a [`FrameFactory`] — the path for
-/// tiers whose handlers never suspend.
-pub(crate) fn closure_factory(factory: HandlerFactory) -> FrameFactory {
-    Arc::new(move || Box::new(ClosureHandler(factory())))
-}
 
 /// Reads per connection per wakeup before yielding to the rest of the
 /// ready set. Level-triggered epoll re-notifies unread data, so a

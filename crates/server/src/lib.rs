@@ -27,9 +27,13 @@
 //!   between the reactor data plane and the pipelined client.
 //! * [`replication`] — primary/backup replication state: the per-shard
 //!   applied-event log a primary ships to its backups, acknowledged
-//!   offsets, and the wait that makes an acknowledged write survive the
-//!   primary's death; the router promotes the most-caught-up backup via
-//!   the same detach/attach/epoch machinery resharding uses.
+//!   offsets, and the settle notification that makes an acknowledged
+//!   write survive the primary's death; the router promotes the
+//!   most-caught-up backup via the same detach/attach/epoch machinery
+//!   resharding uses.
+//! * [`parked`] — a node's reply queue and per-loop ack backend: a
+//!   reply waits for its backups parked, never on a blocked event
+//!   loop, and leaves in arrival order.
 //! * [`shard`] — one lock-protected engine core per shard, each owning a
 //!   [`delta_core::CachingPolicy`] (VCover by default, pluggable), a
 //!   [`delta_storage::Repository`] slice and a cache, accounting into its
@@ -99,6 +103,7 @@ pub mod config;
 pub mod connection;
 pub mod front;
 pub mod mux;
+pub mod parked;
 pub mod partition;
 pub mod protocol;
 pub mod replication;

@@ -1,25 +1,47 @@
 //! Primary/backup replication state: the per-shard applied-event log a
 //! primary ships to its backups, acknowledged replication offsets, and
-//! the condvar plumbing between the apply path and the pump threads.
+//! the settle notification that releases replies parked on them.
 //!
 //! The engine is a deterministic state machine, so a backup that holds
 //! the same starting state and applies the same shard-local event log
 //! in the same order *is* the primary — byte-identical ledger and all.
 //! Replication therefore ships exactly what the primary applied: every
 //! successful event is appended to a [`ReplState`] log inside the same
-//! engine-lock window that applied it (log order ≡ apply order), pump
-//! threads ship unshipped suffixes to each backup target, and the
-//! handler that applied the event waits until every reachable target
-//! acknowledged it before replying to the client. That wait is what
-//! makes failover lossless: a client holding an `Ok` for an event knows
-//! every live backup holds that event too, so the most-caught-up backup
-//! the router promotes can never miss an acknowledged write.
+//! engine-lock window that applied it (log order ≡ apply order; a
+//! shard sub-batch appends once, via [`ReplState::append_batch`]), and
+//! pump threads ship unshipped suffixes to each backup target.
+//!
+//! ## Settling and parked replies
+//!
+//! Offset `o` of a shard is **settled** when every backup target is
+//! either [`TargetStatus::Down`] or has acknowledged at least `o`. A
+//! reply carrying events leaves only once the offsets of every shard it
+//! touched settled. That is what makes failover lossless: a client
+//! holding an `Ok` for an event knows every live backup holds that
+//! event too, so the most-caught-up backup the router promotes can
+//! never miss an acknowledged write.
+//!
+//! Nothing blocks on it. The handler that applied the events notes each
+//! touched log's end next to its response and hands both to the
+//! connection's reply queue ([`crate::parked`]): the reply is written
+//! at once when every offset already settled (always, at
+//! `--replicas 0`, where no log exists), and is otherwise **parked**
+//! behind the connection's earlier replies — replies leave in arrival
+//! order. The parked reply's event loop registers a [`SettleWaker`]
+//! with [`ReplState::watch`]; [`ReplState::record_ack`],
+//! [`ReplState::set_status`] and [`ReplState::mark_bootstrapped`]
+//! publish the new settled offset and wake only the registered loops
+//! whose offset it covers. While one `Replicate` round trip is in
+//! flight, the loop keeps applying pipelined frames; the next suffix
+//! carries all of them and one acknowledgement releases every reply it
+//! covers (group commit).
 //!
 //! Availability beats durability when a backup dies: targets marked
-//! [`TargetStatus::Down`] are excluded from the wait (the shard keeps
-//! serving as a sole copy — degraded, never stalled), and
-//! [`ReplState::wait_replicated`] is capped so a wedged pump can stall
-//! a request by a bounded amount, never forever.
+//! [`TargetStatus::Down`] are excluded from the predicate (the shard
+//! keeps serving as a sole copy — degraded, never stalled), and every
+//! parked reply carries a [`REPL_WAIT_MAX`] deadline after which it
+//! leaves unreplicated, counted under `replica.acked_below_r`, so a
+//! wedged pump can delay a reply by a bounded amount, never forever.
 //!
 //! Offsets are applied-event *counts* (the engine's `events()`), not
 //! sequence numbers: deterministic replay means the `n`-th applied
@@ -28,8 +50,11 @@
 
 use crate::protocol::BatchItem;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Most retained log entries per shard. A target that falls further
 /// behind than the cap (only possible while it is unreachable or
@@ -39,9 +64,9 @@ pub const LOG_CAP: usize = 16_384;
 /// Most items shipped in one `Replicate` frame, bounding frame size.
 pub const REPL_BATCH_MAX: usize = 4_096;
 
-/// Hard cap on how long an apply waits for backup acknowledgements
-/// before proceeding unreplicated — the stall bound when a pump wedges
-/// without detecting its target as down first.
+/// How long a reply stays parked on unsettled offsets before it leaves
+/// unreplicated (counted under `replica.acked_below_r`) — the stall
+/// bound when a pump wedges without detecting its target as down first.
 pub const REPL_WAIT_MAX: Duration = Duration::from_secs(15);
 
 /// Where a backup target stands, from its primary's point of view.
@@ -51,10 +76,10 @@ pub enum TargetStatus {
     /// freshly configured, answered with an offset mismatch, or the
     /// log was truncated past its acknowledged offset.
     NeedsBootstrap,
-    /// The target is bootstrapped and absorbing log suffixes; applies
+    /// The target is bootstrapped and absorbing log suffixes; replies
     /// wait for its acknowledgements.
     Live,
-    /// The target is unreachable; applies proceed without it.
+    /// The target is unreachable; replies leave without it.
     Down,
 }
 
@@ -75,11 +100,25 @@ struct ReplLog {
     items: VecDeque<BatchItem>,
     /// Per-target progress, indexed by successor rank.
     targets: Vec<Target>,
+    /// Registered wakers and the offset each waits for, at most one
+    /// entry per waker.
+    waiters: Vec<(u64, Arc<SettleWaker>)>,
 }
 
 impl ReplLog {
     fn end(&self) -> u64 {
         self.start + self.items.len() as u64
+    }
+
+    /// The highest settled offset: the smallest acknowledgement among
+    /// targets that are not down (`u64::MAX` when every target is).
+    fn settled(&self) -> u64 {
+        self.targets
+            .iter()
+            .filter(|t| t.status != TargetStatus::Down)
+            .map(|t| t.acked)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Drops log entries no live target still needs, and hard-caps the
@@ -155,12 +194,64 @@ impl Notifier {
     }
 }
 
+/// Who to poke when a watched offset settles: an event loop with
+/// parked replies, or a connection thread of the threaded front blocked
+/// on one.
+pub struct SettleWaker(WakeTarget);
+
+enum WakeTarget {
+    /// The write end of a loop's nonblocking wake pair. `poked` keeps
+    /// at most one byte outstanding until the loop takes the wake. The
+    /// settle itself is published under the log mutex, which the loop's
+    /// re-check takes; the flag only dedupes pokes.
+    Pipe { tx: UnixStream, poked: AtomicBool },
+    /// A parked thread.
+    Thread(std::thread::Thread),
+}
+
+impl SettleWaker {
+    /// Wakes an event loop by writing to `tx`, whose peer the loop
+    /// polls. `tx` must be nonblocking.
+    pub fn pipe(tx: UnixStream) -> SettleWaker {
+        SettleWaker(WakeTarget::Pipe {
+            tx,
+            poked: AtomicBool::new(false),
+        })
+    }
+
+    /// Wakes `thread` with `unpark`.
+    pub fn thread(thread: std::thread::Thread) -> SettleWaker {
+        SettleWaker(WakeTarget::Thread(thread))
+    }
+
+    /// Delivers one wake. Pipe wakes coalesce until [`SettleWaker::rearm`].
+    pub fn wake(&self) {
+        match &self.0 {
+            WakeTarget::Pipe { tx, poked } => {
+                if !poked.swap(true, Ordering::SeqCst) {
+                    // A full pipe already guarantees a pending wake.
+                    let _ = (&*tx).write(&[1u8]);
+                }
+            }
+            WakeTarget::Thread(thread) => thread.unpark(),
+        }
+    }
+
+    /// The loop took the pending wake: the next one writes again. Call
+    /// before draining the pipe and re-checking, so no settle between
+    /// the check and the next wait goes unannounced.
+    pub fn rearm(&self) {
+        if let WakeTarget::Pipe { poked, .. } = &self.0 {
+            poked.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
 /// One primary shard's replication state: the retained log, per-target
-/// acknowledgements, and the condvar applies wait on.
+/// acknowledgements, and the wakers watching for offsets to settle.
 pub struct ReplState {
     shard: u16,
     inner: Mutex<ReplLog>,
-    acked_cv: Condvar,
     notifier: std::sync::Arc<Notifier>,
 }
 
@@ -187,8 +278,8 @@ impl ReplState {
                     };
                     n_targets
                 ],
+                waiters: Vec::new(),
             }),
-            acked_cv: Condvar::new(),
             notifier,
         }
     }
@@ -198,7 +289,7 @@ impl ReplState {
         self.shard
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ReplLog> {
+    fn lock(&self) -> MutexGuard<'_, ReplLog> {
         self.inner.lock().expect("replication log poisoned")
     }
 
@@ -208,6 +299,20 @@ impl ReplState {
     pub fn append(&self, item: BatchItem) {
         let mut log = self.lock();
         log.items.push_back(item);
+        log.truncate();
+        drop(log);
+        self.notifier.bump();
+    }
+
+    /// Appends a shard sub-batch's applied events, in order, under one
+    /// lock, one truncation and one pump wake. Same contract as
+    /// [`ReplState::append`].
+    pub fn append_batch(&self, items: Vec<BatchItem>) {
+        if items.is_empty() {
+            return;
+        }
+        let mut log = self.lock();
+        log.items.extend(items);
         log.truncate();
         drop(log);
         self.notifier.bump();
@@ -249,14 +354,13 @@ impl ReplState {
     }
 
     /// Records an acknowledged offset for `target` (monotone: stale
-    /// acks are ignored), trims the log, and wakes waiting applies.
+    /// acks are ignored), trims the log, and wakes the watchers whose
+    /// offset settled.
     pub fn record_ack(&self, target: usize, offset: u64) {
         let mut log = self.lock();
         let t = &mut log.targets[target];
         t.acked = t.acked.max(offset);
-        log.truncate();
-        drop(log);
-        self.acked_cv.notify_all();
+        self.publish(log);
     }
 
     /// Marks `target` live at `offset` after a successful bootstrap.
@@ -266,19 +370,34 @@ impl ReplState {
             acked: offset,
             status: TargetStatus::Live,
         };
-        log.truncate();
-        drop(log);
-        self.acked_cv.notify_all();
+        self.publish(log);
     }
 
-    /// Sets `target`'s status (marking it down also wakes waiting
-    /// applies, which stop counting it).
+    /// Sets `target`'s status (marking it down settles every offset it
+    /// was holding back).
     pub fn set_status(&self, target: usize, status: TargetStatus) {
         let mut log = self.lock();
         log.targets[target].status = status;
+        self.publish(log);
+    }
+
+    /// Trims after a progress change, then wakes — with the lock
+    /// released — every waker whose offset the new settled offset
+    /// covers, dropping their registrations.
+    fn publish(&self, mut log: MutexGuard<'_, ReplLog>) {
         log.truncate();
+        let settled = log.settled();
+        if log.waiters.iter().all(|(offset, _)| *offset > settled) {
+            return;
+        }
+        let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut log.waiters)
+            .into_iter()
+            .partition(|(offset, _)| *offset <= settled);
+        log.waiters = waiting;
         drop(log);
-        self.acked_cv.notify_all();
+        for (_, waker) in due {
+            waker.wake();
+        }
     }
 
     /// `target`'s current status.
@@ -286,31 +405,21 @@ impl ReplState {
         self.lock().targets[target].status
     }
 
-    /// Blocks until every target is either down or has acknowledged at
-    /// least `offset`, or until `timeout`. Returns `true` when every
-    /// reachable target acknowledged (the replicated case), `false` on
-    /// timeout (the capped, proceed-unreplicated case).
-    pub fn wait_replicated(&self, offset: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+    /// Whether `offset` is settled; if not, registers `waker` to be
+    /// woken once it is. A waker holds at most one registration per log
+    /// (registering again keeps the lower offset), so a loop's standing
+    /// watch costs one entry however many replies it parks. A woken
+    /// waker is unregistered: what is still unsettled is watched again.
+    pub fn watch(&self, offset: u64, waker: &Arc<SettleWaker>) -> bool {
         let mut log = self.lock();
-        loop {
-            let settled = log
-                .targets
-                .iter()
-                .all(|t| t.status == TargetStatus::Down || t.acked >= offset);
-            if settled {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .acked_cv
-                .wait_timeout(log, deadline - now)
-                .expect("replication log poisoned");
-            log = guard;
+        if log.settled() >= offset {
+            return true;
         }
+        match log.waiters.iter_mut().find(|(_, w)| Arc::ptr_eq(w, waker)) {
+            Some((watched, _)) => *watched = (*watched).min(offset),
+            None => log.waiters.push((offset, Arc::clone(waker))),
+        }
+        false
     }
 
     /// The worst lag across targets: log end minus the smallest
@@ -395,22 +504,68 @@ mod tests {
         assert_eq!(repl.status(0), TargetStatus::NeedsBootstrap);
     }
 
+    /// A loop-style waker plus the read end it pokes.
+    fn pipe_waker() -> (Arc<SettleWaker>, UnixStream) {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        tx.set_nonblocking(true).unwrap();
+        rx.set_nonblocking(true).unwrap();
+        (Arc::new(SettleWaker::pipe(tx)), rx)
+    }
+
+    /// Bytes waiting on a wake pipe's read end.
+    fn pokes(rx: &UnixStream) -> usize {
+        use std::io::Read;
+        let mut buf = [0u8; 16];
+        (&*rx).read(&mut buf).unwrap_or(0)
+    }
+
     #[test]
-    fn wait_replicated_skips_down_targets() {
+    fn settling_skips_down_targets() {
         let repl = ReplState::new(0, 0, 2, Arc::new(Notifier::new()));
         repl.mark_bootstrapped(0, 0);
         repl.mark_bootstrapped(1, 0);
         repl.append(item(1));
-        assert!(
-            !repl.wait_replicated(1, Duration::from_millis(10)),
-            "no acks yet: the wait must time out"
-        );
+        let (waker, rx) = pipe_waker();
+        assert!(!repl.watch(1, &waker), "no acks yet");
         repl.record_ack(0, 1);
+        assert_eq!(pokes(&rx), 0, "one of two targets acked: not settled");
         repl.set_status(1, TargetStatus::Down);
-        assert!(
-            repl.wait_replicated(1, Duration::from_millis(100)),
-            "one ack plus one down target settles the wait"
+        assert_eq!(pokes(&rx), 1, "one ack plus one down target settles");
+        assert!(repl.watch(1, &waker));
+    }
+
+    #[test]
+    fn wakes_only_the_watchers_an_ack_covers() {
+        let repl = ReplState::new(0, 0, 1, Arc::new(Notifier::new()));
+        repl.mark_bootstrapped(0, 0);
+        repl.append_batch((1..=10).map(item).collect());
+        assert_eq!(repl.end(), 10, "one sub-batch append, ten events");
+        let (early, early_rx) = pipe_waker();
+        let (late, late_rx) = pipe_waker();
+        assert!(!repl.watch(4, &early));
+        assert!(!repl.watch(2, &early), "a second watch lowers the offset");
+        assert!(!repl.watch(9, &late));
+        repl.record_ack(0, 3);
+        assert_eq!((pokes(&early_rx), pokes(&late_rx)), (1, 0));
+        repl.record_ack(0, 8);
+        assert_eq!(
+            (pokes(&early_rx), pokes(&late_rx)),
+            (0, 0),
+            "a woken waker is unregistered"
         );
+        repl.record_ack(0, 10);
+        assert_eq!(pokes(&late_rx), 1);
+    }
+
+    #[test]
+    fn pipe_wakes_coalesce_until_rearmed() {
+        let (waker, rx) = pipe_waker();
+        waker.wake();
+        waker.wake();
+        assert_eq!(pokes(&rx), 1);
+        waker.rearm();
+        waker.wake();
+        assert_eq!(pokes(&rx), 1);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! update frames as `UpdateShip`, the rest as `Control`), so an operator
 //! can audit protocol overhead separately from the policy-level ledgers.
 //!
+//! On the reactor front a replicating node never waits on the loop: a
+//! reply whose events must first reach the backups is parked on the
+//! connection ([`crate::parked`]) and released by the acknowledgement.
+//!
 //! ## Standalone vs cluster node
 //!
 //! A standalone server hosts **every** shard of its partitioner and
@@ -28,19 +32,21 @@
 use crate::client::DeltaClient;
 use crate::config::FrontDoor;
 use crate::config::ServerConfig;
-use crate::connection::{serve_frames, WireTelemetry, POLL};
-use crate::front::{closure_factory, Handler, HandlerFactory, ReactorFront, ReactorTelemetry};
+use crate::connection::{serve_frames, FrameHandler, LoopBackend, WireTelemetry, POLL};
+use crate::front::{BackendFactory, FrameFactory, ReactorFront, ReactorTelemetry, BACKEND_TOKEN};
+use crate::parked::{write_reply, AckBackend, ParkTelemetry, ReplyQueue, Wait, ACK_PIPE_TOKEN};
 use crate::partition::{apportion, Partitioner};
 use crate::protocol::{
-    append_frame_with, error_code, BatchItem, BatchReply, NodeInfo, NodeOp, NodeRole, Request,
-    Response, ShardStats, SqlStage, StatsSnapshot, PROTOCOL_VERSION,
+    error_code, BatchItem, BatchReply, NodeInfo, NodeOp, NodeRole, Request, Response, ShardStats,
+    SqlStage, StatsSnapshot, PROTOCOL_VERSION,
 };
-use crate::replication::{jittered, Notifier, ReplState, TargetStatus, REPL_WAIT_MAX};
+use crate::replication::{jittered, Notifier, ReplState, SettleWaker, TargetStatus, REPL_WAIT_MAX};
 use crate::shard::{OpClass, OpOutcome, ShardCore, ShardOp, ShardSpec, ShardTelemetry};
 use delta_core::engine::{read_snapshot, snapshot_from_str, snapshot_to_string};
 use delta_core::EngineSnapshot;
 use delta_net::{TrafficClass, TrafficMeter};
 use delta_query::{QueryCompiler, QueryError, Schema};
+use delta_reactor::{Interest, Poller};
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_telemetry::{Telemetry, TelemetrySnapshot};
 use delta_workload::QueryEvent;
@@ -48,7 +54,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A running delta-server instance.
 pub struct Server {
@@ -169,8 +175,8 @@ impl Server {
         let telemetry = Arc::new(Telemetry::new());
         // Replication runtime: one notifier shared by every pump thread,
         // one applied-event log per hosted primary (below). `None` when
-        // `--replicas 0` — the log append and the post-apply wait both
-        // vanish from the hot path.
+        // `--replicas 0` — the log append and reply parking both vanish
+        // from the hot path.
         let repl = match &config.replication {
             Some(r) if r.replicas > 0 => Some(ReplRuntime {
                 replicas: r.replicas,
@@ -412,13 +418,24 @@ fn accept_loop(
         FrontDoor::Threaded => accept_threaded(listener, &shared, &shutdown),
         FrontDoor::Reactor { threads } => {
             let factory_shared = Arc::clone(&shared);
-            let factory: HandlerFactory = Arc::new(move || -> Handler {
-                let shared = Arc::clone(&factory_shared);
-                let mut conn = ConnState {
-                    compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
-                    epoch: 0,
-                };
-                Box::new(move |payload, wbuf| handle_frame(&shared, payload, wbuf, &mut conn))
+            let factory: FrameFactory = Arc::new(move || -> Box<dyn FrameHandler> {
+                Box::new(NodeHandler::new(Arc::clone(&factory_shared)))
+            });
+            // Only a replicating node parks replies; at `--replicas 0`
+            // every reply is written as it is served, on no backend.
+            let backend = shared.repl.as_ref().map(|_| -> BackendFactory {
+                let tel = ParkTelemetry::register(&shared.telemetry);
+                Arc::new(move |poller: Arc<Poller>| -> Box<dyn LoopBackend> {
+                    let backend = AckBackend::new(tel.clone()).expect("create ack wake pipe");
+                    poller
+                        .add(
+                            backend.pipe(),
+                            BACKEND_TOKEN | ACK_PIPE_TOKEN,
+                            Interest::READ,
+                        )
+                        .expect("register ack wake pipe");
+                    Box::new(backend)
+                })
             });
             ReactorFront {
                 name: "delta-server",
@@ -427,8 +444,8 @@ fn accept_loop(
                 wire: shared.wire.clone(),
                 rtel: ReactorTelemetry::register(&shared.telemetry),
                 stall_limit: shared.config.stall_limit,
-                factory: closure_factory(factory),
-                backend: None,
+                factory,
+                backend,
             }
             .run(listener);
         }
@@ -495,33 +512,123 @@ struct ConnState {
     epoch: u64,
 }
 
+impl ConnState {
+    fn new(shared: &Shared) -> ConnState {
+        // Each connection compiles SQL with its own clone of the
+        // frontend — compilation is CPU-bound, so connections never
+        // contend on it.
+        ConnState {
+            compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
+            epoch: 0,
+        }
+    }
+}
+
+/// The reactor front's per-connection handler: serves every frame as
+/// it arrives and hands the reply to the connection's [`ReplyQueue`],
+/// which writes it at once or parks it until its replication offsets
+/// settle.
+struct NodeHandler {
+    shared: Arc<Shared>,
+    conn: ConnState,
+    /// The serving frame's offsets, reused across frames.
+    waits: Vec<Wait>,
+    replies: ReplyQueue,
+}
+
+impl NodeHandler {
+    fn new(shared: Arc<Shared>) -> NodeHandler {
+        NodeHandler {
+            conn: ConnState::new(&shared),
+            waits: Vec::new(),
+            replies: ReplyQueue::new(Arc::clone(&shared.meter)),
+            shared,
+        }
+    }
+}
+
+impl FrameHandler for NodeHandler {
+    fn on_frame(
+        &mut self,
+        key: usize,
+        payload: &[u8],
+        wbuf: &mut Vec<u8>,
+        backend: &mut dyn LoopBackend,
+    ) -> io::Result<bool> {
+        let response = serve_frame(&self.shared, payload, &mut self.conn, &mut self.waits);
+        self.replies
+            .push(key, response, &mut self.waits, wbuf, backend)
+    }
+
+    fn on_resume(
+        &mut self,
+        key: usize,
+        wbuf: &mut Vec<u8>,
+        backend: &mut dyn LoopBackend,
+    ) -> io::Result<bool> {
+        self.replies.release(key, wbuf, backend)
+    }
+
+    fn suspended(&self) -> bool {
+        !self.replies.is_empty()
+    }
+
+    fn saturated(&self) -> bool {
+        self.replies.is_full()
+    }
+}
+
+/// The threaded front's connection loop. It keeps the blocking shape:
+/// each reply waits on its connection thread, which parks until the
+/// settle notification unparks it.
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    // Each connection compiles SQL with its own clone of the frontend —
-    // compilation is CPU-bound, so connections never contend on it.
-    let mut conn = ConnState {
-        compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
-        epoch: 0,
-    };
+    let mut conn = ConnState::new(shared);
+    let mut waits = Vec::new();
+    let waker = Arc::new(SettleWaker::thread(std::thread::current()));
     serve_frames(
         stream,
         &shared.shutdown,
         &shared.wire,
         shared.config.stall_limit,
-        |payload, wbuf| handle_frame(shared, payload, wbuf, &mut conn),
+        |payload, wbuf| {
+            let response = serve_frame(shared, payload, &mut conn, &mut waits);
+            if !block_until_settled(&waits, &waker) {
+                shared.telemetry.counter("replica.acked_below_r").inc();
+            }
+            waits.clear();
+            write_reply(&shared.meter, wbuf, &response)
+        },
     )
 }
 
-/// Serves one request frame: the handler body shared by the threaded
-/// front (via [`serve_connection`]) and the reactor front (via the
-/// handler factory in [`accept_loop`]), so the two doors cannot drift.
-fn handle_frame(
+/// Parks the calling thread until every offset in `waits` settled, or
+/// until [`REPL_WAIT_MAX`] passed (`false`).
+fn block_until_settled(waits: &[Wait], waker: &Arc<SettleWaker>) -> bool {
+    let deadline = Instant::now() + REPL_WAIT_MAX;
+    for (repl, offset) in waits {
+        while !repl.watch(*offset, waker) {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            std::thread::park_timeout(deadline - now);
+        }
+    }
+    true
+}
+
+/// Serves one request frame: the body shared by the threaded front
+/// (via [`serve_connection`]) and the reactor front (via
+/// [`NodeHandler`]), so the two doors cannot drift. Pushes the
+/// replication offsets the reply must wait for onto `waits`.
+fn serve_frame(
     shared: &Shared,
     payload: &[u8],
-    wbuf: &mut Vec<u8>,
     conn: &mut ConnState,
-) -> io::Result<bool> {
+    waits: &mut Vec<Wait>,
+) -> Response {
     let total = payload.len() as u64 + 4;
-    let response = match Request::decode(payload) {
+    match Request::decode(payload) {
         Ok(request) => {
             // The meter reflects real socket bytes (length prefix
             // included), not just payloads.
@@ -529,27 +636,16 @@ fn handle_frame(
             match request {
                 Request::Tagged { corr, inner } => Response::Tagged {
                     corr,
-                    inner: Box::new(handle_request(shared, *inner, conn)),
+                    inner: Box::new(handle_request(shared, *inner, conn, waits)),
                 },
-                other => handle_request(shared, other, conn),
+                other => handle_request(shared, other, conn, waits),
             }
         }
         Err(e) => Response::Error {
             code: error_code::BAD_FRAME,
             message: e.to_string(),
         },
-    };
-    let before = wbuf.len();
-    append_frame_with(wbuf, |buf| response.encode_into(buf))?;
-    shared
-        .meter
-        .record(TrafficClass::Control, (wbuf.len() - before) as u64);
-    let shutting_down = match &response {
-        Response::ShutdownOk => true,
-        Response::Tagged { inner, .. } => matches!(**inner, Response::ShutdownOk),
-        _ => false,
-    };
-    Ok(shutting_down)
+    }
 }
 
 fn meter_request(shared: &Shared, request: &Request, wire_bytes: u64) {
@@ -627,7 +723,17 @@ fn is_event_request(request: &Request) -> bool {
     )
 }
 
-fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Response {
+/// Serves one decoded request. Every event-applying path pushes, per
+/// replicated shard it touched, the log end it must wait for onto
+/// `waits`: the reply leaves only once every reachable backup holds
+/// those events — what makes an acknowledged write survive this node's
+/// death.
+fn handle_request(
+    shared: &Shared,
+    request: Request,
+    conn: &mut ConnState,
+    waits: &mut Vec<Wait>,
+) -> Response {
     if shared.config.cluster.is_some() && is_event_request(&request) {
         let current = shared.epoch.load(Ordering::SeqCst);
         if conn.epoch != current {
@@ -636,7 +742,7 @@ fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Re
         }
     }
     match request {
-        Request::Query(q) => handle_query(shared, q),
+        Request::Query(q) => handle_query_as(shared, q, OpClass::Query, waits),
         Request::Update(u) => {
             if u.object.index() >= shared.catalog.len() {
                 return unknown_object(u.object);
@@ -650,14 +756,7 @@ fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Re
                         return already_applied(local.seq, fence);
                     }
                     let version = core.apply_update(local);
-                    let wait = core.repl().map(|r| (Arc::clone(r), r.end()));
-                    drop(slot);
-                    // Reply only once every reachable backup holds the
-                    // event — what makes an acknowledged write survive
-                    // this node's death.
-                    if let Some((repl, offset)) = wait {
-                        repl.wait_replicated(offset, REPL_WAIT_MAX);
-                    }
+                    waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
                     Response::UpdateOk {
                         shard: shard as u16,
                         version,
@@ -666,9 +765,9 @@ fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Re
                 None => wrong_node(shared, shard),
             }
         }
-        Request::Sql { seq, sql } => handle_sql(shared, conn.compiler.as_ref(), seq, &sql),
-        Request::Batch(items) => handle_batch(shared, items),
-        Request::NodeOps(ops) => handle_node_ops(shared, ops),
+        Request::Sql { seq, sql } => handle_sql(shared, conn.compiler.as_ref(), seq, &sql, waits),
+        Request::Batch(items) => handle_batch(shared, items, waits),
+        Request::NodeOps(ops) => handle_node_ops(shared, ops, waits),
         Request::Hello { version, epoch } => {
             // The handshake is the one frame designed to carry the
             // protocol version — reject a mismatch here, typed, instead
@@ -716,8 +815,8 @@ fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Re
         Request::ReplicaStatus => handle_replica_status(shared),
         Request::Promote { shard } => handle_promote(shared, shard),
         // Nested tags are rejected by the decoder; a bare Tagged here
-        // means the caller bypassed `serve_connection`'s unwrapping.
-        Request::Tagged { inner, .. } => handle_request(shared, *inner, conn),
+        // means the caller bypassed `serve_frame`'s unwrapping.
+        Request::Tagged { inner, .. } => handle_request(shared, *inner, conn, waits),
         Request::Stats => {
             let mut shards: Vec<ShardStats> = Vec::new();
             for slot in &shared.slots {
@@ -758,13 +857,14 @@ fn lock_shards<'a>(
     Ok(guards)
 }
 
-fn handle_query(shared: &Shared, q: QueryEvent) -> Response {
-    handle_query_as(shared, q, OpClass::Query)
-}
-
 /// The query fan-out, with the telemetry op class made explicit so the
 /// SQL path's shard time lands in its own histograms.
-fn handle_query_as(shared: &Shared, q: QueryEvent, class: OpClass) -> Response {
+fn handle_query_as(
+    shared: &Shared,
+    q: QueryEvent,
+    class: OpClass,
+    waits: &mut Vec<Wait>,
+) -> Response {
     if let Some(&bad) = q.objects.iter().find(|o| o.index() >= shared.catalog.len()) {
         return unknown_object(bad);
     }
@@ -789,10 +889,11 @@ fn handle_query_as(shared: &Shared, q: QueryEvent, class: OpClass) -> Response {
     let mut local_answers = 0u16;
     let mut shipped = 0u16;
     let mut failure: Option<String> = None;
-    let mut waits: Vec<(Arc<ReplState>, u64)> = Vec::new();
     // Every touched shard serves its sub-query even after a failure, so
     // a contract violation on one shard never leaves another shard's
-    // sub-trace short (the differential tests depend on it).
+    // sub-trace short (the differential tests depend on it). Queries
+    // are events too (they advance policy and ledger state), so the
+    // reply waits for backup acknowledgement like an update does.
     for ((_, guard), (_, sub)) in guards.iter().zip(subs) {
         let core = guard.as_ref().expect("checked by lock_shards");
         sent += 1;
@@ -803,16 +904,9 @@ fn handle_query_as(shared: &Shared, q: QueryEvent, class: OpClass) -> Response {
                 failure.get_or_insert(error);
             }
         }
-        if let Some(repl) = core.repl() {
-            waits.push((Arc::clone(repl), repl.end()));
-        }
+        waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
     }
     drop(guards);
-    // Queries are events too (they advance policy and ledger state), so
-    // the reply waits for backup acknowledgement like an update does.
-    for (repl, offset) in waits {
-        repl.wait_replicated(offset, REPL_WAIT_MAX);
-    }
     if let Some(message) = failure {
         return Response::Error {
             code: error_code::CONTRACT_VIOLATED,
@@ -828,7 +922,13 @@ fn handle_query_as(shared: &Shared, q: QueryEvent, class: OpClass) -> Response {
 
 /// Compiles raw SQL with the connection's compiler and serves the
 /// resulting event through the normal shard fan-out.
-fn handle_sql(shared: &Shared, compiler: Option<&QueryCompiler>, seq: u64, sql: &str) -> Response {
+fn handle_sql(
+    shared: &Shared,
+    compiler: Option<&QueryCompiler>,
+    seq: u64,
+    sql: &str,
+    waits: &mut Vec<Wait>,
+) -> Response {
     let Some(compiler) = compiler else {
         return Response::Error {
             code: error_code::SQL_UNAVAILABLE,
@@ -858,7 +958,7 @@ fn handle_sql(shared: &Shared, compiler: Option<&QueryCompiler>, seq: u64, sql: 
     let objects = compiled.objects.len() as u32;
     let event = compiled.into_event(seq);
     let (result_bytes, tolerance, kind) = (event.result_bytes, event.tolerance, event.kind);
-    match handle_query_as(shared, event, OpClass::Sql) {
+    match handle_query_as(shared, event, OpClass::Sql, waits) {
         Response::QueryOk {
             shards_touched,
             local_answers,
@@ -884,7 +984,7 @@ fn handle_sql(shared: &Shared, compiler: Option<&QueryCompiler>, seq: u64, sql: 
 /// Per-shard sub-event order equals item order, which is what keeps a
 /// batched replay byte-identical to the same events sent one frame at a
 /// time (pinned by the shard-level and integration tests).
-fn handle_batch(shared: &Shared, items: Vec<BatchItem>) -> Response {
+fn handle_batch(shared: &Shared, items: Vec<BatchItem>, waits: &mut Vec<Wait>) -> Response {
     struct QueryAcc {
         sent: u16,
         local: u16,
@@ -940,7 +1040,6 @@ fn handle_batch(shared: &Shared, items: Vec<BatchItem>) -> Response {
         Err(missing) => return wrong_node(shared, missing),
     };
     fence_items(&guards, &mut per_shard, &mut replies);
-    let mut waits: Vec<(Arc<ReplState>, u64)> = Vec::new();
     for (s, guard) in guards {
         let core = guard.as_ref().expect("checked by lock_shards");
         for outcome in core.run_batch(std::mem::take(&mut per_shard[s])) {
@@ -973,15 +1072,7 @@ fn handle_batch(shared: &Shared, items: Vec<BatchItem>) -> Response {
                 }
             }
         }
-        if let Some(repl) = core.repl() {
-            waits.push((Arc::clone(repl), repl.end()));
-        }
-    }
-    // Replies only after every reachable backup holds what this batch
-    // applied — the wait that makes acknowledged writes survive
-    // failover.
-    for (repl, offset) in waits {
-        repl.wait_replicated(offset, REPL_WAIT_MAX);
+        waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
     }
 
     let replies = replies
@@ -1009,7 +1100,7 @@ fn handle_batch(shared: &Shared, items: Vec<BatchItem>) -> Response {
 /// Executes the router's pre-split, shard-targeted ops. Replies come
 /// back as a `BatchOk` with one reply per op in op order; each shard's
 /// ops run as one coalesced sub-batch, exactly like `handle_batch`.
-fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>) -> Response {
+fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>, waits: &mut Vec<Wait>) -> Response {
     if shared.config.cluster.is_none() {
         return not_clustered("NodeOps");
     }
@@ -1061,7 +1152,6 @@ fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>) -> Response {
         Err(missing) => return wrong_node(shared, missing),
     };
     fence_items(&guards, &mut per_shard, &mut replies);
-    let mut waits: Vec<(Arc<ReplState>, u64)> = Vec::new();
     for (s, guard) in guards {
         let core = guard.as_ref().expect("checked by lock_shards");
         for outcome in core.run_batch(std::mem::take(&mut per_shard[s])) {
@@ -1091,14 +1181,7 @@ fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>) -> Response {
             };
             replies[item as usize] = Some(reply);
         }
-        if let Some(repl) = core.repl() {
-            waits.push((Arc::clone(repl), repl.end()));
-        }
-    }
-    // As in `handle_batch`: acknowledged only once replicated (or every
-    // laggard is down), bounded by `REPL_WAIT_MAX`.
-    for (repl, offset) in waits {
-        repl.wait_replicated(offset, REPL_WAIT_MAX);
+        waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
     }
     Response::BatchOk(
         replies
@@ -1478,15 +1561,16 @@ fn already_applied(seq: u64, fence: u64) -> Response {
 }
 
 /// Socket timeout for pump round trips: a peer slower than this is
-/// treated as down (applies stop waiting for it) rather than allowed to
+/// treated as down (replies stop waiting for it) rather than allowed to
 /// wedge the pump.
 const PUMP_IO_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// One pump thread: ships every hosted primary's applied-event log to
 /// the successor peer at `rank`, bootstrapping targets as needed and
-/// marking them down (excluded from apply-side waits) when the link
-/// dies. Reconnects forever with capped, jittered backoff so a
-/// restarted peer is not hit by every primary in lockstep.
+/// marking them down (excluded from the settle predicate) when the link
+/// dies or the node shuts down — which is what releases the replies
+/// still parked on them. Reconnects forever with capped, jittered
+/// backoff so a restarted peer is not hit by every primary in lockstep.
 fn replication_pump(shared: Arc<Shared>, rank: usize) {
     let rt = shared.repl.as_ref().expect("pump without runtime");
     let cluster = shared

@@ -398,40 +398,50 @@ impl ShardCore {
     /// exactly like the former worker's coalesced channel send. The
     /// lock wait is recorded once (the batch waits as a unit); each
     /// op's `Engine::apply` time is recorded individually, all under
-    /// [`OpClass::Batch`].
+    /// [`OpClass::Batch`]. A replicated primary logs the applied events
+    /// with one [`ReplState::append_batch`] before the lock drops.
     pub fn run_batch(&self, ops: Vec<ShardOp>) -> Vec<OpOutcome> {
         let timers = self.telemetry.timers(OpClass::Batch);
         let t0 = Instant::now();
         let mut engine = self.lock();
         timers.lock_wait.record_duration(t0.elapsed());
-        ops.into_iter()
+        let run = |engine: &mut ShardEngine, op: ShardOp| {
+            let t1 = Instant::now();
+            let outcome = match op {
+                ShardOp::Query { item, event } => match serve_query(self.shard, engine, event) {
+                    Ok(local) => OpOutcome::Query { item, local },
+                    Err(error) => OpOutcome::QueryFailed { item, error },
+                },
+                ShardOp::Update { item, event } => OpOutcome::Update {
+                    item,
+                    version: apply_update(engine, event),
+                },
+            };
+            timers.apply.record_duration(t1.elapsed());
+            outcome
+        };
+        let Some(repl) = &self.repl else {
+            return ops.into_iter().map(|op| run(&mut engine, op)).collect();
+        };
+        // Log what applied, in apply order: a violated query applied
+        // nothing, so its copy is dropped.
+        let mut logged = Vec::with_capacity(ops.len());
+        let outcomes = ops
+            .into_iter()
             .map(|op| {
-                let t1 = Instant::now();
-                let outcome = match op {
-                    ShardOp::Query { item, event } => {
-                        let logged = self.repl.as_ref().map(|_| BatchItem::Query(event.clone()));
-                        match serve_query(self.shard, &mut engine, event) {
-                            Ok(local) => {
-                                if let (Some(repl), Some(logged)) = (&self.repl, logged) {
-                                    repl.append(logged);
-                                }
-                                OpOutcome::Query { item, local }
-                            }
-                            Err(error) => OpOutcome::QueryFailed { item, error },
-                        }
-                    }
-                    ShardOp::Update { item, event } => {
-                        let version = apply_update(&mut engine, event);
-                        if let Some(repl) = &self.repl {
-                            repl.append(BatchItem::Update(event));
-                        }
-                        OpOutcome::Update { item, version }
-                    }
+                let copy = match &op {
+                    ShardOp::Query { event, .. } => BatchItem::Query(event.clone()),
+                    ShardOp::Update { event, .. } => BatchItem::Update(*event),
                 };
-                timers.apply.record_duration(t1.elapsed());
+                let outcome = run(&mut engine, op);
+                if !matches!(outcome, OpOutcome::QueryFailed { .. }) {
+                    logged.push(copy);
+                }
                 outcome
             })
-            .collect()
+            .collect();
+        repl.append_batch(logged);
+        outcomes
     }
 
     /// Statistics snapshot.
@@ -618,6 +628,39 @@ mod tests {
         assert!(matches!(outcomes[3], OpOutcome::Query { item: 3, .. }));
         let got = batched.shutdown();
         assert_eq!(got.metrics, want.metrics);
+    }
+
+    #[test]
+    fn a_sub_batch_appends_to_the_log_once() {
+        use crate::replication::Notifier;
+        let catalog = ObjectCatalog::from_sizes(&[100, 200, 300]);
+        let mut primary = core(0, catalog, 500, PolicyKind::VCover);
+        let notifier = Arc::new(Notifier::new());
+        let repl = Arc::new(ReplState::new(0, 0, 1, Arc::clone(&notifier)));
+        primary.set_repl(Arc::clone(&repl));
+        let update = |item: u32, seq: u64| ShardOp::Update {
+            item,
+            event: UpdateEvent {
+                seq,
+                object: ObjectId(item % 3),
+                bytes: 10,
+            },
+        };
+        let before = notifier.snapshot();
+        primary.run_batch(vec![
+            update(0, 1),
+            ShardOp::Query {
+                item: 1,
+                event: query(2, vec![0, 2], 55),
+            },
+            update(2, 3),
+        ]);
+        assert_eq!(repl.end(), 3, "every applied event is logged");
+        assert_eq!(
+            notifier.snapshot(),
+            before + 1,
+            "one pump wake per sub-batch"
+        );
     }
 
     #[test]

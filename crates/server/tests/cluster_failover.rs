@@ -237,6 +237,16 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
 
     for (i, e) in trace.events.iter().enumerate() {
         if i == kill_at {
+            // The healthy phase acknowledged every write at R: no reply
+            // left on its deadline with a backup still missing it.
+            let healthy = connect_router(router_addr)
+                .telemetry()
+                .expect("healthy-phase telemetry");
+            assert!(
+                healthy.counter("replica.shipped_events") > 0,
+                "the scrape must cover the nodes' replication counters"
+            );
+            assert_eq!(healthy.counter("replica.acked_below_r"), 0);
             children[dead_node].kill().expect("SIGKILL node 1");
             t_kill = Some(Instant::now());
         }
