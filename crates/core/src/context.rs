@@ -7,6 +7,14 @@
 //! only be answered locally if the staleness contract genuinely holds, and
 //! the simulator checks after each query event that the policy satisfied
 //! it one way or the other.
+//!
+//! The same methods keep the repository's update log bounded. Loading
+//! an object, shipping its updates and evicting it are the only ways the
+//! cache's floor for that object moves, so each one also tells the
+//! repository to forget the history below the new floor
+//! ([`Repository::forget_before`]). Invariant: for every resident `o`,
+//! `repo.base_version(o) <= cache.applied_version(o)` — every range a
+//! policy can still ask for stays answerable.
 
 use crate::cost::{Cost, CostLedger};
 use delta_storage::{CacheError, CacheStore, ObjectId, Repository};
@@ -158,6 +166,7 @@ impl<'a> SimContext<'a> {
         let bytes = self.repo.update_bytes(o, from, to_version);
         let fully_fresh = to_version == self.repo.version(o);
         self.cache.apply_updates(o, to_version, bytes, fully_fresh);
+        self.repo.forget_before(o, to_version);
         self.ledger.breakdown.update_ship += Cost(bytes);
         self.ledger.update_ships += 1;
         self.sync_messages += 1;
@@ -174,6 +183,7 @@ impl<'a> SimContext<'a> {
         let bytes = self.repo.current_size(o);
         let version = self.repo.version(o);
         self.cache.load(o, bytes, version)?;
+        self.repo.forget_before(o, version);
         self.ledger.breakdown.load += Cost(bytes);
         self.ledger.loads += 1;
         if let Some(t) = self.transport.as_deref_mut() {
@@ -188,7 +198,9 @@ impl<'a> SimContext<'a> {
     pub fn load_object_uncharged(&mut self, o: ObjectId) -> Result<(), CacheError> {
         let bytes = self.repo.current_size(o);
         let version = self.repo.version(o);
-        self.cache.load(o, bytes, version)
+        self.cache.load(o, bytes, version)?;
+        self.repo.forget_before(o, version);
+        Ok(())
     }
 
     /// Evicts an object (free: dropping data moves no bytes).
@@ -197,6 +209,7 @@ impl<'a> SimContext<'a> {
     /// Panics if the object is not resident.
     pub fn evict_object(&mut self, o: ObjectId) {
         self.cache.evict(o).expect("evicting a non-resident object");
+        self.repo.forget_before(o, u64::MAX);
         self.ledger.evictions += 1;
         if let Some(t) = self.transport.as_deref_mut() {
             t.object_evicted(o);

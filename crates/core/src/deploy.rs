@@ -157,7 +157,6 @@ fn spawn_server(
                                 .filter_map(|o| {
                                     let updates: Vec<(u64, u64)> = repo
                                         .updates_since(o, 0)
-                                        .iter()
                                         .map(|r| (r.bytes, r.seq))
                                         .collect();
                                     (!updates.is_empty())

@@ -18,8 +18,9 @@
 //!   tolerance-served queries, bytes by class, evictions) every driver
 //!   reports, from the simulator's `SimReport` to the wire `Stats` frame.
 //! * [`Engine::snapshot`] / [`Engine::restore`] — the warm-restart path:
-//!   catalog update logs, cache residency/versions/stale marks and the
-//!   cost account serialize to JSONL (via the workspace's hand-rolled
+//!   the retained suffix of each object's update log (above its forgotten
+//!   base), cache residency/versions/stale marks and the cost account
+//!   serialize to JSONL (via the workspace's hand-rolled
 //!   serde convention) and rebuild an engine that resumes exactly where
 //!   it stopped. Policy decision state is deliberately *not* captured —
 //!   correctness never depends on it (the same discipline as
@@ -263,12 +264,18 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
     }
 
     /// The update path: apply to the repository, invalidate the cached
-    /// copy, then let the policy react — in that order, always.
+    /// copy, then let the policy react — in that order, always. An update
+    /// to a non-resident object is forgotten at once: a later load ships
+    /// the object whole, so no range below its version is ever asked for.
     fn apply_update(&mut self, u: &UpdateEvent, transport: Option<&mut dyn Transport>) -> u64 {
         let now = self.tick(u.seq);
         let u = UpdateEvent { seq: now, ..*u };
         let version = self.repo.apply_update(u.object, u.bytes, now);
-        self.cache.invalidate(u.object);
+        if self.cache.contains(u.object) {
+            self.cache.invalidate(u.object);
+        } else {
+            self.repo.forget_before(u.object, version);
+        }
         let mut ctx = match transport {
             Some(t) => SimContext::with_transport(
                 &mut self.repo,
@@ -415,22 +422,26 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
         self.repo = repo;
     }
 
-    /// Captures everything needed to resume warm: per-object update
-    /// logs, cache residency/versions/stale marks, the ledger and the
-    /// engine counters. Policy decision state is not captured.
+    /// Captures everything needed to resume warm: each object's forgotten
+    /// base and retained update suffix, cache residency/versions/stale
+    /// marks, the ledger and the engine counters. Policy decision state is
+    /// not captured.
     pub fn snapshot(&self) -> EngineSnapshot {
         let mut entries = Vec::new();
         for o in self.repo.catalog().ids() {
-            let updates = self.repo.updates_since(o, 0).to_vec();
             let resident = self.cache.get(o).map(|r| ResidentState {
                 bytes: r.bytes,
                 applied_version: r.applied_version,
                 stale: r.stale,
             });
-            if !updates.is_empty() || resident.is_some() {
+            if self.repo.version(o) > 0 || resident.is_some() {
+                let base_version = self.repo.base_version(o);
                 entries.push(ObjectEntry {
                     object: o.0,
-                    updates,
+                    base_version,
+                    base_bytes: self.repo.base_bytes(o),
+                    last_seq: self.repo.last_seq(o),
+                    updates: self.repo.updates_since(o, base_version).collect(),
                     resident,
                 });
             }
@@ -464,9 +475,13 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
         let mut cache = CacheStore::new(snap.capacity);
         for entry in &snap.entries {
             let o = ObjectId(entry.object);
-            for r in &entry.updates {
-                repo.apply_update(o, r.bytes, r.seq);
-            }
+            repo.restore_log(
+                o,
+                entry.base_version,
+                entry.base_bytes,
+                entry.last_seq,
+                &entry.updates,
+            );
             if let Some(res) = &entry.resident {
                 cache
                     .restore(o, res.bytes, res.applied_version, res.stale)
@@ -525,13 +540,21 @@ pub struct ResidentState {
     pub stale: bool,
 }
 
-/// One object's snapshot line: its repository update log and, when
+/// One object's snapshot line: its repository update history (the
+/// forgotten base as two counts, then the retained suffix) and, when
 /// resident, its cache state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectEntry {
     /// Global object id.
     pub object: u32,
-    /// The full update log (seq, bytes), in seq order.
+    /// Updates forgotten below the retained suffix.
+    pub base_version: u64,
+    /// Total bytes of those forgotten updates.
+    pub base_bytes: u64,
+    /// Sequence number of the object's latest update, retained or not —
+    /// the floor the next update's seq must not go below.
+    pub last_seq: u64,
+    /// The retained suffix (seq, bytes) above the base, in seq order.
     pub updates: Vec<UpdateRecord>,
     /// Cache residency, if any.
     pub resident: Option<ResidentState>,
@@ -561,12 +584,15 @@ pub struct EngineSnapshot {
     pub tolerance_served: u64,
     /// The cost account.
     pub ledger: CostLedger,
-    /// Per-object logs and residency (objects with neither are omitted).
+    /// Per-object logs and residency (objects with neither updates nor
+    /// residency are omitted).
     pub entries: Vec<ObjectEntry>,
 }
 
-/// Snapshot file format version.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// Snapshot file format version. Version 2 carries each object's
+/// forgotten base and retained suffix instead of its full update log;
+/// version 1 files are refused.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 impl EngineSnapshot {
     /// Checks the snapshot against the world it would restore into.
@@ -600,12 +626,15 @@ impl EngineSnapshot {
             if !entry.updates.windows(2).all(|w| w[0].seq <= w[1].seq) {
                 return fail(format!("{o}'s update log is not seq-sorted"));
             }
+            if entry.updates.last().is_some_and(|r| r.seq > entry.last_seq) {
+                return fail(format!("{o}'s update log runs past its last seq"));
+            }
             if let Some(res) = &entry.resident {
-                if res.applied_version > entry.updates.len() as u64 {
+                let version = entry.base_version + entry.updates.len() as u64;
+                if res.applied_version < entry.base_version || res.applied_version > version {
                     return fail(format!(
-                        "{o} resident at version {} but only {} updates logged",
-                        res.applied_version,
-                        entry.updates.len()
+                        "{o} resident at version {} but its log covers {}..={version}",
+                        res.applied_version, entry.base_version
                     ));
                 }
             }
@@ -648,6 +677,9 @@ impl ToJson for ObjectEntry {
         );
         Value::Object(vec![
             ("object".into(), self.object.to_json()),
+            ("base_version".into(), self.base_version.to_json()),
+            ("base_bytes".into(), self.base_bytes.to_json()),
+            ("last_seq".into(), self.last_seq.to_json()),
             ("updates".into(), updates),
             (
                 "resident".into(),
@@ -684,6 +716,9 @@ impl FromJson for ObjectEntry {
         };
         Ok(ObjectEntry {
             object: u32::from_json(field(v, "object")?)?,
+            base_version: u64::from_json(field(v, "base_version")?)?,
+            base_bytes: u64::from_json(field(v, "base_bytes")?)?,
+            last_seq: u64::from_json(field(v, "last_seq")?)?,
             updates,
             resident,
         })
@@ -934,6 +969,104 @@ mod tests {
         let back = read_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(snap, back);
+    }
+
+    #[test]
+    fn snapshot_carries_the_base_and_only_the_retained_suffix() {
+        let s = survey(3_000);
+        let cache = (s.catalog.total_bytes() as f64 * 0.3) as u64;
+        let mut e = Engine::new(Box::new(VCover::new(cache, 5)), &s.catalog, cache);
+        e.init(None);
+        // Stop at the first event that leaves a resident lagging above a
+        // forgotten base: both halves of the entry are then non-trivial.
+        let lagging_above_base = |e: &Engine<'_, VCover>| {
+            e.cache()
+                .iter()
+                .any(|(o, r)| r.applied_version > 0 && e.repo().version(o) > r.applied_version)
+        };
+        let mut events = s.trace.iter();
+        while !lagging_above_base(&e) {
+            e.apply(
+                events
+                    .next()
+                    .expect("the trace must leave a lagging resident"),
+            )
+            .unwrap();
+        }
+        let snap = e.snapshot();
+        let suffixes: u64 = snap.entries.iter().map(|x| x.updates.len() as u64).sum();
+        assert_eq!(suffixes, e.repo().retained());
+        assert!(snap
+            .entries
+            .iter()
+            .any(|x| x.base_version > 0 && !x.updates.is_empty()));
+        let back = snapshot_from_str(&snapshot_to_string(&snap)).unwrap();
+        assert_eq!(back, snap);
+        let restored = Engine::restore(Box::new(VCover::new(cache, 5)), &s.catalog, &back).unwrap();
+        let history = |r: &Repository, o| {
+            let base = r.base_version(o);
+            let suffix: Vec<_> = r.updates_since(o, base).collect();
+            (r.version(o), base, r.base_bytes(o), r.last_seq(o), suffix)
+        };
+        for o in s.catalog.ids() {
+            assert_eq!(history(e.repo(), o), history(restored.repo(), o), "{o}");
+            assert_eq!(e.repo().current_size(o), restored.repo().current_size(o));
+        }
+    }
+
+    #[test]
+    fn a_cacheless_engine_snapshots_no_update_records() {
+        let s = survey(400);
+        let mut e = Engine::new(Box::new(NoCache), &s.catalog, 10_000);
+        e.init(None);
+        for event in s.trace.iter() {
+            e.apply(event).unwrap();
+        }
+        let snap = e.snapshot();
+        assert!(!snap.entries.is_empty(), "updated objects keep an entry");
+        for entry in &snap.entries {
+            let o = ObjectId(entry.object);
+            assert!(entry.updates.is_empty() && entry.resident.is_none());
+            assert_eq!(entry.base_version, e.repo().version(o));
+            assert_eq!(
+                entry.base_bytes + s.catalog.size(o),
+                e.repo().current_size(o)
+            );
+        }
+        let restored = Engine::restore(Box::new(NoCache), &s.catalog, &snap).unwrap();
+        assert_eq!(restored.repo().retained(), 0);
+        assert_eq!(
+            restored.repo().total_current_bytes(),
+            e.repo().total_current_bytes()
+        );
+        assert_eq!(restored.snapshot(), snap);
+    }
+
+    #[test]
+    fn format_1_snapshots_are_refused() {
+        let catalog = ObjectCatalog::from_sizes(&[100]);
+        let e = Engine::new(Box::new(NoCache), &catalog, 1_000);
+        let v2 = snapshot_to_string(&e.snapshot());
+        let v1 = v2.replacen("\"format\":2", "\"format\":1", 1);
+        assert_ne!(v1, v2, "the header carries the format version");
+        let err = snapshot_from_str(&v1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported snapshot format 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_resident_below_the_base_is_refused() {
+        let catalog = ObjectCatalog::from_sizes(&[100]);
+        let mut e = Engine::new(Box::new(Replica), &catalog, 1_000);
+        e.init(None);
+        let mut snap = e.snapshot();
+        snap.entries[0].base_version = 3;
+        snap.entries[0].last_seq = 3;
+        let err = Engine::restore(Box::new(Replica), &catalog, &snap).unwrap_err();
+        assert!(err.to_string().contains("resident at version 0"), "{err}");
     }
 
     #[test]

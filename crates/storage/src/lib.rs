@@ -1,8 +1,9 @@
 //! # delta-storage — simulated repository and cache object stores
 //!
 //! Stands in for the two MS SQL Server instances of the paper's prototype
-//! (§6.1): the server-side [`Repository`] (authoritative state, append-only
-//! per-object update logs, growing object sizes) and the middleware-side
+//! (§6.1): the server-side [`Repository`] (authoritative versions and
+//! growing object sizes, plus the per-object update suffix the cache can
+//! still ask for) and the middleware-side
 //! [`CacheStore`] (space-constrained, whole-object residency, per-object
 //! applied versions and stale marks).
 //!

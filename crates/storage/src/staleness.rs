@@ -38,7 +38,9 @@ impl NeededUpdates {
 /// `now`) needs shipped for object `id`, given the cache's applied version.
 ///
 /// Returns `None` when the object is not resident (the query cannot be
-/// served from cache regardless of currency).
+/// served from cache regardless of currency). The range starts at the
+/// resident copy's applied version, which the repository's forgotten base
+/// never passes, so its bytes are always answerable.
 pub fn needed_updates(
     repo: &Repository,
     cache: &CacheStore,
