@@ -1,4 +1,4 @@
-//! Threaded client/cache/server deployment over metered links.
+//! A threaded client/cache/server deployment over metered links.
 //!
 //! The in-process simulator charges a ledger; this module runs the *same
 //! policy code* as three real threads exchanging `delta-net` messages:

@@ -6,7 +6,7 @@
 //!               [--trace trace.jsonl | --preset small|paper]
 //!               [--events N] [--limit N] [--clients C]
 //!               [--batch N] [--pipeline W]
-//!               [--connections N [--expect-reactor]]
+//!               [--connections N]
 //!               [--bench-json PATH] [--telemetry-json PATH] [--shutdown]
 //! ```
 //!
@@ -15,8 +15,8 @@
 //! dealt round-robin across them, and `min(N, 32)` driver threads keep
 //! the whole population in flight at once. The run fails if the
 //! server's `conn.stall_drops` counter advances (a well-behaved client
-//! was reaped by the stall deadline), and — with `--expect-reactor` —
-//! if the `reactor.*` counters are dead. With `--bench-json` the
+//! was reaped by the stall deadline) or if any of the `reactor.*`
+//! liveness counters is still zero. With `--bench-json` the
 //! aggregate events/s is written as a `c1m` mode entry (the repo
 //! convention is `results/BENCH_c1m.json`), which `bench_gate` fences
 //! like any other mode. Raise `ulimit -n` past N first.
@@ -86,14 +86,13 @@ struct Args {
     reshard_at: Option<usize>,
     reshard: Option<(u16, u16)>,
     connections: usize,
-    expect_reactor: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: delta-loadgen --addr ADDR [--trace FILE | --preset small|paper] \
          [--events N] [--limit N] [--clients C] [--batch N] [--pipeline W] \
-         [--connections N [--expect-reactor]] \
+         [--connections N] \
          [--bench-json PATH] [--telemetry-json PATH] \
          [--reshard-at N --reshard SHARD:NODE] [--shutdown]"
     );
@@ -148,7 +147,6 @@ fn parse_args() -> Args {
         reshard_at: None,
         reshard: None,
         connections: 0,
-        expect_reactor: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -180,11 +178,6 @@ fn parse_args() -> Args {
             }
             "--connections" => {
                 args.connections = value(&argv, i).parse().unwrap_or_else(|_| usage())
-            }
-            "--expect-reactor" => {
-                args.expect_reactor = true;
-                i += 1;
-                continue;
             }
             "--shutdown" => {
                 args.shutdown = true;
@@ -588,9 +581,9 @@ fn run_bench(args: &Args, trace: &Trace, path: &str) {
 /// After the replay the server's telemetry is scraped and the run fails
 /// if `conn.stall_drops` advanced — these clients are well-behaved, so
 /// any reap here means the stall deadline fired on a live connection.
-/// With `--expect-reactor` the run also fails if the `reactor.*`
-/// counters are dead (the server was not actually running the reactor
-/// front door).
+/// The run also fails if `reactor.accepted`, `reactor.wakeups` or
+/// `reactor.closed` is zero: the event loops that serve every connection
+/// must show they accepted, woke for and closed some.
 fn run_connections(args: &Args, trace: &Trace) {
     use serde_json::{ToJson, Value};
     let n = args.connections;
@@ -737,18 +730,16 @@ fn run_connections(args: &Args, trace: &Trace) {
         exit(1);
     }
     eprintln!("c1m check: conn.stall_drops stayed at {stalls} over {n} live connections ✓");
-    if args.expect_reactor {
-        for name in ["reactor.accepted", "reactor.wakeups", "reactor.closed"] {
-            if snap.counter(name) == 0 {
-                eprintln!(
-                    "delta-loadgen: --expect-reactor but telemetry counter {name} is zero — \
-                     the server is not running the reactor front door"
-                );
-                exit(1);
-            }
+    for name in ["reactor.accepted", "reactor.wakeups", "reactor.closed"] {
+        if snap.counter(name) == 0 {
+            eprintln!(
+                "delta-loadgen: telemetry counter {name} is zero after a {n}-connection replay \
+                 — the reactor's instrumentation came unthreaded"
+            );
+            exit(1);
         }
-        eprintln!("c1m check: reactor.* counters alive ✓");
     }
+    eprintln!("c1m check: reactor.* counters alive ✓");
 
     if let Some(path) = &args.bench_json {
         let doc = Value::Object(vec![

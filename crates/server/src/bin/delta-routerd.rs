@@ -48,7 +48,6 @@ struct Args {
     telemetry_dump: Option<std::path::PathBuf>,
     telemetry_interval: u64,
     front: FrontDoor,
-    reactor_threads: usize,
     stall_limit_ms: u64,
     node_timeout_ms: u64,
 }
@@ -58,7 +57,7 @@ fn usage() -> ! {
         "usage: delta-routerd [--bind ADDR] --node ADDR [--node ADDR ...] \
          [--trace FILE | --preset small|paper] \
          [--sql-preset small|paper | --no-sql] \
-         [--front reactor|threaded] [--reactor-threads N] [--stall-limit-ms MS] \
+         [--reactor-threads N] [--stall-limit-ms MS] \
          [--node-timeout-ms MS] \
          [--telemetry-dump PATH [--telemetry-interval SECS]]"
     );
@@ -100,7 +99,6 @@ fn parse_args() -> Args {
         telemetry_dump: None,
         telemetry_interval: 1,
         front: FrontDoor::default(),
-        reactor_threads: 0,
         stall_limit_ms: delta_server::connection::STALL_LIMIT.as_millis() as u64,
         node_timeout_ms: RouterConfig::DEFAULT_NODE_TIMEOUT.as_millis() as u64,
     };
@@ -122,14 +120,8 @@ fn parse_args() -> Args {
             "--telemetry-interval" => {
                 args.telemetry_interval = value(&argv, i).parse().unwrap_or_else(|_| usage())
             }
-            "--front" => {
-                args.front = FrontDoor::parse(&value(&argv, i)).unwrap_or_else(|e| {
-                    eprintln!("delta-routerd: {e}");
-                    usage()
-                })
-            }
             "--reactor-threads" => {
-                args.reactor_threads = value(&argv, i).parse().unwrap_or_else(|_| usage())
+                args.front.threads = value(&argv, i).parse().unwrap_or_else(|_| usage())
             }
             "--stall-limit-ms" => {
                 args.stall_limit_ms = value(&argv, i).parse().unwrap_or_else(|_| usage())
@@ -195,17 +187,11 @@ fn main() {
         cfg
     });
 
-    let front = match args.front {
-        FrontDoor::Reactor { .. } => FrontDoor::Reactor {
-            threads: args.reactor_threads,
-        },
-        FrontDoor::Threaded => FrontDoor::Threaded,
-    };
     let config = RouterConfig {
         bind: args.bind.clone(),
         nodes: args.nodes.clone(),
         frontend,
-        front,
+        front: args.front,
         stall_limit: std::time::Duration::from_millis(args.stall_limit_ms.max(1)),
         node_timeout: std::time::Duration::from_millis(args.node_timeout_ms.max(1)),
     };

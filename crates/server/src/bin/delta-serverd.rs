@@ -15,7 +15,7 @@
 //!               [--snapshot-dir DIR]
 //!               [--node-id I --nodes N [--host-shards a,b,c]]
 //!               [--replicas R --peers addr0,addr1,... [--backup-of a,b,c]]
-//!               [--front reactor|threaded] [--reactor-threads N]
+//!               [--reactor-threads N]
 //!               [--stall-limit-ms MS]
 //!               [--telemetry-dump PATH [--telemetry-interval SECS]]
 //! ```
@@ -60,8 +60,7 @@
 //! final per-shard statistics table.
 
 use delta_server::{
-    ClusterConfig, FrontDoor, PartitionerKind, PolicyKind, ReplicationConfig, Server, ServerConfig,
-    Telemetry,
+    ClusterConfig, PartitionerKind, PolicyKind, ReplicationConfig, Server, ServerConfig, Telemetry,
 };
 use delta_storage::ObjectCatalog;
 use delta_workload::WorkloadConfig;
@@ -108,7 +107,6 @@ struct Args {
     backup_of: Option<Vec<u16>>,
     telemetry_dump: Option<std::path::PathBuf>,
     telemetry_interval: u64,
-    reactor_threads: usize,
 }
 
 fn usage() -> ! {
@@ -120,7 +118,7 @@ fn usage() -> ! {
          [--sql-preset small|paper | --no-sql] [--snapshot-dir DIR] \
          [--node-id I --nodes N [--host-shards a,b,c]] \
          [--replicas R --peers addr0,addr1,... [--backup-of a,b,c]] \
-         [--front reactor|threaded] [--reactor-threads N] [--stall-limit-ms MS] \
+         [--reactor-threads N] [--stall-limit-ms MS] \
          [--chaos-node-latency-ms MS] \
          [--telemetry-dump PATH [--telemetry-interval SECS]]"
     );
@@ -143,7 +141,6 @@ fn parse_args() -> Args {
         backup_of: None,
         telemetry_dump: None,
         telemetry_interval: 1,
-        reactor_threads: 0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -216,14 +213,8 @@ fn parse_args() -> Args {
             "--telemetry-interval" => {
                 args.telemetry_interval = value(&argv, i).parse().unwrap_or_else(|_| usage())
             }
-            "--front" => {
-                args.config.front = FrontDoor::parse(&value(&argv, i)).unwrap_or_else(|e| {
-                    eprintln!("delta-serverd: {e}");
-                    usage()
-                })
-            }
             "--reactor-threads" => {
-                args.reactor_threads = value(&argv, i).parse().unwrap_or_else(|_| usage())
+                args.config.front.threads = value(&argv, i).parse().unwrap_or_else(|_| usage())
             }
             "--stall-limit-ms" => {
                 let ms: u64 = value(&argv, i).parse().unwrap_or_else(|_| usage());
@@ -248,11 +239,6 @@ fn parse_args() -> Args {
             }
         }
         i += 2;
-    }
-    if let FrontDoor::Reactor { .. } = args.config.front {
-        args.config.front = FrontDoor::Reactor {
-            threads: args.reactor_threads,
-        };
     }
     args
 }

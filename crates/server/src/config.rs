@@ -115,49 +115,15 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Which connection front door a tier (server or router) runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontDoor {
-    /// Nonblocking epoll reactor threads (the default): a few event
-    /// loops multiplex every connection, so concurrent-connection
-    /// capacity is bounded by fds and memory, not threads.
-    Reactor {
-        /// Reactor event-loop threads; `0` picks a small automatic
-        /// count from the machine's parallelism.
-        threads: usize,
-    },
-    /// One blocking thread per connection — the pre-reactor front door,
-    /// kept for comparison runs and as a fallback.
-    Threaded,
-}
-
-impl Default for FrontDoor {
-    fn default() -> Self {
-        FrontDoor::Reactor { threads: 0 }
-    }
-}
-
-impl FrontDoor {
-    /// Parses a front-door name (as accepted by `--front`):
-    /// `reactor` or `threaded`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "reactor" => Ok(FrontDoor::Reactor { threads: 0 }),
-            "threaded" => Ok(FrontDoor::Threaded),
-            other => Err(format!(
-                "unknown front door {other:?}; expected reactor or threaded"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for FrontDoor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrontDoor::Reactor { .. } => write!(f, "reactor"),
-            FrontDoor::Threaded => write!(f, "threaded"),
-        }
-    }
+/// How a tier's (server or router) epoll reactor front door is sized: a
+/// few nonblocking event loops multiplex every connection, so
+/// concurrent-connection capacity is bounded by fds and memory, not
+/// threads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FrontDoor {
+    /// Reactor event-loop threads (`--reactor-threads`); `0` picks a
+    /// small automatic count from the machine's parallelism.
+    pub threads: usize,
 }
 
 /// Cluster-node identity: which node this server is and which of the
@@ -248,7 +214,7 @@ pub struct ServerConfig {
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// Cluster role, when this server is one node of a routed cluster.
     pub cluster: Option<ClusterConfig>,
-    /// Which connection front door serves clients.
+    /// Sizing of the reactor front door that serves clients.
     pub front: FrontDoor,
     /// How long a connection may sit mid-frame (or on a blocked flush)
     /// before it is reaped as half-open. Tests shrink this to keep reap

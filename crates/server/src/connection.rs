@@ -1,20 +1,21 @@
-//! The shared per-connection frame loop both the server and the router
-//! run: a flat read buffer that drains every complete frame between
-//! syscalls, a coalesced write buffer flushed right before the loop
-//! would block, and shutdown-aware polling — the wire hot path distilled
-//! so the two tiers cannot drift apart.
+//! The connection-level pieces both tiers' reactor front doors share
+//! ([`crate::front`] drives them): framing ([`buffered_frame_len`]),
+//! read-buffer preparation ([`prepare_read_buffer`]), typed drop
+//! classification ([`DropCause`], [`classify_drop`]), the wire
+//! telemetry handles, and the [`FrameHandler`] / [`LoopBackend`] traits
+//! a tier plugs its request handling into. There is no frame loop
+//! here; the event loop owns every socket.
 
 use crate::protocol::{append_frame_with, error_code, Response};
 use delta_telemetry::{Counter, Histogram, Telemetry};
 use std::any::Any;
 use std::fmt;
-use std::io::{self, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/read loops re-check the shutdown flag.
+/// The accept thread's sleep between empty accepts, and the tick of the
+/// reactor loops' poll wait and timer wheels.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// Default for how long a connection may sit mid-frame (a started but
@@ -76,7 +77,7 @@ pub fn drop_cause(e: &io::Error) -> Option<DropCause> {
         .map(|d| d.cause)
 }
 
-/// The frame loop's view of the node's telemetry: wire-level counters
+/// The front door's view of the node's telemetry: wire-level counters
 /// and the frames-per-read histogram, resolved from the registry once
 /// at startup so the hot path never touches the registry lock. One set
 /// is shared by every connection of a tier (increments are relaxed
@@ -93,8 +94,8 @@ pub(crate) struct WireTelemetry {
     pub(crate) frames_in: Arc<Counter>,
     /// Response frames shipped (1:1 with requests in this protocol).
     pub(crate) frames_out: Arc<Counter>,
-    /// Coalesced `write_all` flushes (the write-combining win: under
-    /// pipelining this is per *window*, not per frame).
+    /// Drained write buffers (the write-combining win: under pipelining
+    /// this is per *window*, not per frame).
     pub(crate) flushes: Arc<Counter>,
     /// Connections dropped for stalling past the stall limit.
     pub(crate) stall_drops: Arc<Counter>,
@@ -275,113 +276,10 @@ pub fn prepare_read_buffer(rbuf: &mut Vec<u8>, start: &mut usize, end: &mut usiz
     }
 }
 
-/// Pulls more bytes into `rbuf[*end..]` after compacting/resizing via
-/// [`prepare_read_buffer`], polling the shutdown flag while idle.
-///
-/// Returns `Ok(false)` on a clean stop — EOF or shutdown, both only at a
-/// frame boundary (no partial frame buffered). A connection that is
-/// *mid-frame* — it sent part of a request and went quiet — is on the
-/// `stall_limit` clock **unconditionally**: a half-open or slowloris
-/// client is reaped during normal operation, not only once shutdown
-/// arms. (This deadline used to arm only post-shutdown, which let one
-/// quiet client pin a thread and its read buffer forever.) Idling at a
-/// frame boundary is always allowed: that is just a connection with
-/// nothing to say. EOF mid-frame is an error immediately.
-pub(crate) fn fill_polling(
-    reader: &mut TcpStream,
-    rbuf: &mut Vec<u8>,
-    start: &mut usize,
-    end: &mut usize,
-    shutdown: &AtomicBool,
-    stall_limit: Duration,
-) -> io::Result<bool> {
-    use std::io::Read;
-    prepare_read_buffer(rbuf, start, end);
-    let at_boundary = *end == 0;
-    let mut stall_started: Option<std::time::Instant> = None;
-    loop {
-        match reader.read(&mut rbuf[*end..]) {
-            Ok(0) => {
-                if at_boundary {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => {
-                *end += n;
-                return Ok(true);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if at_boundary {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return Ok(false);
-                    }
-                } else {
-                    let started = stall_started.get_or_insert_with(std::time::Instant::now);
-                    if started.elapsed() > stall_limit {
-                        return Err(drop_error(
-                            DropCause::Stall,
-                            format!("mid-frame stall past {stall_limit:?}"),
-                        ));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The per-connection serve loop, built around two reusable buffers:
-///
-/// * **Read side** — one flat buffer; a `read` syscall pulls as many
-///   pipelined frames as the socket holds, and the loop serves every
-///   complete frame before touching the socket again. No per-frame
-///   allocation, and typically one syscall per *window* rather than two
-///   per frame.
-/// * **Write side** — the handler appends length-prefixed response
-///   frames to a coalesced buffer that hits the socket with a single
-///   `write_all` right before the loop would block for input — one flush
-///   per window under pipelining, per frame under lockstep (where it
-///   cannot be avoided: the client is waiting).
-///
-/// `handle` is called once per complete frame payload; it appends its
-/// response frame(s) to the write buffer and returns `true` when the
-/// connection must close after flushing (a served `Shutdown`). On a
-/// handler error the responses already earned by executed requests are
-/// flushed before the error propagates — engine state mutated; the acks
-/// must not vanish with the buffer.
-pub(crate) fn serve_frames<H>(
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    wire: &WireTelemetry,
-    stall_limit: Duration,
-    handle: H,
-) -> io::Result<()>
-where
-    H: FnMut(&[u8], &mut Vec<u8>) -> io::Result<bool>,
-{
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "<unknown peer>".to_string());
-    let result = serve_frames_inner(stream, shutdown, wire, stall_limit, handle);
-    if let Err(e) = &result {
-        classify_drop(e, wire, &peer, stall_limit);
-    }
-    result
-}
-
 /// Counts a deliberate drop and leaves one line of trace with the peer
 /// that hit it. Classification is the typed [`drop_cause`] payload;
-/// raw socket timeouts (a blocked `write_all` hitting the write
-/// timeout) fall back to their `io::ErrorKind` and still count as
-/// stalls.
+/// an untyped socket timeout falls back to its `io::ErrorKind` and
+/// still counts as a stall.
 pub(crate) fn classify_drop(
     e: &io::Error,
     wire: &WireTelemetry,
@@ -420,106 +318,4 @@ pub(crate) fn append_oversize_reply(wbuf: &mut Vec<u8>, e: &io::Error) {
     };
     // Encoding a short error frame cannot itself exceed MAX_FRAME_BYTES.
     let _ = append_frame_with(wbuf, |buf| response.encode_into(buf));
-}
-
-fn serve_frames_inner<H>(
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    wire: &WireTelemetry,
-    stall_limit: Duration,
-    mut handle: H,
-) -> io::Result<()>
-where
-    H: FnMut(&[u8], &mut Vec<u8>) -> io::Result<bool>,
-{
-    // BSD-derived platforms propagate the listener's O_NONBLOCK to
-    // accepted sockets; clear it so the read timeout below governs.
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL))?;
-    // A client that stops draining responses must not be able to wedge
-    // graceful shutdown behind an unbounded blocking write.
-    stream.set_write_timeout(Some(stall_limit))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-
-    let mut rbuf = vec![0u8; READ_BUF];
-    let (mut start, mut end) = (0usize, 0usize);
-    let mut wbuf: Vec<u8> = Vec::with_capacity(16 * 1024);
-    // One coalesced flush: counted once, bytes counted once.
-    let flush = |writer: &mut TcpStream, wbuf: &[u8]| -> io::Result<()> {
-        writer.write_all(wbuf)?;
-        wire.flushes.inc();
-        wire.bytes_out.add(wbuf.len() as u64);
-        Ok(())
-    };
-    let mut filled_once = false;
-
-    loop {
-        // Serve every complete frame already buffered. The telemetry
-        // counters are batched per drain (one set of atomic adds per
-        // read syscall, not per frame).
-        let mut frames_this_read = 0u64;
-        let closing = loop {
-            let total = match buffered_frame_len(&rbuf[start..end]) {
-                Ok(Some(total)) => total,
-                Ok(None) => break None,
-                Err(e) => {
-                    if drop_cause(&e) == Some(DropCause::Oversize) {
-                        append_oversize_reply(&mut wbuf, &e);
-                    }
-                    let _ = flush(&mut writer, &wbuf);
-                    break Some(Err(e));
-                }
-            };
-            let payload = &rbuf[start + 4..start + total];
-            let closing = match handle(payload, &mut wbuf) {
-                Ok(closing) => closing,
-                Err(e) => {
-                    let _ = flush(&mut writer, &wbuf);
-                    break Some(Err(e));
-                }
-            };
-            start += total;
-            frames_this_read += 1;
-            if closing {
-                break Some(flush(&mut writer, &wbuf));
-            }
-            if wbuf.len() >= WRITE_COALESCE_BYTES {
-                flush(&mut writer, &wbuf)?;
-                wbuf.clear();
-            }
-        };
-        if frames_this_read > 0 {
-            wire.frames_in.add(frames_this_read);
-            wire.frames_out.add(frames_this_read);
-        }
-        if filled_once {
-            wire.frames_per_read.record(frames_this_read);
-        }
-        if let Some(result) = closing {
-            return result;
-        }
-        // About to wait for input: ship the coalesced responses first so
-        // the client can make progress (and so lockstep never stalls).
-        if !wbuf.is_empty() {
-            flush(&mut writer, &wbuf)?;
-            wbuf.clear();
-        }
-        let pending = end - start;
-        if !fill_polling(
-            &mut reader,
-            &mut rbuf,
-            &mut start,
-            &mut end,
-            shutdown,
-            stall_limit,
-        )? {
-            return Ok(());
-        }
-        // `fill_polling` compacted to start == 0, so the growth of the
-        // buffered region is exactly what the read syscall returned.
-        wire.bytes_in.add((end - pending) as u64);
-        filled_once = true;
-    }
 }

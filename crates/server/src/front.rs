@@ -1,5 +1,5 @@
-//! The epoll reactor front door: a few event-loop threads multiplexing
-//! every connection, replacing thread-per-connection at the edge.
+//! The epoll reactor front door, the one connection driver of both
+//! tiers: a few event-loop threads multiplexing every connection.
 //!
 //! ## Shape
 //!
@@ -13,10 +13,10 @@
 //!
 //! ## The per-connection state machine
 //!
-//! Each connection reuses the exact buffer discipline of the threaded
-//! front ([`crate::connection`]): a flat read buffer compacted and
-//! grown/shrunk by [`prepare_read_buffer`], and a coalesced write buffer
-//! flushed only when the loop would otherwise block. A pump serves
+//! Each connection owns two reusable buffers: a flat read buffer
+//! compacted and grown/shrunk by [`prepare_read_buffer`], so one read
+//! syscall can pull a whole pipelined window, and a coalesced write
+//! buffer flushed only when the loop would otherwise block. A pump serves
 //! every complete frame that has arrived, then flushes; a partial write
 //! parks the remainder (`wpos`) and arms write interest — readiness, not
 //! blocking, picks it back up.
@@ -29,14 +29,15 @@
 //! the connection and counts it under `conn.stall_drops`. Idling at a
 //! frame boundary is free — that is just a connection with nothing to
 //! say. On shutdown, boundary-idle connections close immediately and
-//! everything else gets one stall grace period, mirroring the threaded
-//! front.
+//! everything else — mid-frame, undrained, or owed a suspended response
+//! — gets one stall grace period to finish.
 //!
 //! ## Invariants
 //!
-//! * Frames are served in arrival order per connection; responses are
-//!   appended in the same order — identical to the threaded front, so
-//!   ledgers are byte-identical under either door.
+//! * Frames are served in arrival order per connection and responses
+//!   leave in the same order, so a lockstep replay applies events in
+//!   trace order and per-shard ledgers stay byte-identical to
+//!   `sim::simulate`.
 //! * Read interest is dropped while more than `WRITE_COALESCE_BYTES`
 //!   of response is undrained (backpressure), so a client that stops
 //!   reading cannot balloon the write buffer.
@@ -85,7 +86,7 @@ const WAKE_TOKEN: usize = BACKEND_TOKEN - 1;
 /// iteration. Sized so a deep pipelined window drains in one wakeup
 /// (each read pulls up to 64 KiB, several frames' worth): at 4 the
 /// windowed bench paid an extra epoll round-trip every few frames and
-/// lost ~15% against the thread-per-connection front.
+/// lost ~15% of its throughput.
 const READS_PER_PUMP: usize = 16;
 
 /// The reactor tier's own metrics, alongside the shared `conn.*` wire
@@ -287,8 +288,8 @@ struct Pump {
 }
 
 /// Ships as much of the write buffer as the socket accepts, returning
-/// the bytes written. A completed buffer counts one coalesced flush,
-/// mirroring the threaded front's metering.
+/// the bytes written. A completed buffer counts one coalesced flush
+/// and its bytes, once.
 fn try_flush(conn: &mut Conn, wire: &WireTelemetry) -> io::Result<usize> {
     let mut shipped = 0usize;
     while conn.wpos < conn.wbuf.len() {
@@ -333,7 +334,7 @@ fn pump(
     }
     'io: for read_round in 0..=READS_PER_PUMP {
         // Serve every complete frame already buffered. Counters batch
-        // per drain, like the threaded front.
+        // per drain: one set of atomic adds per read, not per frame.
         let mut frames_this_read = 0u64;
         loop {
             if conn.backpressured() || conn.handler.saturated() {
@@ -592,7 +593,7 @@ fn reactor_loop(
             draining = true;
             for key in conns.keys() {
                 // One last pump so requests that raced the flag are
-                // served, mirroring the threaded drain.
+                // served.
                 let conn = conns.get_mut(key).expect("live key");
                 match pump(conn, key, &wire, backend.as_mut()) {
                     Ok(p) => {

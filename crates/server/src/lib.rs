@@ -37,25 +37,30 @@
 //! * [`shard`] — one lock-protected engine core per shard, each owning a
 //!   [`delta_core::CachingPolicy`] (VCover by default, pluggable), a
 //!   [`delta_storage::Repository`] slice and a cache, accounting into its
-//!   own [`delta_core::CostLedger`]; connection threads execute shard
+//!   own [`delta_core::CostLedger`]; the reactor threads execute shard
 //!   work inline (no per-event thread handoff).
-//! * [`server`] — the TCP listener: per-connection framing threads with
-//!   reusable read/write buffers (responses coalesce into one socket
-//!   write per pipelined window), wire-byte metering on a
-//!   [`delta_net::TrafficMeter`], and graceful drain on shutdown.
+//! * [`front`] — the epoll reactor front door both tiers serve through:
+//!   a few event loops multiplex every connection, with reusable
+//!   per-connection read/write buffers (responses coalesce into one
+//!   socket write per pipelined window) and stall deadlines on a timer
+//!   wheel. [`connection`] holds the framing and handler traits it
+//!   drives.
+//! * [`server`] — the node: request dispatch onto the shard cores,
+//!   wire-byte metering on a [`delta_net::TrafficMeter`], cluster-node
+//!   verbs, and graceful drain on shutdown.
 //! * [`client`] — the typed clients: lockstep [`DeltaClient`] and the
 //!   windowed [`PipelinedClient`].
 //!
 //! Every tier is instrumented with [`delta_telemetry`]: shard cores
-//! split lock-wait from apply time per op class, the shared frame loop
+//! split lock-wait from apply time per op class, the reactor front
 //! counts wire bytes/frames/flushes, and the router times its per-node
 //! fan-out — all scraped over the wire with a `Telemetry` frame
 //! ([`DeltaClient::telemetry`]; against a router, the reply is the
 //! cluster-wide merge). Recording is relaxed atomics off the
 //! deterministic path: ledgers are byte-identical with it on or off.
 //!
-//! Everything is std-only (`std::net` + threads), in the style of
-//! `delta_core::deploy`. The binaries `delta-serverd` and `delta-loadgen`
+//! Everything is `std::net` + threads over the workspace's own epoll
+//! wrapper (`delta_reactor`), with no async runtime. The binaries `delta-serverd` and `delta-loadgen`
 //! wrap [`server::Server`] and [`client::DeltaClient`] for the command
 //! line; see the repository README for a two-command quickstart.
 //!

@@ -1,7 +1,7 @@
 //! The correlation mux behind the router's shared node links.
 //!
 //! This module is the **socket-free** state machine of the router's
-//! reactor data plane: everything about correlation ids, per-client
+//! data plane: everything about correlation ids, per-client
 //! fan-out accounting and reply merging, with no I/O anywhere — so the
 //! property tests can drive arbitrary interleavings of tagged replies
 //! without a cluster.
@@ -16,9 +16,8 @@
 //! * [`MergeState`] — merges per-op [`BatchReply`]s back into per-item
 //!   replies with the exact batch semantics of the in-process fan-out
 //!   (query sub-replies accumulate, update replies overwrite, an error
-//!   poisons its item only). Both the threaded per-connection path and
-//!   the mux path go through it, which is what keeps the two data
-//!   planes byte-identical.
+//!   poisons its item only), which is what keeps a routed batch
+//!   byte-identical to the same batch served by one standalone server.
 //! * [`FanoutTable`] — one entry per suspended client request: which
 //!   connection owes the response, how many node sub-requests are still
 //!   outstanding (and on which nodes), and the merge in progress. A
@@ -315,9 +314,9 @@ pub struct Completion {
     /// The node-deadline timer still armed for this fan-out, if any —
     /// the caller owns the wheel and must cancel it.
     pub timer: Option<TimerKey>,
-    /// `Ok` is a response frame (typed errors included); `Err` kills
-    /// the client connection, exactly like the threaded path's
-    /// non-node-unavailable errors.
+    /// `Ok` is a response frame (typed errors included); `Err` — a
+    /// node protocol violation or an error reply that is not a typed
+    /// unavailability — kills the client connection.
     pub result: Result<Response, io::Error>,
 }
 
@@ -493,8 +492,8 @@ impl FanoutTable {
         done
     }
 
-    /// Fails `entry` fatally (`Err` kills the client connection) — the
-    /// mux twin of the threaded path's non-unavailable node errors.
+    /// Fails `entry` fatally (`Err` kills the client connection): the
+    /// node answered with an error or a reply shape no merge can use.
     pub fn fatal_sub(
         &mut self,
         entry: &SubEntry,

@@ -70,11 +70,7 @@ impl ParkTelemetry {
 /// Appends `response` as one frame and meters its bytes as control
 /// traffic; `true` when it is the `Shutdown` acknowledgement (the
 /// connection closes once it drains).
-pub(crate) fn write_reply(
-    meter: &TrafficMeter,
-    wbuf: &mut Vec<u8>,
-    response: &Response,
-) -> io::Result<bool> {
+fn write_reply(meter: &TrafficMeter, wbuf: &mut Vec<u8>, response: &Response) -> io::Result<bool> {
     let before = wbuf.len();
     append_frame_with(wbuf, |buf| response.encode_into(buf))?;
     meter.record(TrafficClass::Control, (wbuf.len() - before) as u64);

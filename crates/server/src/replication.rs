@@ -194,46 +194,31 @@ impl Notifier {
     }
 }
 
-/// Who to poke when a watched offset settles: an event loop with
-/// parked replies, or a connection thread of the threaded front blocked
-/// on one.
-pub struct SettleWaker(WakeTarget);
-
-enum WakeTarget {
-    /// The write end of a loop's nonblocking wake pair. `poked` keeps
-    /// at most one byte outstanding until the loop takes the wake. The
-    /// settle itself is published under the log mutex, which the loop's
-    /// re-check takes; the flag only dedupes pokes.
-    Pipe { tx: UnixStream, poked: AtomicBool },
-    /// A parked thread.
-    Thread(std::thread::Thread),
+/// Pokes an event loop with parked replies when a watched offset
+/// settles, through the write end of the loop's nonblocking wake pair.
+/// `poked` keeps at most one byte outstanding until the loop takes the
+/// wake. The settle itself is published under the log mutex, which the
+/// loop's re-check takes; the flag only dedupes pokes.
+pub struct SettleWaker {
+    tx: UnixStream,
+    poked: AtomicBool,
 }
 
 impl SettleWaker {
     /// Wakes an event loop by writing to `tx`, whose peer the loop
     /// polls. `tx` must be nonblocking.
     pub fn pipe(tx: UnixStream) -> SettleWaker {
-        SettleWaker(WakeTarget::Pipe {
+        SettleWaker {
             tx,
             poked: AtomicBool::new(false),
-        })
+        }
     }
 
-    /// Wakes `thread` with `unpark`.
-    pub fn thread(thread: std::thread::Thread) -> SettleWaker {
-        SettleWaker(WakeTarget::Thread(thread))
-    }
-
-    /// Delivers one wake. Pipe wakes coalesce until [`SettleWaker::rearm`].
+    /// Delivers one wake. Wakes coalesce until [`SettleWaker::rearm`].
     pub fn wake(&self) {
-        match &self.0 {
-            WakeTarget::Pipe { tx, poked } => {
-                if !poked.swap(true, Ordering::SeqCst) {
-                    // A full pipe already guarantees a pending wake.
-                    let _ = (&*tx).write(&[1u8]);
-                }
-            }
-            WakeTarget::Thread(thread) => thread.unpark(),
+        if !self.poked.swap(true, Ordering::SeqCst) {
+            // A full pipe already guarantees a pending wake.
+            let _ = (&self.tx).write(&[1u8]);
         }
     }
 
@@ -241,9 +226,7 @@ impl SettleWaker {
     /// before draining the pipe and re-checking, so no settle between
     /// the check and the next wait goes unannounced.
     pub fn rearm(&self) {
-        if let WakeTarget::Pipe { poked, .. } = &self.0 {
-            poked.store(false, Ordering::SeqCst);
-        }
+        self.poked.store(false, Ordering::SeqCst);
     }
 }
 

@@ -18,8 +18,9 @@
 //! An admin [`Request::Reshard`] moves one shard between nodes while the
 //! cluster stays up:
 //!
-//! 1. take the routing write lock (quiescing every client handler, whose
-//!    requests hold the read lock end-to-end),
+//! 1. take the routing write lock (no request splits against the old
+//!    map from here on) and drain every node sub-request still in
+//!    flight on the shared links,
 //! 2. `DetachShard` at the old owner — the node write-locks the shard
 //!    slot (waiting out in-flight ops), snapshots the engine and stops
 //!    hosting it,
@@ -36,18 +37,18 @@
 use crate::client::DeltaClient;
 use crate::config::FrontDoor;
 use crate::connection::{
-    buffered_frame_len, prepare_read_buffer, serve_frames, FrameHandler, LoopBackend,
-    WireTelemetry, POLL, READ_BUF,
+    buffered_frame_len, prepare_read_buffer, FrameHandler, LoopBackend, WireTelemetry, POLL,
+    READ_BUF,
 };
 use crate::front::{BackendFactory, FrameFactory, ReactorFront, ReactorTelemetry, BACKEND_TOKEN};
 use crate::mux::{
-    shape_response, single_reply, wrap_corr, Completion, Correlator, FanoutTable, MergeState,
-    Purpose, ReplyKind, SubEntry,
+    shape_response, wrap_corr, Completion, Correlator, FanoutTable, MergeState, Purpose, ReplyKind,
+    SubEntry,
 };
 use crate::partition::{Partitioner, PartitionerKind};
 use crate::protocol::{
-    append_frame_with, encode_tagged_request_into, error_code, BatchItem, BatchReply, NodeInfo,
-    NodeOp, NodeRole, Request, Response, ShardStats, SqlStage, StatsSnapshot,
+    append_frame_with, encode_tagged_request_into, error_code, BatchItem, NodeInfo, NodeOp,
+    NodeRole, Request, Response, ShardStats, SqlStage, StatsSnapshot,
 };
 use crate::replication::jittered;
 use delta_query::{QueryCompiler, QueryError, Schema};
@@ -74,18 +75,16 @@ pub struct RouterConfig {
     /// Workload configuration for the router-side SQL frontend (same
     /// semantics as [`crate::ServerConfig::frontend`]).
     pub frontend: Option<WorkloadConfig>,
-    /// Which connection front door serves clients (same semantics as
-    /// [`crate::ServerConfig::front`]).
+    /// Sizing of the reactor front door that serves clients (same
+    /// semantics as [`crate::ServerConfig::front`]).
     pub front: FrontDoor,
     /// Reap limit for stalled client connections (same semantics as
     /// [`crate::ServerConfig::stall_limit`]).
     pub stall_limit: std::time::Duration,
-    /// How long the reactor data plane waits for a node's reply to one
+    /// How long the data plane waits for a node's reply to one
     /// fanned-out sub-request before completing the waiting client
     /// requests with a typed `NODE_UNAVAILABLE` error and declaring the
-    /// link dead (`--node-timeout-ms`). Only the shared multiplexed
-    /// links enforce this; the threaded front door's per-connection
-    /// links rely on the OS connect/read errors as before.
+    /// link dead (`--node-timeout-ms`).
     pub node_timeout: std::time::Duration,
 }
 
@@ -113,10 +112,10 @@ struct RouterTelemetry {
     /// `WrongEpoch` redirects absorbed by transparent re-handshakes.
     wrong_epoch_retries: Arc<Counter>,
     /// Node sub-requests in flight across all shared links of one event
-    /// loop, sampled at each flush (reactor data plane only).
+    /// loop, sampled at each flush.
     node_inflight: Arc<Histogram>,
     /// Sub-request frames coalesced into one socket write per link
-    /// flush — the pipelining the mux buys over lockstep links.
+    /// flush — the pipelining the shared links buy.
     mux_frames_per_flush: Arc<Histogram>,
     /// Per-node queue depth (correlation ids awaiting replies on the
     /// shared link), refreshed at each flush.
@@ -192,19 +191,19 @@ struct RouterShared {
     rt: RouterTelemetry,
     /// Wire-level counter handles shared by every client connection.
     wire: WireTelemetry,
-    /// Which front door serves clients.
+    /// Sizing of the reactor front door.
     front: FrontDoor,
     /// Reap limit for stalled client connections.
     stall_limit: std::time::Duration,
-    /// Per-fanout node reply deadline on the reactor data plane.
+    /// Per-fanout node reply deadline on the data plane.
     node_timeout: Duration,
     /// Node sub-requests currently parked in ANY event loop's link
     /// correlators. `Reshard` quiesces on this reaching zero before it
     /// detaches a shard, so no sub-request ever straddles an epoch
     /// boundary mid-flight.
     inflight_subs: AtomicUsize,
-    /// Per-node health, fed by both front doors and read by the
-    /// failure-detector thread.
+    /// Per-node health, fed by the shared data-plane links and the
+    /// admin links, and read by the failure-detector thread.
     health: Vec<NodeHealth>,
 }
 
@@ -468,82 +467,43 @@ impl Router {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>, shutdown: Arc<AtomicBool>) {
-    match shared.front {
-        FrontDoor::Threaded => accept_threaded(listener, &shared, &shutdown),
-        FrontDoor::Reactor { threads } => {
-            // The reactor data plane: every client connection's routed
-            // requests suspend onto the event loop's [`RouterBackend`],
-            // which multiplexes ALL of them over one pipelined link per
-            // node. A slow node never parks the loop — the waiting
-            // connections resume when its tagged replies arrive (or its
-            // deadline fires), while everyone else keeps flowing.
-            let factory_shared = Arc::clone(&shared);
-            let factory: FrameFactory = Arc::new(move || {
-                Box::new(MuxHandler::new(Arc::clone(&factory_shared))) as Box<dyn FrameHandler>
-            });
-            let backend_shared = Arc::clone(&shared);
-            let backend: BackendFactory = Arc::new(move |poller| {
-                Box::new(RouterBackend::new(Arc::clone(&backend_shared), poller))
-                    as Box<dyn LoopBackend>
-            });
-            ReactorFront {
-                name: "delta-router",
-                threads,
-                shutdown: Arc::clone(&shutdown),
-                wire: shared.wire.clone(),
-                rtel: ReactorTelemetry::register(&shared.telemetry),
-                stall_limit: shared.stall_limit,
-                factory,
-                backend: Some(backend),
-            }
-            .run(listener);
-        }
+    // Every client connection's routed requests suspend onto the event
+    // loop's [`RouterBackend`], which multiplexes ALL of them over one
+    // pipelined link per node. A slow node never parks the loop — the
+    // waiting connections resume when its tagged replies arrive (or its
+    // deadline fires), while everyone else keeps flowing.
+    let factory_shared = Arc::clone(&shared);
+    let factory: FrameFactory = Arc::new(move || {
+        Box::new(MuxHandler::new(Arc::clone(&factory_shared))) as Box<dyn FrameHandler>
+    });
+    let backend_shared = Arc::clone(&shared);
+    let backend: BackendFactory = Arc::new(move |poller| {
+        Box::new(RouterBackend::new(Arc::clone(&backend_shared), poller)) as Box<dyn LoopBackend>
+    });
+    ReactorFront {
+        name: "delta-router",
+        threads: shared.front.threads,
+        shutdown,
+        wire: shared.wire.clone(),
+        rtel: ReactorTelemetry::register(&shared.telemetry),
+        stall_limit: shared.stall_limit,
+        factory,
+        backend: Some(backend),
     }
+    .run(listener);
 }
 
-/// The pre-reactor front door: one blocking thread per connection.
-fn accept_threaded(listener: TcpListener, shared: &Arc<RouterShared>, shutdown: &Arc<AtomicBool>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        connections.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("delta-router-conn".to_string())
-                    .spawn(move || {
-                        if let Err(e) = serve_connection(stream, &shared) {
-                            if e.kind() != io::ErrorKind::UnexpectedEof {
-                                eprintln!("delta-router: connection error: {e}");
-                            }
-                        }
-                    })
-                    .expect("spawn router connection thread");
-                connections.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(e) => {
-                eprintln!("delta-router: accept error: {e}");
-                std::thread::sleep(POLL);
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// Per-connection router state: one lazily-opened lockstep link per node
-/// (each client connection gets its own links, so per-connection request
-/// order is preserved end-to-end) plus the SQL compiler clone.
+/// Lockstep admin links: one lazily-opened blocking link per node, for
+/// the rare verbs that are not routed over the shared data-plane links —
+/// `Stats`, `Telemetry` and `Shutdown` fan-outs, reshard coordination and
+/// failover promotion. Each client connection's [`MuxHandler`] owns one
+/// set (a call blocks its event loop briefly), and the monitor thread
+/// owns another.
 struct ConnState {
     links: Vec<Option<DeltaClient>>,
     /// The epoch each link last declared via `Hello`, to know when a
     /// link must re-handshake instead of reconnect.
     link_epochs: Vec<u64>,
-    compiler: Option<QueryCompiler>,
 }
 
 impl ConnState {
@@ -551,7 +511,6 @@ impl ConnState {
         ConnState {
             links: (0..shared.nodes.len()).map(|_| None).collect(),
             link_epochs: vec![0; shared.nodes.len()],
-            compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
         }
     }
 
@@ -645,130 +604,24 @@ fn unavailable_node(e: &io::Error) -> Option<usize> {
         .map(|d| d.node)
 }
 
-fn serve_connection(stream: TcpStream, shared: &RouterShared) -> io::Result<()> {
-    let mut conn = ConnState::new(shared);
-    serve_frames(
-        stream,
-        &shared.shutdown,
-        &shared.wire,
-        shared.stall_limit,
-        |payload, wbuf| handle_frame(shared, payload, wbuf, &mut conn),
-    )
-}
-
-/// Serves one request frame: the handler body shared by the threaded and
-/// reactor front doors.
-fn handle_frame(
-    shared: &RouterShared,
-    payload: &[u8],
-    wbuf: &mut Vec<u8>,
-    conn: &mut ConnState,
-) -> io::Result<bool> {
-    let response = match Request::decode(payload) {
-        Ok(Request::Tagged { corr, inner }) => Response::Tagged {
-            corr,
-            inner: Box::new(routed_response(shared, *inner, conn)?),
-        },
-        Ok(other) => routed_response(shared, other, conn)?,
-        Err(e) => Response::Error {
-            code: error_code::BAD_FRAME,
+/// Maps an admin-link failure to the client's answer: a dead node is a
+/// typed [`error_code::NODE_UNAVAILABLE`] frame naming it (the client
+/// connection must outlive it); any other failure drops the connection.
+fn typed_node_loss(result: io::Result<Response>) -> io::Result<Response> {
+    result.or_else(|e| match unavailable_node(&e) {
+        Some(_) => Ok(Response::Error {
+            code: error_code::NODE_UNAVAILABLE,
             message: e.to_string(),
-        },
-    };
-    append_frame_with(wbuf, |buf| response.encode_into(buf))?;
-    let shutting_down = match &response {
-        Response::ShutdownOk => true,
-        Response::Tagged { inner, .. } => matches!(**inner, Response::ShutdownOk),
-        _ => false,
-    };
-    Ok(shutting_down)
+        }),
+        None => Err(e),
+    })
 }
 
-/// Routes one request, mapping node death to a typed error frame — the
-/// client connection must outlive a dead node. (Ops may have executed at
-/// *other* nodes before the failure; the message says which node was
-/// lost so the client can reason about partial effects.)
-fn routed_response(
-    shared: &RouterShared,
-    request: Request,
-    conn: &mut ConnState,
-) -> io::Result<Response> {
-    match handle_request(shared, request, conn) {
-        Ok(response) => Ok(response),
-        Err(e) => match unavailable_node(&e) {
-            Some(_) => Ok(Response::Error {
-                code: error_code::NODE_UNAVAILABLE,
-                message: e.to_string(),
-            }),
-            None => Err(e),
-        },
-    }
-}
-
-/// How many times an op frame is retried after a `WrongEpoch` redirect
-/// before giving up. One redirect (stale link handshake right after a
-/// reshard) is normal; repeats mean a node is wedged on a future epoch.
+/// How many times a sub-request is retried after a `WrongEpoch`
+/// redirect before giving up. One redirect (stale link handshake right
+/// after a reshard) is normal; repeats mean a node is wedged on a future
+/// epoch.
 const EPOCH_RETRIES: usize = 3;
-
-/// Sends one pre-split op frame to `node`, transparently re-handshaking
-/// on a `WrongEpoch` redirect. The node executes nothing on a stale
-/// epoch, so the retry is always safe.
-fn node_ops(
-    shared: &RouterShared,
-    conn: &mut ConnState,
-    node: usize,
-    epoch: u64,
-    ops: &[NodeOp],
-) -> io::Result<Vec<BatchReply>> {
-    for _ in 0..EPOCH_RETRIES {
-        let link = conn.link(shared, node, epoch)?;
-        // The fan-out histogram times the whole round trip, redirects
-        // included — it is the router's view of what talking to this
-        // node costs, not the node's view of its own service time.
-        let t0 = Instant::now();
-        let response = match link.request(&Request::NodeOps(ops.to_vec())) {
-            Ok(response) => response,
-            Err(e) => {
-                // The link died mid-request; drop it so a later retry
-                // reconnects from scratch, and surface the death typed.
-                conn.links[node] = None;
-                shared.note_strike(node);
-                return Err(node_unavailable(node, "request", &e));
-            }
-        };
-        shared.rt.fanout[node].record_duration(t0.elapsed());
-        shared.note_ok(node, t0.elapsed());
-        match response {
-            Response::BatchOk(replies) => return Ok(replies),
-            Response::WrongEpoch { epoch: current } => {
-                shared.rt.wrong_epoch_retries.inc();
-                // The link's handshake predates the epoch we hold — the
-                // read lock guarantees our `epoch` IS current, so a
-                // fresh Hello converges. A node reporting a *newer*
-                // epoch than the router's map is a split brain; fail.
-                if current > epoch {
-                    return Err(io::Error::other(format!(
-                        "node {node} is at epoch {current}, ahead of the router's {epoch}"
-                    )));
-                }
-                conn.link_epochs[node] = u64::MAX; // force re-handshake
-            }
-            Response::Error { code, message } => {
-                return Err(io::Error::other(format!(
-                    "node {node} error {code}: {message}"
-                )))
-            }
-            other => {
-                return Err(io::Error::other(format!(
-                    "node {node}: unexpected response {other:?}"
-                )))
-            }
-        }
-    }
-    Err(io::Error::other(format!(
-        "node {node} kept redirecting after {EPOCH_RETRIES} epoch handshakes"
-    )))
-}
 
 /// A per-node plan: ops in client order plus, for queries, which item
 /// each op belongs to so replies can be merged back.
@@ -779,116 +632,12 @@ struct NodePlan {
     items: Vec<usize>,
 }
 
-fn handle_request(
-    shared: &RouterShared,
-    request: Request,
-    conn: &mut ConnState,
-) -> io::Result<Response> {
-    match request {
-        Request::Query(q) => route_items(shared, conn, vec![BatchItem::Query(q)])
-            .map(|mut replies| single_reply(replies.remove(0))),
-        Request::Update(u) => route_items(shared, conn, vec![BatchItem::Update(u)])
-            .map(|mut replies| single_reply(replies.remove(0))),
-        Request::Sql { seq, sql } => handle_sql(shared, conn, seq, &sql),
-        Request::Batch(items) => route_items(shared, conn, items).map(Response::BatchOk),
-        Request::Hello { version, .. } => {
-            if version != crate::protocol::PROTOCOL_VERSION {
-                return Ok(Response::Error {
-                    code: error_code::BAD_FRAME,
-                    message: format!(
-                        "protocol version mismatch: peer speaks v{version}, this router \
-                         speaks v{}",
-                        crate::protocol::PROTOCOL_VERSION
-                    ),
-                });
-            }
-            Ok(Response::HelloOk(router_info(shared)))
-        }
-        // The threaded front needs no quiesce: its lockstep links hold
-        // the route read lock for each request end to end, so the
-        // write lock below already waits out every in-flight op.
-        Request::Reshard { shard, to_node } => {
-            Ok(do_reshard(shared, conn, shard, to_node, |_, _| {}))
-        }
-        Request::Stats => handle_stats(shared, conn),
-        Request::Telemetry => handle_telemetry(shared, conn),
-        Request::Shutdown => {
-            // Shut the whole cluster down: the router owns its nodes'
-            // lifecycle the way `delta-serverd` owns its shards'.
-            let route = shared.route.read().expect("route lock");
-            for node in 0..shared.nodes.len() {
-                if shared.is_down(node) {
-                    continue;
-                }
-                match conn.link(shared, node, route.epoch) {
-                    Ok(link) => {
-                        if let Err(e) = link.shutdown() {
-                            eprintln!("delta-router: node {node} shutdown failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("delta-router: node {node} unreachable for shutdown: {e}"),
-                }
-            }
-            shared.shutdown.store(true, Ordering::SeqCst);
-            Ok(Response::ShutdownOk)
-        }
-        Request::NodeOps(_)
-        | Request::DetachShard { .. }
-        | Request::AttachShard { .. }
-        | Request::SetEpoch { .. }
-        | Request::Replicate { .. }
-        | Request::ReplicaBootstrap { .. }
-        | Request::ReplicaStatus
-        | Request::Promote { .. } => Ok(Response::Error {
-            code: error_code::NOT_CLUSTERED,
-            message: "the router hosts no shards; node-level verbs go to delta-serverd".into(),
-        }),
-        // Nested tags are rejected by the decoder.
-        Request::Tagged { inner, .. } => handle_request(shared, *inner, conn),
-    }
-}
-
-/// The core routing path: splits every item over the cluster
-/// partitioner, groups the sub-events per owning node (client order
-/// preserved within each node, hence per shard), executes one `NodeOps`
-/// frame per touched node, and merges the per-op replies back into
-/// per-item replies exactly like the server's in-process fan-out does.
-fn route_items(
-    shared: &RouterShared,
-    conn: &mut ConnState,
-    items: Vec<BatchItem>,
-) -> io::Result<Vec<BatchReply>> {
-    // The read lock pins the routing map for the whole request: a
-    // concurrent reshard waits, so a request never straddles two epochs.
-    let route = shared.route.read().expect("route lock");
-    let mut merge = MergeState::new(items.len());
-    let plans = split_plans(shared, &route.owner, items, &mut merge);
-
-    for (node, plan) in plans.iter().enumerate() {
-        if plan.ops.is_empty() {
-            continue;
-        }
-        let node_replies = node_ops(shared, conn, node, route.epoch, &plan.ops)?;
-        if node_replies.len() != plan.ops.len() {
-            return Err(io::Error::other(format!(
-                "node {node} answered {} replies for {} ops",
-                node_replies.len(),
-                plan.ops.len()
-            )));
-        }
-        for (reply, &item) in node_replies.into_iter().zip(&plan.items) {
-            merge.absorb(reply, item)?;
-        }
-    }
-
-    Ok(merge.finish())
-}
-
 /// Splits `items` over the cluster partitioner into one [`NodePlan`]
 /// per node (client order preserved within each node, hence per shard),
-/// pre-resolving invalid items straight into `merge` — the split half
-/// of the routing path, shared verbatim by the threaded lockstep links
-/// and the reactor mux so the two data planes cannot drift.
+/// pre-resolving invalid items straight into `merge`. The fan-out then
+/// sends one `NodeOps` sub-request per touched node and merges the
+/// per-op replies back into per-item replies exactly like the server's
+/// in-process fan-out does.
 fn split_plans(
     shared: &RouterShared,
     owner: &[u16],
@@ -942,58 +691,40 @@ fn split_plans(
     plans
 }
 
-fn handle_sql(
-    shared: &RouterShared,
-    conn: &mut ConnState,
-    seq: u64,
-    sql: &str,
-) -> io::Result<Response> {
-    let Some(compiler) = conn.compiler.clone() else {
-        return Ok(Response::Error {
-            code: error_code::SQL_UNAVAILABLE,
-            message: "router has no SQL frontend (start it from a workload preset)".to_string(),
-        });
-    };
-    let compiled = match compiler.compile(sql) {
-        Ok(c) => c,
-        Err(QueryError::Parse(e)) => {
-            let span = e.span();
-            return Ok(Response::SqlRejected {
-                stage: SqlStage::Parse,
-                span_start: span.start as u32,
-                span_end: span.end as u32,
-                message: e.to_string(),
-            });
+/// The version handshake: a router answers with its own shape, and a
+/// peer speaking another protocol version gets a typed `BAD_FRAME`.
+fn handle_hello(shared: &RouterShared, version: u8) -> Response {
+    if version != crate::protocol::PROTOCOL_VERSION {
+        return Response::Error {
+            code: error_code::BAD_FRAME,
+            message: format!(
+                "protocol version mismatch: peer speaks v{version}, this router speaks v{}",
+                crate::protocol::PROTOCOL_VERSION
+            ),
+        };
+    }
+    Response::HelloOk(router_info(shared))
+}
+
+/// Shuts the whole cluster down: the router owns its nodes' lifecycle
+/// the way `delta-serverd` owns its shards'.
+fn handle_shutdown(shared: &RouterShared, conn: &mut ConnState) -> Response {
+    let route = shared.route.read().expect("route lock");
+    for node in 0..shared.nodes.len() {
+        if shared.is_down(node) {
+            continue;
         }
-        Err(QueryError::Analyze(e)) => {
-            return Ok(Response::SqlRejected {
-                stage: SqlStage::Analyze,
-                span_start: 0,
-                span_end: 0,
-                message: e.to_string(),
-            });
+        match conn.link(shared, node, route.epoch) {
+            Ok(link) => {
+                if let Err(e) = link.shutdown() {
+                    eprintln!("delta-router: node {node} shutdown failed: {e}");
+                }
+            }
+            Err(e) => eprintln!("delta-router: node {node} unreachable for shutdown: {e}"),
         }
-    };
-    let objects = compiled.objects.len() as u32;
-    let event = compiled.into_event(seq);
-    let (result_bytes, tolerance, kind) = (event.result_bytes, event.tolerance, event.kind);
-    let mut replies = route_items(shared, conn, vec![BatchItem::Query(event)])?;
-    Ok(match single_reply(replies.remove(0)) {
-        Response::QueryOk {
-            shards_touched,
-            local_answers,
-            shipped,
-        } => Response::SqlOk {
-            shards_touched,
-            local_answers,
-            shipped,
-            objects,
-            result_bytes,
-            tolerance,
-            kind,
-        },
-        other => other,
-    })
+    }
+    shared.shutdown.store(true, Ordering::SeqCst);
+    Response::ShutdownOk
 }
 
 fn handle_stats(shared: &RouterShared, conn: &mut ConnState) -> io::Result<Response> {
@@ -1046,17 +777,16 @@ fn router_info(shared: &RouterShared) -> NodeInfo {
 }
 
 /// The live-resharding coordinator. Runs under the routing write lock,
-/// so every client handler is quiesced between epochs. `quiesce` runs
-/// right after the lock is taken, with the (still-current) epoch and
-/// owner map: the reactor mux uses it to drain its in-flight node
-/// sub-requests — which do NOT hold the read lock while suspended —
-/// before any shard moves; the threaded front passes a no-op.
+/// so no request splits against the old map. Right after taking the
+/// lock it drains the in-flight node sub-requests — which do NOT hold
+/// the read lock while suspended — through `backend`, the coordinating
+/// connection's own event loop, before any shard moves.
 fn do_reshard(
     shared: &RouterShared,
     conn: &mut ConnState,
+    backend: &mut RouterBackend,
     shard: u16,
     to_node: u16,
-    quiesce: impl FnOnce(u64, &[u16]),
 ) -> Response {
     let fail = |message: String| Response::Error {
         code: error_code::RESHARD_FAILED,
@@ -1080,7 +810,7 @@ fn do_reshard(
         // Nothing to move; the current epoch already describes it.
         return Response::ReshardOk { epoch: route.epoch };
     }
-    quiesce(route.epoch, &route.owner);
+    backend.quiesce(route.epoch, &route.owner);
     // The admin verbs are deliberately exempt from epoch fencing, so the
     // existing links work across the transition.
     let admin = |conn: &mut ConnState, node: u16, req: &Request| -> io::Result<Response> {
@@ -1342,12 +1072,11 @@ fn do_failover(shared: &RouterShared, conn: &mut ConnState, dead: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// The reactor data plane: shared multiplexed node links.
+// The data plane: shared multiplexed node links.
 //
-// The threaded front above gives every client connection its own
-// lockstep link per node — O(clients × nodes) sockets, one round trip
-// in flight apiece. The reactor front replaces all of that with ONE
-// pipelined link per node per event loop, driven by the loop itself:
+// Every routed request rides ONE pipelined link per node per event
+// loop, driven by the loop itself — O(loops × nodes) sockets however
+// many clients connect:
 //
 //   client frame → MuxHandler splits it under the route read lock,
 //   opens a fan-out in the loop's FanoutTable, and appends one
@@ -1396,16 +1125,18 @@ enum Slot {
     Waiting(usize),
 }
 
-/// The per-connection frame handler of the reactor data plane: splits
-/// routed requests into fan-outs on the loop's [`RouterBackend`] and
-/// keeps responses in arrival order across suspensions.
+/// The router's per-connection frame handler: splits routed requests
+/// into fan-outs on the loop's [`RouterBackend`], answers admin verbs
+/// over its own lockstep links, and keeps responses in arrival order
+/// across suspensions.
 struct MuxHandler {
     shared: Arc<RouterShared>,
-    /// Lockstep per-connection links for the rare admin verbs (`Stats`,
-    /// `Telemetry`, `Shutdown`, reshard coordination), which block the
-    /// loop briefly — exactly like the pre-mux reactor did for every
-    /// request. The SQL compiler clone also lives here.
+    /// Admin links for `Stats`, `Telemetry`, `Shutdown` and reshard
+    /// coordination, which block the loop briefly.
     admin: ConnState,
+    /// This connection's SQL compiler clone (compilation is CPU-bound,
+    /// so connections never contend on it); `None` without a frontend.
+    compiler: Option<QueryCompiler>,
     /// Pending responses; the longest all-`Ready` prefix is emitted
     /// after every frame and every resume.
     slots: VecDeque<Slot>,
@@ -1415,6 +1146,7 @@ impl MuxHandler {
     fn new(shared: Arc<RouterShared>) -> MuxHandler {
         MuxHandler {
             admin: ConnState::new(&shared),
+            compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
             slots: VecDeque::new(),
             shared,
         }
@@ -1437,6 +1169,14 @@ impl MuxHandler {
                     if matches!(**inner, Response::ShutdownOk));
         }
         Ok(close)
+    }
+
+    /// Queues a synchronous answer behind any suspended ones, echoing
+    /// the client's correlation id.
+    fn answer(&mut self, corr: Option<u64>, result: io::Result<Response>) {
+        self.slots.push_back(Slot::Ready(
+            result.map(|response| wrap_corr(corr, response)),
+        ));
     }
 
     /// Resolves the waiting slot of `fanout` with its completed result.
@@ -1474,10 +1214,7 @@ impl MuxHandler {
         if plans.iter().all(|p| p.ops.is_empty()) {
             // Every item resolved at the router (invalid objects, empty
             // batch): no node involved, answer synchronously.
-            self.slots.push_back(Slot::Ready(Ok(wrap_corr(
-                corr,
-                shape_response(&kind, merge),
-            ))));
+            self.answer(corr, Ok(shape_response(&kind, merge)));
             return;
         }
         let fanout = router_backend(backend).begin_fanout(key, corr, kind, merge, plans, epoch);
@@ -1485,7 +1222,7 @@ impl MuxHandler {
     }
 
     /// Compiles SQL at the router, then routes the compiled query like
-    /// any other — the mux twin of [`handle_sql`].
+    /// any other; compile failures answer synchronously.
     fn begin_sql(
         &mut self,
         key: usize,
@@ -1494,42 +1231,35 @@ impl MuxHandler {
         sql: &str,
         backend: &mut dyn LoopBackend,
     ) {
-        let Some(compiler) = self.admin.compiler.as_ref() else {
-            self.slots.push_back(Slot::Ready(Ok(wrap_corr(
-                corr,
-                Response::Error {
-                    code: error_code::SQL_UNAVAILABLE,
-                    message: "router has no SQL frontend (start it from a workload preset)"
-                        .to_string(),
-                },
-            ))));
+        let Some(compiler) = self.compiler.as_ref() else {
+            let response = Response::Error {
+                code: error_code::SQL_UNAVAILABLE,
+                message: "router has no SQL frontend (start it from a workload preset)".to_string(),
+            };
+            self.answer(corr, Ok(response));
             return;
         };
         let compiled = match compiler.compile(sql) {
             Ok(c) => c,
             Err(QueryError::Parse(e)) => {
                 let span = e.span();
-                self.slots.push_back(Slot::Ready(Ok(wrap_corr(
-                    corr,
-                    Response::SqlRejected {
-                        stage: SqlStage::Parse,
-                        span_start: span.start as u32,
-                        span_end: span.end as u32,
-                        message: e.to_string(),
-                    },
-                ))));
+                let response = Response::SqlRejected {
+                    stage: SqlStage::Parse,
+                    span_start: span.start as u32,
+                    span_end: span.end as u32,
+                    message: e.to_string(),
+                };
+                self.answer(corr, Ok(response));
                 return;
             }
             Err(QueryError::Analyze(e)) => {
-                self.slots.push_back(Slot::Ready(Ok(wrap_corr(
-                    corr,
-                    Response::SqlRejected {
-                        stage: SqlStage::Analyze,
-                        span_start: 0,
-                        span_end: 0,
-                        message: e.to_string(),
-                    },
-                ))));
+                let response = Response::SqlRejected {
+                    stage: SqlStage::Analyze,
+                    span_start: 0,
+                    span_end: 0,
+                    message: e.to_string(),
+                };
+                self.answer(corr, Ok(response));
                 return;
             }
         };
@@ -1557,10 +1287,11 @@ impl FrameHandler for MuxHandler {
             Ok(Request::Tagged { corr, inner }) => (Some(corr), *inner),
             Ok(other) => (None, other),
             Err(e) => {
-                self.slots.push_back(Slot::Ready(Ok(Response::Error {
+                let response = Response::Error {
                     code: error_code::BAD_FRAME,
                     message: e.to_string(),
-                })));
+                };
+                self.answer(None, Ok(response));
                 return self.emit(wbuf);
             }
         };
@@ -1582,26 +1313,54 @@ impl FrameHandler for MuxHandler {
             Request::Batch(items) => self.begin_routed(key, corr, ReplyKind::Batch, items, backend),
             Request::Sql { seq, sql } => self.begin_sql(key, corr, seq, &sql, backend),
             Request::Reshard { shard, to_node } => {
-                // The coordinator must not run with sub-requests parked
-                // in link correlators (a sub landing between detach and
-                // the epoch bump would hit a missing shard); quiesce
-                // through this loop's backend first.
-                let rb = router_backend(backend);
                 let response = do_reshard(
                     &self.shared,
                     &mut self.admin,
+                    router_backend(backend),
                     shard,
                     to_node,
-                    |epoch, owner| rb.quiesce(epoch, owner),
                 );
-                self.slots
-                    .push_back(Slot::Ready(Ok(wrap_corr(corr, response))));
+                self.answer(corr, Ok(response));
             }
-            other => {
-                let result = routed_response(&self.shared, other, &mut self.admin)
-                    .map(|response| wrap_corr(corr, response));
-                self.slots.push_back(Slot::Ready(result));
+            Request::Hello { version, .. } => {
+                let response = handle_hello(&self.shared, version);
+                self.answer(corr, Ok(response));
             }
+            Request::Stats => {
+                let result = handle_stats(&self.shared, &mut self.admin);
+                self.answer(corr, typed_node_loss(result));
+            }
+            Request::Telemetry => {
+                let result = handle_telemetry(&self.shared, &mut self.admin);
+                self.answer(corr, typed_node_loss(result));
+            }
+            Request::Shutdown => {
+                let response = handle_shutdown(&self.shared, &mut self.admin);
+                self.answer(corr, Ok(response));
+            }
+            Request::NodeOps(_)
+            | Request::DetachShard { .. }
+            | Request::AttachShard { .. }
+            | Request::SetEpoch { .. }
+            | Request::Replicate { .. }
+            | Request::ReplicaBootstrap { .. }
+            | Request::ReplicaStatus
+            | Request::Promote { .. } => self.answer(
+                corr,
+                Ok(Response::Error {
+                    code: error_code::NOT_CLUSTERED,
+                    message: "the router hosts no shards; node-level verbs go to delta-serverd"
+                        .into(),
+                }),
+            ),
+            // The decoder already refuses a Tagged envelope inside another.
+            Request::Tagged { .. } => self.answer(
+                corr,
+                Ok(Response::Error {
+                    code: error_code::BAD_FRAME,
+                    message: "nested tagged request".into(),
+                }),
+            ),
         }
         self.emit(wbuf)
     }
@@ -1794,10 +1553,11 @@ impl RouterBackend {
     }
 
     /// Opens a fan-out for client connection `key` and enqueues one
-    /// sub-request per touched node. Mirrors the threaded path's
-    /// failure shape: the first node that cannot be reached completes
-    /// the fan-out with a typed error and no later node is contacted
-    /// (earlier nodes' subs keep draining as stragglers).
+    /// sub-request per touched node. The first node that cannot be
+    /// reached fails the whole fan-out with a typed `NODE_UNAVAILABLE`
+    /// and no later node is contacted; earlier nodes' subs keep
+    /// draining as stragglers, so their ops may have executed — the
+    /// error names the lost node for the client to reason about.
     fn begin_fanout(
         &mut self,
         key: usize,
@@ -2088,10 +1848,9 @@ impl RouterBackend {
 
     /// Handles a `WrongEpoch` redirect on a sub-request: re-splits its
     /// ops by the CURRENT owner map and re-enqueues them (the reshard
-    /// that bounced us may have moved any of these shards anywhere),
-    /// with the same retry budget as the threaded path. The node
-    /// executed nothing on the stale epoch, so the retry is always
-    /// safe.
+    /// that bounced us may have moved any of these shards anywhere), at
+    /// most [`EPOCH_RETRIES`] times. The node executed nothing on the
+    /// stale epoch, so the retry is always safe.
     fn bounce(&mut self, node: usize, mut entry: SubEntry, current: u64, now: Instant) {
         self.shared.rt.wrong_epoch_retries.inc();
         let (epoch, owner) = match &self.route_hint {

@@ -1,19 +1,21 @@
-//! The TCP service: listener, per-connection framing, inline shard
+//! The TCP service: listener, request dispatch, inline shard
 //! execution, cluster-node duties and graceful shutdown.
 //!
-//! Each accepted connection gets a thread that decodes request frames
-//! and executes them directly against the lock-protected
+//! Accepted connections are multiplexed by the reactor front door
+//! ([`crate::front`]); its event loops decode request frames and execute
+//! them directly against the lock-protected
 //! [`crate::shard::ShardCore`]s (per-shard mutexes serialize per-shard
-//! event order; different connections proceed in parallel on different
-//! shards), so each connection sees strictly ordered request/response
-//! pairs with no per-event thread handoff. Wire bytes are recorded on a
-//! shared [`delta_net::TrafficMeter`] (query frames as `QueryShip`,
-//! update frames as `UpdateShip`, the rest as `Control`), so an operator
-//! can audit protocol overhead separately from the policy-level ledgers.
+//! event order; connections on different loops proceed in parallel on
+//! different shards), so each connection sees strictly ordered
+//! request/response pairs with no per-event thread handoff. Wire bytes
+//! are recorded on a shared [`delta_net::TrafficMeter`] (query frames as
+//! `QueryShip`, update frames as `UpdateShip`, the rest as `Control`), so
+//! an operator can audit protocol overhead separately from the
+//! policy-level ledgers.
 //!
-//! On the reactor front a replicating node never waits on the loop: a
-//! reply whose events must first reach the backups is parked on the
-//! connection ([`crate::parked`]) and released by the acknowledgement.
+//! A replicating node never waits on the loop: a reply whose events
+//! must first reach the backups is parked on the connection
+//! ([`crate::parked`]) and released by the acknowledgement.
 //!
 //! ## Standalone vs cluster node
 //!
@@ -30,17 +32,16 @@
 //! silently given a wrong answer.
 
 use crate::client::DeltaClient;
-use crate::config::FrontDoor;
 use crate::config::ServerConfig;
-use crate::connection::{serve_frames, FrameHandler, LoopBackend, WireTelemetry, POLL};
+use crate::connection::{FrameHandler, LoopBackend, WireTelemetry};
 use crate::front::{BackendFactory, FrameFactory, ReactorFront, ReactorTelemetry, BACKEND_TOKEN};
-use crate::parked::{write_reply, AckBackend, ParkTelemetry, ReplyQueue, Wait, ACK_PIPE_TOKEN};
+use crate::parked::{AckBackend, ParkTelemetry, ReplyQueue, Wait, ACK_PIPE_TOKEN};
 use crate::partition::{apportion, Partitioner};
 use crate::protocol::{
     error_code, BatchItem, BatchReply, NodeInfo, NodeOp, NodeRole, Request, Response, ShardStats,
     SqlStage, StatsSnapshot, PROTOCOL_VERSION,
 };
-use crate::replication::{jittered, Notifier, ReplState, SettleWaker, TargetStatus, REPL_WAIT_MAX};
+use crate::replication::{jittered, Notifier, ReplState, TargetStatus};
 use crate::shard::{OpClass, OpOutcome, ShardCore, ShardOp, ShardSpec, ShardTelemetry};
 use delta_core::engine::{read_snapshot, snapshot_from_str, snapshot_to_string};
 use delta_core::EngineSnapshot;
@@ -51,10 +52,10 @@ use delta_storage::{ObjectCatalog, ObjectId};
 use delta_telemetry::{Telemetry, TelemetrySnapshot};
 use delta_workload::QueryEvent;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A running delta-server instance.
 pub struct Server {
@@ -345,7 +346,7 @@ struct Shared {
     map: Box<dyn Partitioner>,
     catalog: ObjectCatalog,
     /// One slot per global shard; `None` when another node hosts it.
-    /// Connection threads hold a slot's read lock for the duration of an
+    /// Reactor threads hold a slot's read lock for the duration of an
     /// op, so a `DetachShard` (write lock) waits out in-flight work.
     slots: Vec<RwLock<Option<ShardCore>>>,
     /// Backup twins of shards other nodes serve as primaries, seeded by
@@ -365,7 +366,7 @@ struct Shared {
     frontend: Option<Arc<QueryCompiler>>,
     /// This node's metric registry; scraped by [`Request::Telemetry`].
     telemetry: Arc<Telemetry>,
-    /// Wire-level counter handles shared by every connection thread.
+    /// Wire-level counter handles shared by every reactor thread.
     wire: WireTelemetry,
     /// Replication runtime, when the node was started with
     /// `--replicas > 0`; `None` keeps the pre-replication data path.
@@ -414,42 +415,37 @@ fn accept_loop(
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
 ) -> StatsSnapshot {
-    match shared.config.front {
-        FrontDoor::Threaded => accept_threaded(listener, &shared, &shutdown),
-        FrontDoor::Reactor { threads } => {
-            let factory_shared = Arc::clone(&shared);
-            let factory: FrameFactory = Arc::new(move || -> Box<dyn FrameHandler> {
-                Box::new(NodeHandler::new(Arc::clone(&factory_shared)))
-            });
-            // Only a replicating node parks replies; at `--replicas 0`
-            // every reply is written as it is served, on no backend.
-            let backend = shared.repl.as_ref().map(|_| -> BackendFactory {
-                let tel = ParkTelemetry::register(&shared.telemetry);
-                Arc::new(move |poller: Arc<Poller>| -> Box<dyn LoopBackend> {
-                    let backend = AckBackend::new(tel.clone()).expect("create ack wake pipe");
-                    poller
-                        .add(
-                            backend.pipe(),
-                            BACKEND_TOKEN | ACK_PIPE_TOKEN,
-                            Interest::READ,
-                        )
-                        .expect("register ack wake pipe");
-                    Box::new(backend)
-                })
-            });
-            ReactorFront {
-                name: "delta-server",
-                threads,
-                shutdown: Arc::clone(&shutdown),
-                wire: shared.wire.clone(),
-                rtel: ReactorTelemetry::register(&shared.telemetry),
-                stall_limit: shared.config.stall_limit,
-                factory,
-                backend,
-            }
-            .run(listener);
-        }
+    let factory_shared = Arc::clone(&shared);
+    let factory: FrameFactory = Arc::new(move || -> Box<dyn FrameHandler> {
+        Box::new(NodeHandler::new(Arc::clone(&factory_shared)))
+    });
+    // Only a replicating node parks replies; at `--replicas 0` every
+    // reply is written as it is served, on no backend.
+    let backend = shared.repl.as_ref().map(|_| -> BackendFactory {
+        let tel = ParkTelemetry::register(&shared.telemetry);
+        Arc::new(move |poller: Arc<Poller>| -> Box<dyn LoopBackend> {
+            let backend = AckBackend::new(tel.clone()).expect("create ack wake pipe");
+            poller
+                .add(
+                    backend.pipe(),
+                    BACKEND_TOKEN | ACK_PIPE_TOKEN,
+                    Interest::READ,
+                )
+                .expect("register ack wake pipe");
+            Box::new(backend)
+        })
+    });
+    ReactorFront {
+        name: "delta-server",
+        threads: shared.config.front.threads,
+        shutdown,
+        wire: shared.wire.clone(),
+        rtel: ReactorTelemetry::register(&shared.telemetry),
+        stall_limit: shared.config.stall_limit,
+        factory,
+        backend,
     }
+    .run(listener);
     // Connections have drained; shut the shards down, collecting their
     // final ledgers (and writing snapshots).
     let mut stats: Vec<ShardStats> = Vec::new();
@@ -460,46 +456,6 @@ fn accept_loop(
     }
     stats.sort_by_key(|s| s.shard);
     StatsSnapshot { shards: stats }
-}
-
-/// The pre-reactor front door: one blocking thread per connection.
-fn accept_threaded(listener: TcpListener, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        // Reap finished connections so a long-lived daemon doesn't
-        // accumulate dead handles.
-        connections.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("delta-conn".to_string())
-                    .spawn(move || {
-                        if let Err(e) = serve_connection(stream, &shared) {
-                            // Disconnects are routine; anything else is
-                            // worth a trace on stderr.
-                            if e.kind() != io::ErrorKind::UnexpectedEof {
-                                eprintln!("delta-server: connection error: {e}");
-                            }
-                        }
-                    })
-                    .expect("spawn connection thread");
-                connections.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(e) => {
-                eprintln!("delta-server: accept error: {e}");
-                std::thread::sleep(POLL);
-            }
-        }
-    }
-    // Drain: connections observe the flag within one poll interval;
-    // reads and writes are both bounded.
-    for handle in connections {
-        let _ = handle.join();
-    }
 }
 
 /// Per-connection mutable state the request handler threads through.
@@ -578,49 +534,9 @@ impl FrameHandler for NodeHandler {
     }
 }
 
-/// The threaded front's connection loop. It keeps the blocking shape:
-/// each reply waits on its connection thread, which parks until the
-/// settle notification unparks it.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut conn = ConnState::new(shared);
-    let mut waits = Vec::new();
-    let waker = Arc::new(SettleWaker::thread(std::thread::current()));
-    serve_frames(
-        stream,
-        &shared.shutdown,
-        &shared.wire,
-        shared.config.stall_limit,
-        |payload, wbuf| {
-            let response = serve_frame(shared, payload, &mut conn, &mut waits);
-            if !block_until_settled(&waits, &waker) {
-                shared.telemetry.counter("replica.acked_below_r").inc();
-            }
-            waits.clear();
-            write_reply(&shared.meter, wbuf, &response)
-        },
-    )
-}
-
-/// Parks the calling thread until every offset in `waits` settled, or
-/// until [`REPL_WAIT_MAX`] passed (`false`).
-fn block_until_settled(waits: &[Wait], waker: &Arc<SettleWaker>) -> bool {
-    let deadline = Instant::now() + REPL_WAIT_MAX;
-    for (repl, offset) in waits {
-        while !repl.watch(*offset, waker) {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            std::thread::park_timeout(deadline - now);
-        }
-    }
-    true
-}
-
-/// Serves one request frame: the body shared by the threaded front
-/// (via [`serve_connection`]) and the reactor front (via
-/// [`NodeHandler`]), so the two doors cannot drift. Pushes the
-/// replication offsets the reply must wait for onto `waits`.
+/// Serves one request frame for [`NodeHandler`]: decode, meter, unwrap
+/// a `Tagged` envelope and dispatch. Pushes the replication offsets the
+/// reply must wait for onto `waits`.
 fn serve_frame(
     shared: &Shared,
     payload: &[u8],

@@ -1,5 +1,5 @@
 //! Shard cores: one lock-protected [`delta_core::Engine`] per shard,
-//! executed *inline* by the connection threads.
+//! executed *inline* by the reactor threads.
 //!
 //! A shard core is the network driver of the same engine
 //! `delta_core::sim` and `delta_core::deploy` run: updates invalidate
@@ -13,7 +13,7 @@
 //! event through a crossbeam channel pair. On the latency-bound lockstep
 //! path that cost two thread handoffs per event (four context switches
 //! on a loaded box) for microseconds of engine work. The cores are now
-//! plain `Mutex<Engine>` values the connection threads lock directly:
+//! plain `Mutex<Engine>` values the reactor threads lock directly:
 //! per-shard serialization (the correctness requirement) is the mutex,
 //! cross-connection parallelism is connections locking different shards,
 //! and the per-event channel wakeups are gone. A [`ShardOp`] sub-batch
@@ -48,11 +48,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The engine type a shard core guards: `'static` policy, `Send` so the
-/// core can be shared across connection threads.
+/// core can be shared across reactor threads.
 type ShardEngine = Engine<'static, dyn CachingPolicy + Send>;
 
 /// One operation inside a coalesced sub-batch, tagged with the index of
-/// the client-batch item it came from so the connection thread can
+/// the client-batch item it came from so the reactor thread can
 /// reassemble per-item replies after the fan-out.
 #[derive(Clone, Debug)]
 pub enum ShardOp {
@@ -208,7 +208,7 @@ pub struct ShardSpec {
 }
 
 /// One shard: a lock-protected engine plus its identity and snapshot
-/// destination. Connection threads call the methods directly.
+/// destination. Reactor threads call the methods directly.
 pub struct ShardCore {
     shard: u16,
     policy: PolicyKind,
@@ -274,7 +274,7 @@ impl ShardCore {
     }
 
     /// Attaches the replication log this primary ships to backups.
-    /// Called before the core is published to connection threads.
+    /// Called before the core is published to reactor threads.
     pub fn set_repl(&mut self, repl: Arc<ReplState>) {
         self.repl = Some(repl);
     }
@@ -339,7 +339,7 @@ impl ShardCore {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ShardEngine> {
-        // A poisoned mutex means a connection thread panicked mid-apply;
+        // A poisoned mutex means a reactor thread panicked mid-apply;
         // the engine state can no longer be trusted — fail loudly.
         self.engine.lock().expect("shard engine poisoned")
     }

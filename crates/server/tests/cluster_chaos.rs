@@ -80,7 +80,7 @@ fn slow_node_degrades_only_its_own_shards() {
             bind: "127.0.0.1:0".to_string(),
             nodes: node_addrs.iter().map(|a| a.to_string()).collect(),
             frontend: None,
-            front: FrontDoor::Reactor { threads: 2 },
+            front: FrontDoor { threads: 2 },
             stall_limit: delta_server::connection::STALL_LIMIT,
             node_timeout: RouterConfig::DEFAULT_NODE_TIMEOUT,
         },

@@ -1,14 +1,16 @@
 //! The cluster differential suite: a trace replayed through a 2-node
-//! `delta-routerd` cluster must produce, per shard, byte-identical
-//! ledgers to `sim::simulate` over the offline `shard_trace` twin — for
-//! both partitioners, and **across a live mid-trace reshard** (where the
-//! in-process twin mirrors the migration with the same
-//! snapshot/restore primitive the nodes use).
+//! `delta-routerd` cluster — its shared multiplexed node links — must
+//! produce, per shard, byte-identical ledgers to `sim::simulate` over
+//! the offline `shard_trace` twin — for both partitioners, and **across
+//! a live mid-trace reshard** (where the in-process twin mirrors the
+//! migration with the same snapshot/restore primitive the nodes use).
 //!
-//! Also here: the stale-epoch contract — a client holding an outdated
-//! shard→node map gets a typed `WrongEpoch` redirect (or a typed
-//! `WRONG_NODE` error after re-handshaking against a moved shard), and
-//! never a silently wrong answer.
+//! Also here: the killed-node contract (typed `NODE_UNAVAILABLE`, never
+//! a wrong answer), the stale-epoch contract — a client holding an
+//! outdated shard→node map gets a typed `WrongEpoch` redirect (or a
+//! typed `WRONG_NODE` error after re-handshaking against a moved shard),
+//! and never a silently wrong answer — and the typed refusal of verbs
+//! sent to the wrong role.
 
 use delta_core::engine::Engine;
 use delta_core::{sim, CachingPolicy, CostLedger, EngineMetrics, VCover};
@@ -38,17 +40,11 @@ struct Cluster {
     node_addrs: Vec<std::net::SocketAddr>,
 }
 
-/// Both router data planes, for pinning them against the same twin: the
-/// reactor front drives the shared multiplexed node links; the threaded
-/// front drives the legacy lockstep per-connection links.
-const FRONTS: [FrontDoor; 2] = [FrontDoor::Reactor { threads: 2 }, FrontDoor::Threaded];
-
 fn start_cluster(
     policy: PolicyKind,
     partitioner: PartitionerKind,
     cache_bytes: u64,
     catalog: &ObjectCatalog,
-    front: FrontDoor,
 ) -> Cluster {
     let mut nodes = Vec::new();
     let mut node_addrs = Vec::new();
@@ -76,7 +72,7 @@ fn start_cluster(
             bind: "127.0.0.1:0".to_string(),
             nodes: node_addrs.iter().map(|a| a.to_string()).collect(),
             frontend: None,
-            front,
+            front: FrontDoor { threads: 2 },
             stall_limit: delta_server::connection::STALL_LIMIT,
             node_timeout: RouterConfig::DEFAULT_NODE_TIMEOUT,
         },
@@ -150,51 +146,36 @@ fn expected_shard_ledgers(
 
 /// The acceptance pin: a 50k-event trace through the 2-node router is
 /// per-shard byte-identical to the in-process simulation, under both
-/// partitioners and **both data planes** — the reactor's shared
-/// multiplexed node links and the threaded front's lockstep
-/// per-connection links must agree with the twin (and therefore with
-/// each other) byte for byte.
+/// partitioners.
 #[test]
 fn cluster_router_matches_sim_per_shard() {
     let s = survey(25_000);
     let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
-    for front in FRONTS {
-        for partitioner in [PartitionerKind::RoundRobin, PartitionerKind::HashRing] {
-            let cluster = start_cluster(
-                PolicyKind::VCover,
-                partitioner,
-                cache_bytes,
-                &s.catalog,
-                front,
-            );
-            replay_batched(cluster.router_addr, &s.trace.events, 128);
+    for partitioner in [PartitionerKind::RoundRobin, PartitionerKind::HashRing] {
+        let cluster = start_cluster(PolicyKind::VCover, partitioner, cache_bytes, &s.catalog);
+        replay_batched(cluster.router_addr, &s.trace.events, 128);
 
-            let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
-            let info = client.hello(0).expect("hello");
-            assert_eq!(info.role, NodeRole::Router);
-            assert_eq!(info.cluster_shards as usize, SHARDS);
-            assert_eq!(info.partitioner, partitioner.to_string());
-            let stats = client.stats().expect("stats");
+        let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
+        let info = client.hello(0).expect("hello");
+        assert_eq!(info.role, NodeRole::Router);
+        assert_eq!(info.cluster_shards as usize, SHARDS);
+        assert_eq!(info.partitioner, partitioner.to_string());
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.shards.len(), SHARDS, "{partitioner}: shard count");
+        let want = expected_shard_ledgers(&s, partitioner, cache_bytes);
+        for (shard, want) in stats.shards.iter().zip(&want) {
             assert_eq!(
-                stats.shards.len(),
-                SHARDS,
-                "{front:?}/{partitioner}: shard count"
+                &shard.metrics.ledger, want,
+                "{partitioner}: shard {} ledger diverged from its simulation twin",
+                shard.shard
             );
-            let want = expected_shard_ledgers(&s, partitioner, cache_bytes);
-            for (shard, want) in stats.shards.iter().zip(&want) {
-                assert_eq!(
-                    &shard.metrics.ledger, want,
-                    "{front:?}/{partitioner}: shard {} ledger diverged from its simulation twin",
-                    shard.shard
-                );
-            }
-            assert_eq!(
-                stats.total_metrics().updates,
-                s.trace.n_updates() as u64,
-                "{front:?}/{partitioner}: every update accounted"
-            );
-            cluster.stop();
         }
+        assert_eq!(
+            stats.total_metrics().updates,
+            s.trace.n_updates() as u64,
+            "{partitioner}: every update accounted"
+        );
+        cluster.stop();
     }
 }
 
@@ -253,58 +234,53 @@ fn mid_trace_reshard_is_byte_identical_to_the_engine_twin() {
         })
         .collect();
 
-    // Both data planes must track the twin across the migration — the
-    // reactor plane additionally exercises its quiesce (the reshard
-    // waits for in-flight multiplexed sub-requests to drain) and the
-    // WrongEpoch bounce on its shared links.
-    for front in FRONTS {
-        let cluster = start_cluster(policy, partitioner, cache_bytes, &s.catalog, front);
-        replay_batched(cluster.router_addr, &s.trace.events[..mid], 128);
-        let mut admin = DeltaClient::connect(cluster.router_addr).expect("connect");
-        let epoch = admin.reshard(moved_shard, to_node).expect("reshard");
-        assert_eq!(epoch, 1, "{front:?}: first reshard bumps the epoch to 1");
-        // The routing map now shows the shard at its new owner.
-        let info = admin.hello(epoch).expect("hello");
-        assert_eq!(info.epoch, 1);
-        replay_batched(cluster.router_addr, &s.trace.events[mid..], 128);
+    // The router must track the twin across the migration, which also
+    // exercises its quiesce (the reshard waits for in-flight multiplexed
+    // sub-requests to drain) and the WrongEpoch bounce on its shared
+    // links.
+    let cluster = start_cluster(policy, partitioner, cache_bytes, &s.catalog);
+    replay_batched(cluster.router_addr, &s.trace.events[..mid], 128);
+    let mut admin = DeltaClient::connect(cluster.router_addr).expect("connect");
+    let epoch = admin.reshard(moved_shard, to_node).expect("reshard");
+    assert_eq!(epoch, 1, "first reshard bumps the epoch to 1");
+    // The routing map now shows the shard at its new owner.
+    let info = admin.hello(epoch).expect("hello");
+    assert_eq!(info.epoch, 1);
+    replay_batched(cluster.router_addr, &s.trace.events[mid..], 128);
 
-        let stats = DeltaClient::connect(cluster.router_addr)
-            .and_then(|mut c| c.stats())
-            .expect("stats");
+    let stats = DeltaClient::connect(cluster.router_addr)
+        .and_then(|mut c| c.stats())
+        .expect("stats");
 
-        // The node hosting the moved shard must be the new owner.
-        let mut node1 =
-            DeltaClient::connect(cluster.node_addrs[to_node as usize]).expect("connect");
-        let node1_info = node1.hello(epoch).expect("hello");
-        assert!(
-            node1_info.hosted.contains(&moved_shard),
-            "{front:?}: node {to_node} must host shard {moved_shard} after the reshard \
-             (hosts {:?})",
-            node1_info.hosted
+    // The node hosting the moved shard must be the new owner.
+    let mut node1 = DeltaClient::connect(cluster.node_addrs[to_node as usize]).expect("connect");
+    let node1_info = node1.hello(epoch).expect("hello");
+    assert!(
+        node1_info.hosted.contains(&moved_shard),
+        "node {to_node} must host shard {moved_shard} after the reshard \
+         (hosts {:?})",
+        node1_info.hosted
+    );
+
+    assert_eq!(stats.shards.len(), SHARDS);
+    for (live, want) in stats.shards.iter().zip(&twin) {
+        assert_eq!(
+            &live.metrics, want,
+            "shard {} diverged from the engine twin across the reshard",
+            live.shard
         );
-
-        assert_eq!(stats.shards.len(), SHARDS);
-        for (live, want) in stats.shards.iter().zip(&twin) {
-            assert_eq!(
-                &live.metrics, want,
-                "{front:?}: shard {} diverged from the engine twin across the reshard",
-                live.shard
-            );
-        }
-        cluster.stop();
     }
+    cluster.stop();
 }
 
 /// The node-death pin: killing a node mid-trace turns every request
-/// touching its shards into a **typed `NODE_UNAVAILABLE` error** on
-/// both data planes — the threaded plane aborts the request on the
-/// first dead lockstep link, and the mux plane deliberately mirrors
-/// that contract (a dead sub-request kills its whole fan-out typed;
-/// ops may have executed at other nodes, and the message says which
-/// node was lost). Requests scoped entirely to surviving nodes keep
-/// executing. Zero wrong answers, on either data plane.
+/// touching its shards into a **typed `NODE_UNAVAILABLE` error** — a
+/// dead sub-request kills its whole fan-out typed (ops may have
+/// executed at other nodes, and the message says which node was lost).
+/// Requests scoped entirely to surviving nodes keep executing. Zero
+/// wrong answers.
 #[test]
-fn killed_node_mid_trace_fails_typed_on_both_fronts() {
+fn killed_node_mid_trace_fails_typed() {
     let s = survey(2_000);
     let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
     let partitioner = PartitionerKind::RoundRobin;
@@ -313,120 +289,112 @@ fn killed_node_mid_trace_fails_typed_on_both_fronts() {
     let dead_node = 1u16;
     let node_of = |o: ObjectId| (map.shard_of(o) % NODES as usize) as u16;
 
-    for front in FRONTS {
-        let cluster = start_cluster(
-            PolicyKind::VCover,
-            partitioner,
-            cache_bytes,
-            &s.catalog,
-            front,
-        );
-        let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
+    let cluster = start_cluster(PolicyKind::VCover, partitioner, cache_bytes, &s.catalog);
+    let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
 
-        // Warm the links with a mixed prefix, then kill node 1 abruptly
-        // (direct shutdown — the router only notices when its link dies
-        // under an in-flight fan-out).
-        replay_batched(cluster.router_addr, &s.trace.events[..500], 64);
-        DeltaClient::connect(cluster.node_addrs[dead_node as usize])
-            .expect("connect dead node")
-            .shutdown()
-            .expect("node shutdown");
+    // Warm the links with a mixed prefix, then kill node 1 abruptly
+    // (direct shutdown — the router only notices when its link dies
+    // under an in-flight fan-out).
+    replay_batched(cluster.router_addr, &s.trace.events[..500], 64);
+    DeltaClient::connect(cluster.node_addrs[dead_node as usize])
+        .expect("connect dead node")
+        .shutdown()
+        .expect("node shutdown");
 
-        // Fan-outs now straddle a live and a dead node. Drive batches:
-        // every request touching the dead node must come back as a
-        // typed NODE_UNAVAILABLE (whole-request, on both planes — a
-        // dead sub-request kills its fan-out), never silence and never
-        // a fabricated result, and the client connection survives.
-        let item_is_live = |i: &BatchItem| match i {
-            BatchItem::Query(q) => q.objects.iter().all(|&o| node_of(o) != dead_node),
-            BatchItem::Update(u) => node_of(u.object) != dead_node,
-        };
-        let mut live_ok = 0u32;
-        let mut dead_typed = 0u32;
-        for chunk in s.trace.events[500..1500].chunks(64) {
-            let items: Vec<BatchItem> = chunk
-                .iter()
-                .map(|e| match e {
-                    Event::Query(q) => BatchItem::Query(q.clone()),
-                    Event::Update(u) => BatchItem::Update(*u),
-                })
-                .collect();
-            let wholly_live = items.iter().all(item_is_live);
-            match client
-                .request(&Request::Batch(items.clone()))
-                .expect("batch")
-            {
-                Response::BatchOk(replies) => {
-                    assert!(
-                        wholly_live,
-                        "{front:?}: a batch touching the dead node must fail typed"
-                    );
-                    assert_eq!(replies.len(), items.len(), "{front:?}: one reply per item");
-                    for reply in &replies {
-                        assert!(
-                            !matches!(reply, BatchReply::Error { .. }),
-                            "{front:?}: live-node item failed: {reply:?}"
-                        );
-                    }
-                    live_ok += 1;
-                }
-                Response::Error { code, message } => {
-                    assert_eq!(code, error_code::NODE_UNAVAILABLE, "{front:?}: {message}");
-                    assert!(
-                        !wholly_live,
-                        "{front:?}: batch with no dead-node items failed: {message}"
-                    );
-                    dead_typed += 1;
-                }
-                other => panic!("{front:?}: unexpected response: {other:?}"),
-            }
-        }
-        assert!(dead_typed > 0, "{front:?}: the dead node was never touched");
-
-        // Batches scoped entirely to surviving nodes keep executing —
-        // the shared link to the live node is unaffected by its dead
-        // peer (one reconnect probe covers all clients; nobody else
-        // blocks on it).
-        for chunk in s.trace.events[1500..]
+    // Fan-outs now straddle a live and a dead node. Drive batches:
+    // every request touching the dead node must come back as a
+    // typed NODE_UNAVAILABLE (whole-request — a dead sub-request
+    // kills its fan-out), never silence and never
+    // a fabricated result, and the client connection survives.
+    let item_is_live = |i: &BatchItem| match i {
+        BatchItem::Query(q) => q.objects.iter().all(|&o| node_of(o) != dead_node),
+        BatchItem::Update(u) => node_of(u.object) != dead_node,
+    };
+    let mut live_ok = 0u32;
+    let mut dead_typed = 0u32;
+    for chunk in s.trace.events[500..1500].chunks(64) {
+        let items: Vec<BatchItem> = chunk
             .iter()
-            .filter_map(|e| match e {
-                Event::Query(q) if q.objects.iter().all(|&o| node_of(o) != dead_node) => {
-                    Some(BatchItem::Query(q.clone()))
-                }
-                Event::Update(u) if node_of(u.object) != dead_node => Some(BatchItem::Update(*u)),
-                _ => None,
+            .map(|e| match e {
+                Event::Query(q) => BatchItem::Query(q.clone()),
+                Event::Update(u) => BatchItem::Update(*u),
             })
-            .collect::<Vec<_>>()
-            .chunks(64)
+            .collect();
+        let wholly_live = items.iter().all(item_is_live);
+        match client
+            .request(&Request::Batch(items.clone()))
+            .expect("batch")
         {
-            for reply in client.batch(chunk).expect("live batch") {
+            Response::BatchOk(replies) => {
                 assert!(
-                    !matches!(reply, BatchReply::Error { .. }),
-                    "{front:?}: live-node item failed after the death: {reply:?}"
+                    wholly_live,
+                    "a batch touching the dead node must fail typed"
                 );
+                assert_eq!(replies.len(), items.len(), "one reply per item");
+                for reply in &replies {
+                    assert!(
+                        !matches!(reply, BatchReply::Error { .. }),
+                        "live-node item failed: {reply:?}"
+                    );
+                }
+                live_ok += 1;
             }
-            live_ok += 1;
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::NODE_UNAVAILABLE, "{message}");
+                assert!(
+                    !wholly_live,
+                    "batch with no dead-node items failed: {message}"
+                );
+                dead_typed += 1;
+            }
+            other => panic!("unexpected response: {other:?}"),
         }
-        assert!(live_ok > 0, "{front:?}: no live-node batch ever ran");
-
-        // A request scoped entirely to the live node still round-trips.
-        let live_obj = (0..s.catalog.len() as u32)
-            .map(ObjectId)
-            .find(|&o| node_of(o) != dead_node)
-            .expect("live object");
-        let q = Request::Query(QueryEvent {
-            seq: u64::MAX,
-            objects: vec![live_obj],
-            result_bytes: 64,
-            tolerance: 0,
-            kind: QueryKind::Selection,
-        });
-        assert!(
-            matches!(client.request(&q).expect("query"), Response::QueryOk { .. }),
-            "{front:?}: live-node queries must keep working after the death"
-        );
-        cluster.stop();
     }
+    assert!(dead_typed > 0, "the dead node was never touched");
+
+    // Batches scoped entirely to surviving nodes keep executing —
+    // the shared link to the live node is unaffected by its dead
+    // peer (one reconnect probe covers all clients; nobody else
+    // blocks on it).
+    for chunk in s.trace.events[1500..]
+        .iter()
+        .filter_map(|e| match e {
+            Event::Query(q) if q.objects.iter().all(|&o| node_of(o) != dead_node) => {
+                Some(BatchItem::Query(q.clone()))
+            }
+            Event::Update(u) if node_of(u.object) != dead_node => Some(BatchItem::Update(*u)),
+            _ => None,
+        })
+        .collect::<Vec<_>>()
+        .chunks(64)
+    {
+        for reply in client.batch(chunk).expect("live batch") {
+            assert!(
+                !matches!(reply, BatchReply::Error { .. }),
+                "live-node item failed after the death: {reply:?}"
+            );
+        }
+        live_ok += 1;
+    }
+    assert!(live_ok > 0, "no live-node batch ever ran");
+
+    // A request scoped entirely to the live node still round-trips.
+    let live_obj = (0..s.catalog.len() as u32)
+        .map(ObjectId)
+        .find(|&o| node_of(o) != dead_node)
+        .expect("live object");
+    let q = Request::Query(QueryEvent {
+        seq: u64::MAX,
+        objects: vec![live_obj],
+        result_bytes: 64,
+        tolerance: 0,
+        kind: QueryKind::Selection,
+    });
+    assert!(
+        matches!(client.request(&q).expect("query"), Response::QueryOk { .. }),
+        "live-node queries must keep working after the death"
+    );
+    cluster.stop();
 }
 
 /// The stale-epoch contract: after a reshard, a client still declaring
@@ -438,13 +406,7 @@ fn stale_epoch_clients_get_typed_redirects_never_wrong_answers() {
     let s = survey(100);
     let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
     let partitioner = PartitionerKind::RoundRobin;
-    let cluster = start_cluster(
-        PolicyKind::VCover,
-        partitioner,
-        cache_bytes,
-        &s.catalog,
-        FrontDoor::default(),
-    );
+    let cluster = start_cluster(PolicyKind::VCover, partitioner, cache_bytes, &s.catalog);
     let map = partitioner.build(SHARDS, s.catalog.len());
 
     // Global ids owned by shard 0 (node 0) and shard 2 (node 0, stays).
@@ -568,4 +530,68 @@ fn cluster_verbs_are_typed_errors_in_the_wrong_role() {
     }
     client.shutdown().expect("shutdown");
     server.join();
+
+    // The router half: every node-level verb is refused typed, bare or
+    // inside a `Tagged` envelope (which echoes the correlation id), and
+    // a handshake in another protocol version is a typed BAD_FRAME.
+    let cluster = start_cluster(
+        PolicyKind::NoCache,
+        PartitionerKind::RoundRobin,
+        10_000,
+        &s.catalog,
+    );
+    let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
+    let node_verbs = [
+        Request::NodeOps(vec![]),
+        Request::DetachShard { shard: 0 },
+        Request::AttachShard {
+            shard: 0,
+            state: Vec::new(),
+        },
+        Request::SetEpoch { epoch: 3 },
+        Request::Replicate {
+            shard: 0,
+            from_offset: 0,
+            items: vec![],
+        },
+        Request::ReplicaBootstrap {
+            shard: 0,
+            state: Vec::new(),
+        },
+        Request::ReplicaStatus,
+        Request::Promote { shard: 0 },
+    ];
+    let expect_code = |response: Response, code: u16, request: &Request| match response {
+        Response::Error { code: got, .. } if got == code => {}
+        other => panic!("router: expected error {code} for {request:?}, got {other:?}"),
+    };
+    for (i, request) in node_verbs.into_iter().enumerate() {
+        let bare = client.request(&request).expect("request");
+        expect_code(bare, error_code::NOT_CLUSTERED, &request);
+        let corr = 100 + i as u64;
+        let tagged = Request::Tagged {
+            corr,
+            inner: Box::new(request.clone()),
+        };
+        match client.request(&tagged).expect("tagged request") {
+            Response::Tagged {
+                corr: echoed,
+                inner,
+            } => {
+                assert_eq!(echoed, corr, "router must echo the correlation id");
+                expect_code(*inner, error_code::NOT_CLUSTERED, &request);
+            }
+            other => panic!("router: expected a Tagged reply for {request:?}, got {other:?}"),
+        }
+    }
+    let stale_hello = Request::Hello {
+        version: delta_server::protocol::PROTOCOL_VERSION.wrapping_add(1),
+        epoch: 0,
+    };
+    let reply = client.request(&stale_hello).expect("hello");
+    expect_code(reply, error_code::BAD_FRAME, &stale_hello);
+    // The refusals left the connection and the cluster serving.
+    assert_eq!(client.hello(0).expect("hello").role, NodeRole::Router);
+    drop(client);
+    cluster.stop();
 }

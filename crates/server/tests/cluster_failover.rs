@@ -209,7 +209,7 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
             bind: "127.0.0.1:0".to_string(),
             nodes: addrs.iter().map(|a| a.to_string()).collect(),
             frontend: None,
-            front: FrontDoor::Reactor { threads: 2 },
+            front: FrontDoor { threads: 2 },
             stall_limit: delta_server::connection::STALL_LIMIT,
             node_timeout: NODE_TIMEOUT,
         },

@@ -1,14 +1,12 @@
 //! End-to-end tests for the connection deadline discipline and the
 //! epoll reactor front door, on a real server over TCP.
 //!
-//! The deadline tests run against **both** front doors: the stall
-//! clock used to arm only once shutdown was pending, so a half-open
-//! client (partial frame, then silence) could pin a connection thread
-//! and its read buffer forever during normal serving. Under either
-//! front, such a client must now be reaped within the configured
-//! `stall_limit` — while a concurrent well-behaved client stays
-//! untouched — and an oversized length word must come back as a typed
-//! `FRAME_TOO_LARGE` error frame before the close, not a silent drop.
+//! A half-open client (partial frame, then silence) must be reaped
+//! within the configured `stall_limit` during normal serving — while a
+//! concurrent well-behaved client stays untouched — and an oversized
+//! length word must come back as a typed `FRAME_TOO_LARGE` error frame
+//! before the close, not a silent drop. That the reactor serves ledgers
+//! byte-identical to `sim::simulate` is pinned by `server_integration`.
 
 use delta_server::protocol::MAX_FRAME_BYTES;
 use delta_server::{
@@ -28,7 +26,7 @@ fn small_survey(n: usize) -> SyntheticSurvey {
     SyntheticSurvey::generate(&cfg)
 }
 
-fn start(front: FrontDoor, stall_limit: Duration, n: usize) -> (Server, SyntheticSurvey) {
+fn start(threads: usize, stall_limit: Duration, n: usize) -> (Server, SyntheticSurvey) {
     let survey = small_survey(n);
     let config = ServerConfig {
         bind: "127.0.0.1:0".to_string(),
@@ -36,7 +34,7 @@ fn start(front: FrontDoor, stall_limit: Duration, n: usize) -> (Server, Syntheti
         cache_bytes: survey.catalog.total_bytes() / 3,
         policy: PolicyKind::VCover,
         seed: 7,
-        front,
+        front: FrontDoor { threads },
         stall_limit,
         ..ServerConfig::default()
     };
@@ -65,9 +63,10 @@ fn await_reap(half: &mut TcpStream) -> Duration {
 /// and went quiet is reaped within the stall limit **without any
 /// shutdown pending**, a concurrent well-behaved client is unaffected,
 /// and the reap is visible on `conn.stall_drops`.
-fn half_open_is_reaped(front: FrontDoor) {
+#[test]
+fn half_open_reaped_under_reactor() {
     let stall = Duration::from_millis(300);
-    let (server, _survey) = start(front, stall, 10);
+    let (server, _survey) = start(1, stall, 10);
     let addr = server.local_addr();
 
     let mut good = DeltaClient::connect(addr).expect("connect");
@@ -112,21 +111,12 @@ fn half_open_is_reaped(front: FrontDoor) {
     server.join();
 }
 
-#[test]
-fn half_open_reaped_under_reactor() {
-    half_open_is_reaped(FrontDoor::Reactor { threads: 1 });
-}
-
-#[test]
-fn half_open_reaped_under_threaded() {
-    half_open_is_reaped(FrontDoor::Threaded);
-}
-
 /// An oversized length word draws a typed `FRAME_TOO_LARGE` error
 /// frame before the close — the client learns *why* it was dropped —
 /// and the drop is counted under `conn.oversize_rejects`.
-fn oversize_gets_typed_reply(front: FrontDoor) {
-    let (server, _survey) = start(front, Duration::from_secs(5), 10);
+#[test]
+fn oversize_typed_reply_under_reactor() {
+    let (server, _survey) = start(1, Duration::from_secs(5), 10);
     let addr = server.local_addr();
 
     let mut s = TcpStream::connect(addr).expect("connect raw");
@@ -166,62 +156,12 @@ fn oversize_gets_typed_reply(front: FrontDoor) {
     server.join();
 }
 
-#[test]
-fn oversize_typed_reply_under_reactor() {
-    oversize_gets_typed_reply(FrontDoor::Reactor { threads: 1 });
-}
-
-#[test]
-fn oversize_typed_reply_under_threaded() {
-    oversize_gets_typed_reply(FrontDoor::Threaded);
-}
-
-/// Both front doors produce byte-identical ledgers for the same
-/// lockstep replay: the reactor changes how sockets are driven, never
-/// what the shards compute.
-#[test]
-fn front_doors_agree_byte_for_byte() {
-    let mut ledgers = Vec::new();
-    for front in [FrontDoor::Reactor { threads: 2 }, FrontDoor::Threaded] {
-        let (server, survey) = start(front, Duration::from_secs(5), 150);
-        let mut client = DeltaClient::connect(server.local_addr()).expect("connect");
-        for event in survey.trace.iter() {
-            match event {
-                Event::Query(q) => {
-                    client.query(q).expect("query");
-                }
-                Event::Update(u) => {
-                    client.update(u).expect("update");
-                }
-            }
-        }
-        let stats = client.stats().expect("stats");
-        client.shutdown().expect("shutdown");
-        server.join();
-        ledgers.push(
-            stats
-                .shards
-                .iter()
-                .map(|s| s.metrics.ledger.clone())
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(
-        ledgers[0], ledgers[1],
-        "reactor and threaded fronts must serve identical ledgers"
-    );
-}
-
 /// A swarm of concurrently pipelined connections over the reactor:
 /// every frame answered, nothing reaped, and the reactor's own
 /// telemetry saw the population.
 #[test]
 fn pipelined_swarm_over_reactor() {
-    let (server, survey) = start(
-        FrontDoor::Reactor { threads: 2 },
-        Duration::from_secs(5),
-        400,
-    );
+    let (server, survey) = start(2, Duration::from_secs(5), 400);
     let addr = server.local_addr();
     const CONNS: usize = 48;
 

@@ -78,7 +78,7 @@ fn mutual_backups_on_one_loop_stay_replicated() {
                 cache_bytes,
                 policy: PolicyKind::VCover,
                 seed: SEED,
-                front: FrontDoor::Reactor { threads: 1 },
+                front: FrontDoor { threads: 1 },
                 cluster: Some(ClusterConfig {
                     node,
                     nodes: NODES,
@@ -101,7 +101,7 @@ fn mutual_backups_on_one_loop_stay_replicated() {
             bind: "127.0.0.1:0".to_string(),
             nodes: peers.clone(),
             frontend: None,
-            front: FrontDoor::Reactor { threads: 1 },
+            front: FrontDoor { threads: 1 },
             stall_limit: delta_server::connection::STALL_LIMIT,
             node_timeout: RouterConfig::DEFAULT_NODE_TIMEOUT,
         },
