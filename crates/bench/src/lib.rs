@@ -14,7 +14,6 @@
 //! | §6.1 cache-size & window tuning | `tuning` | — |
 //! | §6 headline (half traffic at 1/5 cache) | `headline` | — |
 //! | E8 preshipping (latency vs traffic, §4) | `preship` | — |
-//! | E9 failure recovery overhead (§7) | `faults` | — |
 //! | E10 Theorem-1 hindsight optimum | `hindsight` | `offline_cover` |
 //! | E11 A_obj / admission ablations | `ablation` | `policy_throughput` |
 //! | SQL frontend (§4 semantic framework) | — | `query_compile` |

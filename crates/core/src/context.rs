@@ -20,25 +20,9 @@ use crate::cost::{Cost, CostLedger};
 use delta_storage::{CacheError, CacheStore, ObjectId, Repository};
 use delta_workload::QueryEvent;
 
-/// Hook through which data movements become real network messages in the
-/// threaded deployment ([`crate::deploy`]). The in-process simulator uses
-/// no transport; costs are identical either way — the transport only adds
-/// the wire.
-pub trait Transport {
-    /// A query was shipped to the server.
-    fn query_shipped(&mut self, q: &QueryEvent);
-    /// The update range `(from, to]` of `o` was fetched and applied.
-    fn updates_fetched(&mut self, o: ObjectId, from: u64, to: u64, bytes: u64);
-    /// Object `o` was bulk-loaded at `version` with `bytes` total size.
-    fn object_loaded(&mut self, o: ObjectId, version: u64, bytes: u64);
-    /// Object `o` was evicted.
-    fn object_evicted(&mut self, o: ObjectId);
-}
-
 /// Mutable view of the world handed to a policy for one event.
 pub struct SimContext<'a> {
-    /// Server-side repository (authoritative versions and sizes), or the
-    /// cache-side metadata mirror in a threaded deployment.
+    /// Server-side repository (authoritative versions and sizes).
     pub repo: &'a mut Repository,
     /// Middleware cache store.
     pub cache: &'a mut CacheStore,
@@ -60,11 +44,10 @@ pub struct SimContext<'a> {
     pub(crate) sync_messages: u32,
     /// Bytes moved by the synchronous exchanges of this event.
     pub(crate) sync_bytes: u64,
-    transport: Option<&'a mut dyn Transport>,
 }
 
 impl<'a> SimContext<'a> {
-    /// Creates a context (used by the simulator and by tests).
+    /// Creates a context (used by the engine and by tests).
     pub fn new(
         repo: &'a mut Repository,
         cache: &'a mut CacheStore,
@@ -81,30 +64,6 @@ impl<'a> SimContext<'a> {
             served_stale: false,
             sync_messages: 0,
             sync_bytes: 0,
-            transport: None,
-        }
-    }
-
-    /// Creates a context whose data movements are mirrored onto a
-    /// transport (the threaded deployment).
-    pub fn with_transport(
-        repo: &'a mut Repository,
-        cache: &'a mut CacheStore,
-        ledger: &'a mut CostLedger,
-        now: u64,
-        transport: &'a mut dyn Transport,
-    ) -> Self {
-        Self {
-            repo,
-            cache,
-            ledger,
-            now,
-            satisfied: false,
-            answered_local: false,
-            served_stale: false,
-            sync_messages: 0,
-            sync_bytes: 0,
-            transport: Some(transport),
         }
     }
 
@@ -116,9 +75,6 @@ impl<'a> SimContext<'a> {
         self.satisfied = true;
         self.sync_messages += 1;
         self.sync_bytes += q.result_bytes;
-        if let Some(t) = self.transport.as_deref_mut() {
-            t.query_shipped(q);
-        }
     }
 
     /// Answers the query from the cache at zero network cost.
@@ -171,9 +127,6 @@ impl<'a> SimContext<'a> {
         self.ledger.update_ships += 1;
         self.sync_messages += 1;
         self.sync_bytes += bytes;
-        if let Some(t) = self.transport.as_deref_mut() {
-            t.updates_fetched(o, from, to_version, bytes);
-        }
         bytes
     }
 
@@ -186,9 +139,6 @@ impl<'a> SimContext<'a> {
         self.repo.forget_before(o, version);
         self.ledger.breakdown.load += Cost(bytes);
         self.ledger.loads += 1;
-        if let Some(t) = self.transport.as_deref_mut() {
-            t.object_loaded(o, version, bytes);
-        }
         Ok(bytes)
     }
 
@@ -211,9 +161,6 @@ impl<'a> SimContext<'a> {
         self.cache.evict(o).expect("evicting a non-resident object");
         self.repo.forget_before(o, u64::MAX);
         self.ledger.evictions += 1;
-        if let Some(t) = self.transport.as_deref_mut() {
-            t.object_evicted(o);
-        }
     }
 
     /// Whether the physical cache is over its nominal capacity (update

@@ -1,18 +1,17 @@
 //! The decoupling engine: ONE event loop shared by every driver.
 //!
 //! The paper's update/query separation under the satisfaction contract
-//! (§3–§4) used to be implemented three times — in [`crate::sim`], in
-//! [`crate::deploy`]'s cache thread, and in the server's shard workers.
-//! [`Engine`] extracts that loop: it owns the `(Repository, CacheStore,
-//! CostLedger, policy)` quadruple, applies one [`Event`] at a time, and
-//! enforces the contract with a typed [`EngineError`] instead of an
-//! `assert!`. The drivers differ only in where events come from (a trace
-//! iterator, a WAN channel, a TCP frame) and what they do with the
-//! [`EngineOutcome`] — the decisions and the ledger are byte-identical
-//! across all of them, which the tri-modal differential tests pin.
+//! (§3–§4) is needed by two drivers — [`crate::sim`] and the server's
+//! shard cores. [`Engine`] is that loop, written once: it owns the
+//! `(Repository, CacheStore, CostLedger, policy)` quadruple, applies one
+//! [`Event`] at a time, and enforces the contract with a typed
+//! [`EngineError`] instead of an `assert!`. The drivers differ only in
+//! where events come from (a trace iterator, a TCP frame) and what they
+//! do with the [`EngineOutcome`] — the decisions and the ledger are
+//! byte-identical across both, which the tri-modal differential tests
+//! pin.
 //!
-//! Two scale features hang off the unified engine once instead of three
-//! times:
+//! Two scale features hang off the engine once instead of per driver:
 //!
 //! * [`EngineMetrics`] — the uniform operational counters (hit rate,
 //!   tolerance-served queries, bytes by class, evictions) every driver
@@ -23,11 +22,10 @@
 //!   serialize to JSONL (via the workspace's hand-rolled
 //!   serde convention) and rebuild an engine that resumes exactly where
 //!   it stopped. Policy decision state is deliberately *not* captured —
-//!   correctness never depends on it (the same discipline as
-//!   [`crate::deploy`]'s crash recovery), so a restored engine runs a
-//!   fresh policy over restored world state.
+//!   correctness never depends on it, so a restored engine runs a fresh
+//!   policy over restored world state.
 
-use crate::context::{SimContext, Transport};
+use crate::context::SimContext;
 use crate::cost::{json_field as field, CostLedger};
 use crate::policy_trait::CachingPolicy;
 use delta_storage::{CacheStore, ObjectCatalog, ObjectId, Repository, UpdateRecord};
@@ -176,7 +174,7 @@ pub struct Engine<'p, P: CachingPolicy + ?Sized + 'p = dyn CachingPolicy + 'p> {
     /// When set, event timestamps are clamped to the clock so arrival
     /// order becomes the authoritative order (the server's ingest
     /// discipline); when clear, trace timestamps are trusted verbatim
-    /// (the simulator and the lockstep deployment).
+    /// (the simulator).
     clamp_clock: bool,
     queries: u64,
     updates: u64,
@@ -224,42 +222,26 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
     /// Runs the policy's [`CachingPolicy::init`] hook (pre-population).
     /// Not called by [`Engine::restore`] — a restored cache is already
     /// populated, and e.g. `Replica`'s preload would collide with it.
-    pub fn init(&mut self, transport: Option<&mut dyn Transport>) {
-        let mut ctx = match transport {
-            Some(t) => SimContext::with_transport(
-                &mut self.repo,
-                &mut self.cache,
-                &mut self.ledger,
-                self.clock,
-                &mut *t,
-            ),
-            None => SimContext::new(
-                &mut self.repo,
-                &mut self.cache,
-                &mut self.ledger,
-                self.clock,
-            ),
-        };
+    ///
+    /// The argument can never be `Some`: it survives only so existing
+    /// `init(None)` call sites outside the workspace keep compiling.
+    pub fn init(&mut self, _: Option<std::convert::Infallible>) {
+        let mut ctx = SimContext::new(
+            &mut self.repo,
+            &mut self.cache,
+            &mut self.ledger,
+            self.clock,
+        );
         self.policy.init(&mut ctx);
     }
 
-    /// Applies one event with no transport (in-process drivers).
+    /// Applies one event.
     pub fn apply(&mut self, event: &Event) -> Result<EngineOutcome, EngineError> {
-        self.apply_with(event, None)
-    }
-
-    /// Applies one event, mirroring data movements onto `transport` when
-    /// given (the threaded deployment's WAN hook).
-    pub fn apply_with(
-        &mut self,
-        event: &Event,
-        transport: Option<&mut dyn Transport>,
-    ) -> Result<EngineOutcome, EngineError> {
         match event {
             Event::Update(u) => Ok(EngineOutcome::Update {
-                version: self.apply_update(u, transport),
+                version: self.apply_update(u),
             }),
-            Event::Query(q) => self.serve_query(q, transport),
+            Event::Query(q) => self.serve_query(q),
         }
     }
 
@@ -267,7 +249,7 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
     /// copy, then let the policy react — in that order, always. An update
     /// to a non-resident object is forgotten at once: a later load ships
     /// the object whole, so no range below its version is ever asked for.
-    fn apply_update(&mut self, u: &UpdateEvent, transport: Option<&mut dyn Transport>) -> u64 {
+    fn apply_update(&mut self, u: &UpdateEvent) -> u64 {
         let now = self.tick(u.seq);
         let u = UpdateEvent { seq: now, ..*u };
         let version = self.repo.apply_update(u.object, u.bytes, now);
@@ -276,16 +258,7 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
         } else {
             self.repo.forget_before(u.object, version);
         }
-        let mut ctx = match transport {
-            Some(t) => SimContext::with_transport(
-                &mut self.repo,
-                &mut self.cache,
-                &mut self.ledger,
-                now,
-                &mut *t,
-            ),
-            None => SimContext::new(&mut self.repo, &mut self.cache, &mut self.ledger, now),
-        };
+        let mut ctx = SimContext::new(&mut self.repo, &mut self.cache, &mut self.ledger, now);
         self.policy.on_update(&u, &mut ctx);
         self.updates += 1;
         version
@@ -293,11 +266,7 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
 
     /// The query path: the policy must satisfy the query one way or the
     /// other, or the engine reports [`EngineError::ContractViolated`].
-    fn serve_query(
-        &mut self,
-        q: &QueryEvent,
-        transport: Option<&mut dyn Transport>,
-    ) -> Result<EngineOutcome, EngineError> {
+    fn serve_query(&mut self, q: &QueryEvent) -> Result<EngineOutcome, EngineError> {
         let now = self.tick(q.seq);
         let clamped;
         let q = if now == q.seq {
@@ -310,16 +279,7 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
             &clamped
         };
         let (satisfied, local, served_stale, sync_messages, sync_bytes) = {
-            let mut ctx = match transport {
-                Some(t) => SimContext::with_transport(
-                    &mut self.repo,
-                    &mut self.cache,
-                    &mut self.ledger,
-                    now,
-                    &mut *t,
-                ),
-                None => SimContext::new(&mut self.repo, &mut self.cache, &mut self.ledger, now),
-            };
+            let mut ctx = SimContext::new(&mut self.repo, &mut self.cache, &mut self.ledger, now);
             self.policy.on_query(q, &mut ctx);
             let (m, b) = ctx.sync_traffic();
             (
@@ -364,8 +324,7 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
         self.policy.name()
     }
 
-    /// The repository (authoritative state, or the metadata mirror in a
-    /// threaded deployment).
+    /// The repository (authoritative state).
     pub fn repo(&self) -> &Repository {
         &self.repo
     }
@@ -373,13 +332,6 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
     /// The cache store.
     pub fn cache(&self) -> &CacheStore {
         &self.cache
-    }
-
-    /// Mutable cache access — for drivers that model out-of-band damage
-    /// (crash recovery drops or re-marks residents without charging the
-    /// ledger). Event-driven mutation goes through [`Engine::apply`].
-    pub fn cache_mut(&mut self) -> &mut CacheStore {
-        &mut self.cache
     }
 
     /// The cost account.
@@ -408,18 +360,6 @@ impl<'p, P: CachingPolicy + ?Sized + 'p> Engine<'p, P> {
             cache_used: self.cache.used(),
             residents: self.cache.len() as u64,
         }
-    }
-
-    /// Swaps in a fresh policy (a crash lost the old one's volatile
-    /// decision state). World state and the ledger are untouched.
-    pub fn replace_policy(&mut self, policy: Box<P>) {
-        self.policy = policy;
-    }
-
-    /// Swaps in a rebuilt repository (a recovered mirror). Cache and
-    /// ledger are untouched.
-    pub fn replace_repository(&mut self, repo: Repository) {
-        self.repo = repo;
     }
 
     /// Captures everything needed to resume warm: each object's forgotten
@@ -866,6 +806,23 @@ mod tests {
         fn on_update(&mut self, _u: &UpdateEvent, _ctx: &mut SimContext<'_>) {}
     }
 
+    /// Loads object 0 up front, never ships an update and answers every
+    /// query locally — legal only while the query's tolerance covers the
+    /// staleness the engine's invalidation left behind.
+    struct NeverRefresh;
+    impl CachingPolicy for NeverRefresh {
+        fn name(&self) -> &str {
+            "NeverRefresh"
+        }
+        fn init(&mut self, ctx: &mut SimContext<'_>) {
+            ctx.load_object(ObjectId(0)).unwrap();
+        }
+        fn on_query(&mut self, q: &QueryEvent, ctx: &mut SimContext<'_>) {
+            ctx.answer_local(q);
+        }
+        fn on_update(&mut self, _u: &UpdateEvent, _ctx: &mut SimContext<'_>) {}
+    }
+
     #[test]
     fn update_then_query_outcomes() {
         let catalog = ObjectCatalog::from_sizes(&[100, 200]);
@@ -940,13 +897,18 @@ mod tests {
     #[test]
     fn tolerance_served_counts_stale_local_answers() {
         let catalog = ObjectCatalog::from_sizes(&[100]);
-        let mut e = Engine::new(Box::new(Replica), &catalog, 0);
+        let mut e = Engine::new(Box::new(NeverRefresh), &catalog, 1_000);
         e.init(None);
         // Fresh local answer: not tolerance-served.
         e.apply(&Event::Query(query(1, vec![0], 5, 0))).unwrap();
         assert_eq!(e.metrics().tolerance_served, 0);
-        // Replica ships updates on arrival, so force staleness by hand.
-        e.cache_mut().invalidate(ObjectId(0));
+        // The engine invalidates the resident; nothing refreshes it.
+        let u = UpdateEvent {
+            seq: 5,
+            object: ObjectId(0),
+            bytes: 1,
+        };
+        e.apply(&Event::Update(u)).unwrap();
         e.apply(&Event::Query(query(10, vec![0], 5, 100))).unwrap();
         let m = e.metrics();
         assert_eq!(m.tolerance_served, 1);

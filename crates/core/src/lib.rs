@@ -15,14 +15,13 @@
 //!   (§5).
 //! * [`NoCache`] / [`Replica`] / [`SOptimal`] — the three yardsticks of
 //!   §6.1.
-//! * [`engine`] — the one decoupling engine every driver runs: update
+//! * [`engine`] — the one decoupling engine both drivers run (this
+//!   crate's simulator and the server's shard cores): update
 //!   application, invalidation and the satisfaction contract behind a
 //!   typed [`EngineError`], with uniform [`EngineMetrics`] and
 //!   snapshot/warm-restart support.
 //! * [`sim`] — the event simulator producing the cumulative-traffic curves
-//!   of Fig. 7(b)/8, a thin trace driver over the engine; [`deploy`] — the
-//!   same engine over real threads and metered channels, with
-//!   crash/recovery fault injection (§7).
+//!   of Fig. 7(b)/8, a thin trace driver over the engine.
 //! * [`offline`] — the Theorem-1 hindsight optimum: the exact
 //!   minimum-weight vertex cover over a whole trace for a static cached
 //!   set.
@@ -50,7 +49,6 @@
 pub mod benefit;
 pub mod context;
 pub mod cost;
-pub mod deploy;
 pub mod engine;
 pub mod latency;
 pub mod load_manager;

@@ -1,38 +1,33 @@
-//! # delta-net — simulated network substrate
+//! # delta-net — network accounting
 //!
-//! Replaces the paper's physical deployment (MS SQL replication links
-//! between a server and a middleware cache, §6.1) with metered in-process
-//! links:
+//! The paper prices every data movement between the repository and the
+//! middleware cache by its bytes (§3). This crate holds the two pieces
+//! of that accounting the rest of the workspace shares:
 //!
 //! * [`TrafficMeter`] / [`TrafficClass`] — byte counters per communication
 //!   mechanism (query shipping, update shipping, object loading — the
-//!   paper's three, §3 — plus uncharged control traffic).
-//! * [`NetMessage`] — logical wire messages carrying byte counts instead of
-//!   real payloads, preserving the size-proportional cost model.
-//! * [`Link`] / [`Endpoint`] — metered duplex crossbeam channels for the
-//!   threaded client/cache/server deployment; meters reconcile with the
-//!   simulator's cost ledger byte-for-byte.
+//!   paper's three, §3 — plus uncharged control traffic). The server
+//!   meters its wire traffic on one.
+//! * [`LinkModel`] — the first-order WAN model (RTT plus bytes over
+//!   bandwidth) behind the simulator's latency extension and the
+//!   server's injected node latency.
 //!
 //! ```
-//! use delta_net::{Link, NetMessage, TrafficClass};
+//! use delta_net::{LinkModel, TrafficClass, TrafficMeter};
 //!
-//! let (cache, server, meter) = Link::pair();
-//! cache.send(NetMessage::QueryShip { query_seq: 7, result_bytes: 1024 }).unwrap();
-//! assert!(matches!(server.recv().unwrap(), NetMessage::QueryShip { .. }));
+//! let meter = TrafficMeter::new();
+//! meter.record(TrafficClass::QueryShip, 1024);
+//! meter.record(TrafficClass::Control, 16);
 //! assert_eq!(meter.snapshot().bytes_for(TrafficClass::QueryShip), 1024);
+//! assert_eq!(meter.charged_total(), 1024);
+//! assert!(LinkModel::wan().transfer_secs(1024) > LinkModel::lan().transfer_secs(1024));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod fault;
 pub mod latency;
-pub mod link;
-pub mod message;
 pub mod meter;
 
-pub use fault::{LossModel, LossyEndpoint};
 pub use latency::LinkModel;
-pub use link::{Endpoint, Link, LinkError};
-pub use message::{NetMessage, ObjectLog};
 pub use meter::{TrafficClass, TrafficMeter, TrafficSnapshot};

@@ -2,9 +2,9 @@
 //!
 //! The paper's sole figure of merit is network traffic in bytes (§3:
 //! "network traffic costs are assumed proportional to the size of the data
-//! being communicated"). A [`TrafficMeter`] sits on a link and counts every
-//! byte by message class, so simulator-reported costs can be *audited*
-//! against bytes that actually crossed the link.
+//! being communicated"). A [`TrafficMeter`] counts every byte that crosses
+//! a connection by message class, so engine-reported costs can be
+//! *audited* against bytes that actually crossed the wire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,20 +21,15 @@ pub enum TrafficClass {
     ObjectLoad,
     /// Anything else (control, acks); not charged by the paper's model.
     Control,
-    /// Bytes lost in flight and sent again (fault injection). Real
-    /// overhead on the wire, but not part of the paper's charged cost
-    /// model, which assumes reliable transport.
-    Retransmit,
 }
 
 impl TrafficClass {
     /// All classes, in display order.
-    pub const ALL: [TrafficClass; 5] = [
+    pub const ALL: [TrafficClass; 4] = [
         TrafficClass::QueryShip,
         TrafficClass::UpdateShip,
         TrafficClass::ObjectLoad,
         TrafficClass::Control,
-        TrafficClass::Retransmit,
     ];
 
     fn index(self) -> usize {
@@ -43,7 +38,6 @@ impl TrafficClass {
             TrafficClass::UpdateShip => 1,
             TrafficClass::ObjectLoad => 2,
             TrafficClass::Control => 3,
-            TrafficClass::Retransmit => 4,
         }
     }
 }
@@ -51,17 +45,17 @@ impl TrafficClass {
 /// Thread-safe byte counters per traffic class.
 #[derive(Debug, Default)]
 pub struct TrafficMeter {
-    bytes: [AtomicU64; 5],
-    messages: [AtomicU64; 5],
+    bytes: [AtomicU64; 4],
+    messages: [AtomicU64; 4],
 }
 
 /// A point-in-time copy of a meter's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     /// Bytes per class, indexed as [`TrafficClass::ALL`].
-    pub bytes: [u64; 5],
+    pub bytes: [u64; 4],
     /// Message counts per class.
-    pub messages: [u64; 5],
+    pub messages: [u64; 4],
 }
 
 impl TrafficSnapshot {
@@ -98,7 +92,7 @@ impl TrafficMeter {
     /// Copies the counters out.
     pub fn snapshot(&self) -> TrafficSnapshot {
         let mut s = TrafficSnapshot::default();
-        for i in 0..5 {
+        for i in 0..TrafficClass::ALL.len() {
             s.bytes[i] = self.bytes[i].load(Ordering::Relaxed);
             s.messages[i] = self.messages[i].load(Ordering::Relaxed);
         }

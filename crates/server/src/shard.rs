@@ -2,15 +2,14 @@
 //! executed *inline* by the reactor threads.
 //!
 //! A shard core is the network driver of the same engine
-//! `delta_core::sim` and `delta_core::deploy` run: updates invalidate
-//! before the policy sees them, queries run under the satisfaction
-//! contract. Because a shard only ever sees its own sub-catalog and
-//! sub-trace, its ledger is *byte-identical* to an in-process simulation
-//! of that sub-trace — the property the server integration and tri-modal
-//! tests pin.
+//! `delta_core::sim` runs: updates invalidate before the policy sees
+//! them, queries run under the satisfaction contract. Because a shard
+//! only ever sees its own sub-catalog and sub-trace, its ledger is
+//! *byte-identical* to an in-process simulation of that sub-trace — the
+//! property the server integration and tri-modal tests pin.
 //!
 //! Earlier revisions ran one worker thread per shard and ferried every
-//! event through a crossbeam channel pair. On the latency-bound lockstep
+//! event through a channel pair. On the latency-bound lockstep
 //! path that cost two thread handoffs per event (four context switches
 //! on a loaded box) for microseconds of engine work. The cores are now
 //! plain `Mutex<Engine>` values the reactor threads lock directly:

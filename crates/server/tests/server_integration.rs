@@ -87,48 +87,68 @@ fn expected_shard_ledgers(
         .collect()
 }
 
+/// Every policy the server serves, against its sharded simulation twin.
+/// SOptimal is not among them: it plans its static set from the whole
+/// trace in hindsight, so it cannot serve a live stream.
 #[test]
 fn sharded_server_matches_sharded_simulation_exactly() {
     let n_shards = shard_count();
     let survey = small_survey(400);
-    let (server, cache_bytes) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
-    let addr = server.local_addr();
+    for policy in [
+        PolicyKind::VCover,
+        PolicyKind::Benefit,
+        PolicyKind::NoCache,
+        PolicyKind::Replica,
+        PolicyKind::Gds,
+        PolicyKind::Gdsf,
+        PolicyKind::Lru,
+    ] {
+        let (server, cache_bytes) = start_server(&survey, n_shards, policy, 0.3);
+        let addr = server.local_addr();
 
-    let mut client = DeltaClient::connect(addr).expect("connect");
-    replay(&mut client, &survey);
-    let stats = client.stats().expect("stats");
-    client.shutdown().expect("shutdown");
-    let final_stats = server.join();
+        let mut client = DeltaClient::connect(addr).expect("connect");
+        replay(&mut client, &survey);
+        let stats = client.stats().expect("stats");
+        client.shutdown().expect("shutdown");
+        let final_stats = server.join();
 
-    assert_eq!(stats.shards.len(), n_shards);
-    let expected = expected_shard_ledgers(&survey, n_shards, PolicyKind::VCover, cache_bytes, 42);
-    for (shard, want) in stats.shards.iter().zip(&expected) {
+        assert_eq!(stats.shards.len(), n_shards);
+        let expected = expected_shard_ledgers(&survey, n_shards, policy, cache_bytes, 42);
+        for (shard, want) in stats.shards.iter().zip(&expected) {
+            assert_eq!(
+                &shard.metrics.ledger, want,
+                "{policy:?}: shard {} ledger diverged from its in-process simulation twin",
+                shard.shard
+            );
+        }
+
+        // Per-shard ledgers sum exactly to the aggregate.
+        let global = stats.total_ledger();
+        let shard_sum: u64 = stats
+            .shards
+            .iter()
+            .map(|s| s.metrics.ledger.total().bytes())
+            .sum();
+        assert!(
+            global.total().bytes() > 0,
+            "{policy:?}: the replay must move bytes"
+        );
+        assert_eq!(shard_sum, global.total().bytes(), "{policy:?}");
+
+        // Every query was satisfied somewhere.
+        assert!(
+            global.shipped_queries + global.local_answers >= survey.trace.n_queries() as u64,
+            "{policy:?}: each query produces at least one shard sub-query"
+        );
+
+        // The final (post-drain) snapshot agrees with the live one.
+        assert_eq!(final_stats.total_ledger(), global, "{policy:?}");
         assert_eq!(
-            &shard.metrics.ledger, want,
-            "shard {} ledger diverged from its in-process simulation twin",
-            shard.shard
+            final_stats.total_events(),
+            stats.total_events(),
+            "{policy:?}"
         );
     }
-
-    // Per-shard ledgers sum exactly to the aggregate.
-    let global = stats.total_ledger();
-    let shard_sum: u64 = stats
-        .shards
-        .iter()
-        .map(|s| s.metrics.ledger.total().bytes())
-        .sum();
-    assert!(global.total().bytes() > 0, "the replay must move bytes");
-    assert_eq!(shard_sum, global.total().bytes());
-
-    // Every query was satisfied somewhere.
-    assert!(
-        global.shipped_queries + global.local_answers >= survey.trace.n_queries() as u64,
-        "each query produces at least one shard sub-query"
-    );
-
-    // The final (post-drain) snapshot agrees with the live one.
-    assert_eq!(final_stats.total_ledger(), global);
-    assert_eq!(final_stats.total_events(), stats.total_events());
 }
 
 #[test]

@@ -1,15 +1,15 @@
-//! The tri-modal differential suite: the SAME trace driven through the
-//! three engine drivers — `sim::simulate` (in-process), `deploy` (three
-//! threads over metered channels) and the TCP server (shard workers) —
-//! must produce byte-identical ledgers, and the identity must survive a
-//! snapshot/restore cycle (the server's warm-restart path).
+//! The tri-modal differential suite: the SAME trace driven three ways —
+//! through `sim::simulate` (in-process), through the TCP server's shard
+//! cores, and through a server restarted from that server's snapshots
+//! (the warm-restart path) — must produce byte-identical ledgers. The
+//! simulator and the shard cores are the engine's two drivers.
 //!
 //! Also here: the rolling warm-restart scenario (stop the server
 //! mid-trace, restart from snapshots, finish the trace) and the hostile
 //! contract-violation test (a deliberately broken policy must surface as
 //! a typed error frame, not a dead shard thread).
 
-use delta_core::{deploy, sim, CostLedger, VCover};
+use delta_core::{sim, CostLedger, VCover};
 use delta_server::{
     error_code, read_frame, shard_trace, write_frame, BatchItem, BatchReply, DeltaClient,
     PolicyKind, Request, Response, RoundRobin, Server, ServerConfig, StatsSnapshot,
@@ -110,7 +110,7 @@ fn assert_stats_match(stats: &StatsSnapshot, want: &[CostLedger], context: &str)
     }
 }
 
-/// The acceptance pin: one 50k-event trace through all three drivers,
+/// The acceptance pin: one 50k-event trace through both drivers,
 /// byte-identical ledgers, before and after a snapshot/restore cycle.
 #[test]
 fn tri_modal_ledgers_are_byte_identical() {
@@ -126,21 +126,7 @@ fn tri_modal_ledgers_are_byte_identical() {
     let mut p = VCover::new(cache_bytes, 42);
     let sim_report = sim::simulate(&mut p, &s.catalog, &s.trace, opts);
 
-    // Driver 2: the threaded client/cache/server deployment.
-    let mut p = VCover::new(cache_bytes, 42);
-    let (dep_report, wan) = deploy::run_deployed(&mut p, &s.catalog, &s.trace, opts);
-    assert_eq!(
-        sim_report.ledger, dep_report.ledger,
-        "simulator and threaded deployment diverged"
-    );
-    assert_eq!(
-        dep_report.total().bytes(),
-        wan.charged_total(),
-        "deployment ledger and WAN meter must reconcile"
-    );
-    assert_eq!(sim_report.metrics, dep_report.metrics);
-
-    // Driver 3: the TCP server, per-shard against the offline twin.
+    // Driver 2: the TCP server, per-shard against the offline twin.
     let dir = scratch_dir("tri-modal");
     let server = Server::start(
         config(PolicyKind::VCover, cache_bytes, Some(dir.clone())),
@@ -154,8 +140,8 @@ fn tri_modal_ledgers_are_byte_identical() {
     let want = expected_shard_ledgers(&s, cache_bytes);
     assert_stats_match(&stats, &want, "fresh server");
     if shard_count() == 1 {
-        // With one shard there is no partitioning: all three drivers see
-        // the identical event stream and must agree outright.
+        // With one shard there is no partitioning: both drivers see the
+        // identical event stream and must agree outright.
         assert_eq!(stats.shards[0].metrics.ledger, sim_report.ledger);
     }
     client.shutdown().expect("shutdown");

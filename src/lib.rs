@@ -2,8 +2,8 @@
 //!
 //! Re-exports the whole Delta reproduction workspace behind one dependency:
 //! the paper's decoupling framework ([`delta_core`]), the substrates it
-//! runs on (HTM sky partitioning, max-flow/vertex-cover engine, simulated
-//! network, object stores, replacement policies, and the SDSS-like
+//! runs on (HTM sky partitioning, max-flow/vertex-cover engine, network
+//! accounting, object stores, replacement policies, and the SDSS-like
 //! workload reconstruction), and the sharded TCP cache service
 //! ([`delta_server`]) that puts the engine on the wire.
 //!
