@@ -1,21 +1,22 @@
 //! # delta-bench — figure regeneration harness
 //!
 //! One binary per figure of the paper's evaluation (§6), plus criterion
-//! microbenchmarks for the algorithmic substrates. Binaries print the
-//! series the paper plots and write machine-readable JSON under
-//! `results/` at the repository root.
+//! microbenchmarks for the algorithmic substrates no binary exercises.
+//! Binaries print the series the paper plots and write machine-readable
+//! JSON under `results/` at the repository root. Serving-path performance
+//! is measured by the separate `benchmark/` package, not here.
 //!
 //! | artifact | binary | criterion bench |
 //! |---|---|---|
-//! | Fig. 7(a) object-ID scatter | `fig7a` | `workload_gen` |
-//! | Fig. 7(b) cumulative traffic | `fig7b` | `fig7b_cumulative` |
-//! | Fig. 8(a) traffic vs #updates | `fig8a` | `fig8a_updates` |
-//! | Fig. 8(b) granularity sweep | `fig8b` | `fig8b_granularity` |
-//! | §6.1 cache-size & window tuning | `tuning` | — |
+//! | Fig. 7(a) object-ID scatter | `fig7a` | — |
+//! | Fig. 7(b) cumulative traffic | `fig7b` | — |
+//! | Fig. 8(a) traffic vs #updates | `fig8a` | — |
+//! | Fig. 8(b) granularity sweep | `fig8b` | — |
 //! | §6 headline (half traffic at 1/5 cache) | `headline` | — |
 //! | E8 preshipping (latency vs traffic, §4) | `preship` | — |
-//! | E10 Theorem-1 hindsight optimum | `hindsight` | `offline_cover` |
+//! | E10 Theorem-1 hindsight optimum | `hindsight` | — |
 //! | E11 A_obj / admission ablations | `ablation` | `policy_throughput` |
+//! | §4 incremental max-flow complexity | — | `flow_incremental` |
 //! | SQL frontend (§4 semantic framework) | — | `query_compile` |
 //!
 //! All binaries accept `--scale paper` (the full 500k-event §6.1 setup)

@@ -7,7 +7,7 @@
 //!               [--events N] [--limit N] [--clients C]
 //!               [--batch N] [--pipeline W]
 //!               [--connections N]
-//!               [--bench-json PATH] [--telemetry-json PATH] [--shutdown]
+//!               [--telemetry-json PATH] [--shutdown]
 //! ```
 //!
 //! `--connections N` switches to the many-connection soak: N pipelined
@@ -16,10 +16,7 @@
 //! the whole population in flight at once. The run fails if the
 //! server's `conn.stall_drops` counter advances (a well-behaved client
 //! was reaped by the stall deadline) or if any of the `reactor.*`
-//! liveness counters is still zero. With `--bench-json` the
-//! aggregate events/s is written as a `c1m` mode entry (the repo
-//! convention is `results/BENCH_c1m.json`), which `bench_gate` fences
-//! like any other mode. Raise `ulimit -n` past N first.
+//! liveness counters is still zero. Raise `ulimit -n` past N first.
 //!
 //! `--events N` regenerates the preset workload with N/2 queries and
 //! N/2 updates over the preset's catalog (unlike `--limit`, which
@@ -27,24 +24,12 @@
 //! --events 50000` reproduces the 50k-event trace the `tri_modal`
 //! differential suite pins.
 //!
-//! `--bench-json PATH` switches to benchmark mode: after one unmeasured
-//! warm-up replay (so every mode runs against the same warmed caches and
-//! repository state, and the ratios compare protocol overhead rather
-//! than cache warmth), the trace is replayed three measured times —
-//! lockstep, batched and pipelined — and a JSON document with the
-//! events/s per mode, the client-observed round-trip latency quantiles
-//! per mode (`latency_ns`: p50/p90/p99/p999, per op in lockstep and per
-//! frame otherwise), the server's shard count and the final aggregate
-//! metrics (reflecting all four replays) is written to PATH (the repo
-//! convention is `results/BENCH_server.json`), so successive PRs can
-//! track protocol throughput *and* tail-latency regressions from CI
-//! artifacts.
-//!
 //! `--telemetry-json PATH` scrapes the server's own telemetry (latency
 //! histograms, wire counters; the cluster-wide merge when `--addr`
 //! points at a router) after the replay, prints the table, fails if the
-//! core wire counters are still zero, and writes the snapshot to PATH —
-//! the CI smoke bench uses this as its end-to-end observability check.
+//! core wire counters are still zero, and writes the snapshot to PATH
+//! (creating its parent directory) — the CI smoke replay uses this as
+//! its end-to-end observability check.
 //!
 //! With `--clients C`, the trace is dealt round-robin over C connections
 //! driven by C threads (updates and queries stay globally ordered per
@@ -64,7 +49,7 @@
 //! aggregate totals.
 
 use delta_server::{
-    BatchItem, BatchReply, DeltaClient, Histogram, NodeInfo, PipelinedClient, Request, Response,
+    BatchItem, BatchReply, DeltaClient, Histogram, PipelinedClient, Request, Response,
 };
 use delta_workload::{Event, Trace, WorkloadConfig};
 use std::collections::HashMap;
@@ -80,7 +65,6 @@ struct Args {
     clients: usize,
     batch: usize,
     pipeline: usize,
-    bench_json: Option<String>,
     telemetry_json: Option<String>,
     shutdown: bool,
     reshard_at: Option<usize>,
@@ -93,7 +77,7 @@ fn usage() -> ! {
         "usage: delta-loadgen --addr ADDR [--trace FILE | --preset small|paper] \
          [--events N] [--limit N] [--clients C] [--batch N] [--pipeline W] \
          [--connections N] \
-         [--bench-json PATH] [--telemetry-json PATH] \
+         [--telemetry-json PATH] \
          [--reshard-at N --reshard SHARD:NODE] [--shutdown]"
     );
     exit(2);
@@ -122,6 +106,14 @@ fn scrape_telemetry(addr: &str, path: &str) {
         eprintln!("delta-loadgen: every telemetry histogram is empty after a replay");
         exit(1);
     }
+    if let Some(parent) = std::path::Path::new(path).parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
+                eprintln!("delta-loadgen: cannot create {}: {e}", parent.display());
+                exit(1);
+            });
+        }
+    }
     let mut body = snap.to_json();
     body.push('\n');
     std::fs::write(path, body).unwrap_or_else(|e| {
@@ -141,7 +133,6 @@ fn parse_args() -> Args {
         clients: 1,
         batch: 1,
         pipeline: 1,
-        bench_json: None,
         telemetry_json: None,
         shutdown: false,
         reshard_at: None,
@@ -163,7 +154,6 @@ fn parse_args() -> Args {
             "--clients" => args.clients = value(&argv, i).parse().unwrap_or_else(|_| usage()),
             "--batch" => args.batch = value(&argv, i).parse().unwrap_or_else(|_| usage()),
             "--pipeline" => args.pipeline = value(&argv, i).parse().unwrap_or_else(|_| usage()),
-            "--bench-json" => args.bench_json = Some(value(&argv, i)),
             "--telemetry-json" => args.telemetry_json = Some(value(&argv, i)),
             "--reshard-at" => {
                 args.reshard_at = Some(value(&argv, i).parse().unwrap_or_else(|_| usage()))
@@ -202,20 +192,13 @@ fn parse_args() -> Args {
         eprintln!("delta-loadgen: --reshard-at and --reshard must be given together");
         exit(2);
     }
-    if args.reshard.is_some() && (args.clients > 1 || args.bench_json.is_some()) {
-        eprintln!("delta-loadgen: --reshard needs a single client and no --bench-json");
+    if args.reshard.is_some() && args.clients > 1 {
+        eprintln!("delta-loadgen: --reshard needs a single client");
         exit(2);
     }
     args.batch = args.batch.max(1);
     args.pipeline = args.pipeline.max(1);
     args
-}
-
-/// Handshakes with the target to learn what it is (standalone server,
-/// cluster node or router) — recorded in the bench metadata so BENCH_*
-/// trajectories stay comparable across configurations.
-fn fetch_info(addr: &str) -> Option<NodeInfo> {
-    DeltaClient::connect(addr).and_then(|mut c| c.hello(0)).ok()
 }
 
 fn load_trace(args: &Args) -> Trace {
@@ -245,34 +228,20 @@ fn load_trace(args: &Args) -> Trace {
 /// Replay totals: queries sent, updates sent, shard sub-queries fanned.
 type Totals = (u64, u64, u64);
 
-/// `lat`, when given, collects client-observed round-trip latencies:
-/// per *op* in lockstep mode, per *frame* in batched and pipelined
-/// modes (a frame is what the client actually waits on there).
-fn replay(
-    addr: &str,
-    events: &[Event],
-    batch: usize,
-    pipeline: usize,
-    lat: Option<&Histogram>,
-) -> std::io::Result<Totals> {
+fn replay(addr: &str, events: &[Event], batch: usize, pipeline: usize) -> std::io::Result<Totals> {
     if batch == 1 && pipeline == 1 {
-        replay_lockstep(addr, events, lat)
+        replay_lockstep(addr, events)
     } else if pipeline == 1 {
-        replay_batched(addr, events, batch, lat)
+        replay_batched(addr, events, batch)
     } else {
-        replay_pipelined(addr, events, batch, pipeline, lat)
+        replay_pipelined(addr, events, batch, pipeline)
     }
 }
 
-fn replay_lockstep(
-    addr: &str,
-    events: &[Event],
-    lat: Option<&Histogram>,
-) -> std::io::Result<Totals> {
+fn replay_lockstep(addr: &str, events: &[Event]) -> std::io::Result<Totals> {
     let mut client = DeltaClient::connect(addr)?;
     let (mut queries, mut updates, mut sub_queries) = (0u64, 0u64, 0u64);
     for event in events {
-        let t0 = Instant::now();
         match event {
             Event::Query(q) => {
                 let reply = client.query(q)?;
@@ -283,9 +252,6 @@ fn replay_lockstep(
                 client.update(u)?;
                 updates += 1;
             }
-        }
-        if let Some(h) = lat {
-            h.record_duration(t0.elapsed());
         }
     }
     Ok((queries, updates, sub_queries))
@@ -341,20 +307,11 @@ fn tally_response(response: &Response, totals: &mut Totals) -> std::io::Result<(
     Ok(())
 }
 
-fn replay_batched(
-    addr: &str,
-    events: &[Event],
-    batch: usize,
-    lat: Option<&Histogram>,
-) -> std::io::Result<Totals> {
+fn replay_batched(addr: &str, events: &[Event], batch: usize) -> std::io::Result<Totals> {
     let mut client = DeltaClient::connect(addr)?;
     let mut totals = (0u64, 0u64, 0u64);
     for chunk in events.chunks(batch) {
-        let t0 = Instant::now();
         let replies = client.batch(&to_items(chunk))?;
-        if let Some(h) = lat {
-            h.record_duration(t0.elapsed());
-        }
         tally_batch(&replies, &mut totals)?;
     }
     Ok(totals)
@@ -365,23 +322,11 @@ fn replay_pipelined(
     events: &[Event],
     batch: usize,
     window: usize,
-    lat: Option<&Histogram>,
 ) -> std::io::Result<Totals> {
     let mut pipe = DeltaClient::connect(addr)?.pipelined(window);
     let mut totals = (0u64, 0u64, 0u64);
-    // Frame latency is submit → matched reply, tracked per correlation
-    // id (replies can arrive in any order in principle). A submit that
-    // blocks for a window slot counts toward the frames it reaps, not
-    // the frame being submitted.
-    let mut in_flight: HashMap<u64, Instant> = HashMap::new();
-    let reap = |pairs: Vec<(u64, Response)>,
-                totals: &mut Totals,
-                in_flight: &mut HashMap<u64, Instant>|
-     -> std::io::Result<()> {
-        for (corr, response) in pairs {
-            if let (Some(h), Some(t0)) = (lat, in_flight.remove(&corr)) {
-                h.record_duration(t0.elapsed());
-            }
+    let reap = |pairs: Vec<(u64, Response)>, totals: &mut Totals| -> std::io::Result<()> {
+        for (_, response) in pairs {
             tally_response(&response, totals)?;
         }
         Ok(())
@@ -395,178 +340,12 @@ fn replay_pipelined(
         } else {
             Request::Batch(to_items(chunk))
         };
-        let corr = pipe.submit(&request)?;
-        if lat.is_some() {
-            in_flight.insert(corr, Instant::now());
-        }
-        reap(pipe.completed(), &mut totals, &mut in_flight)?;
+        pipe.submit(&request)?;
+        reap(pipe.completed(), &mut totals)?;
     }
     let drained = pipe.drain()?;
-    reap(drained, &mut totals, &mut in_flight)?;
+    reap(drained, &mut totals)?;
     Ok(totals)
-}
-
-/// Benchmark mode: replay the trace in each protocol shape, measure
-/// events/s, and write the machine-readable results document.
-fn run_bench(args: &Args, trace: &Trace, path: &str) {
-    use serde_json::{ToJson, Value};
-    let batch = if args.batch > 1 { args.batch } else { 64 };
-    let window = if args.pipeline > 1 { args.pipeline } else { 8 };
-    // One unmeasured pass first: the modes must all run against the same
-    // warmed caches, or the first-measured mode pays the warm-up bytes
-    // and the per-mode ratios conflate protocol cost with cache state.
-    eprintln!("bench    warmup (unmeasured replay to steady state)");
-    replay(&args.addr, &trace.events, batch, 1, None).unwrap_or_else(|e| {
-        eprintln!("delta-loadgen: bench warmup failed: {e}");
-        exit(1);
-    });
-    let modes = [
-        ("lockstep", 1usize, 1usize),
-        ("batch", batch, 1),
-        ("pipeline", batch, window),
-    ];
-    let mut mode_docs = Vec::new();
-    let mut rates: Vec<(&str, f64)> = Vec::new();
-    for (name, b, w) in modes {
-        // Client-observed round-trip latency: per op in lockstep, per
-        // frame otherwise — the thing a caller actually waits on.
-        let lat = Histogram::new();
-        let start = Instant::now();
-        let (queries, updates, _) = replay(&args.addr, &trace.events, b, w, Some(&lat))
-            .unwrap_or_else(|e| {
-                eprintln!("delta-loadgen: bench mode {name} failed: {e}");
-                exit(1);
-            });
-        let elapsed = start.elapsed().as_secs_f64();
-        let events = queries + updates;
-        let events_per_sec = events as f64 / elapsed;
-        let lat = lat.snapshot();
-        eprintln!(
-            "bench {name:>9} (batch={b}, pipeline={w}): {events} events in {elapsed:.2}s \
-             ({events_per_sec:.0} events/s); rtt p50={:.1}µs p99={:.1}µs p999={:.1}µs",
-            lat.p50() as f64 / 1e3,
-            lat.p99() as f64 / 1e3,
-            lat.p999() as f64 / 1e3,
-        );
-        rates.push((name, events_per_sec));
-        mode_docs.push(Value::Object(vec![
-            ("name".into(), name.to_string().to_json()),
-            ("batch".into(), b.to_json()),
-            ("pipeline".into(), w.to_json()),
-            ("events".into(), events.to_json()),
-            ("elapsed_s".into(), elapsed.to_json()),
-            ("events_per_sec".into(), events_per_sec.to_json()),
-            (
-                "latency_ns".into(),
-                Value::Object(vec![
-                    ("count".into(), lat.count.to_json()),
-                    ("mean".into(), lat.mean().to_json()),
-                    ("p50".into(), lat.p50().to_json()),
-                    ("p90".into(), lat.p90().to_json()),
-                    ("p99".into(), lat.p99().to_json()),
-                    ("p999".into(), lat.p999().to_json()),
-                    ("max".into(), lat.max.to_json()),
-                ]),
-            ),
-        ]));
-    }
-
-    // The window coalescing exists precisely so that pipelining is never
-    // slower than plain batching; assert it so a regression fails the
-    // smoke bench instead of silently landing in the JSON artifact. The
-    // hard check needs a trace long enough to measure: on tiny traces
-    // the modes run in milliseconds and the later-measured mode pays the
-    // server-state drift of every earlier replay (each pass grows the
-    // policies' decision graphs), which swamps the protocol difference.
-    const BENCH_CHECK_MIN_EVENTS: usize = 20_000;
-    let rate = |want: &str| {
-        rates
-            .iter()
-            .find(|(n, _)| *n == want)
-            .map(|&(_, r)| r)
-            .unwrap_or(0.0)
-    };
-    let (batch_rate, pipeline_rate) = (rate("batch"), rate("pipeline"));
-    if pipeline_rate >= batch_rate {
-        eprintln!(
-            "bench check: pipeline ({pipeline_rate:.0} ev/s) >= batch ({batch_rate:.0} ev/s) ✓"
-        );
-    } else if trace.len() < BENCH_CHECK_MIN_EVENTS {
-        eprintln!(
-            "bench check: pipeline ({pipeline_rate:.0} ev/s) < batch ({batch_rate:.0} ev/s) \
-             on a {}-event trace — too short to be conclusive (< {BENCH_CHECK_MIN_EVENTS}); \
-             not failing. Re-run with --events 50000.",
-            trace.len()
-        );
-    } else {
-        eprintln!(
-            "delta-loadgen: bench check FAILED: pipeline ({pipeline_rate:.0} ev/s) < batch \
-             ({batch_rate:.0} ev/s) — per-frame flushing has regressed the windowed path"
-        );
-        exit(1);
-    }
-
-    let stats = DeltaClient::connect(&args.addr)
-        .and_then(|mut c| c.stats())
-        .unwrap_or_else(|e| {
-            eprintln!("delta-loadgen: stats failed: {e}");
-            exit(1);
-        });
-    print!("{}", stats.render_table());
-    let metrics = stats.total_metrics();
-    // Run metadata: which partitioner/policy/shard/node shape produced
-    // these numbers, so the BENCH_* trajectory stays comparable across
-    // configurations.
-    let info = fetch_info(&args.addr);
-    let doc = Value::Object(vec![
-        ("trace_events".into(), trace.len().to_json()),
-        ("shards".into(), stats.shards.len().to_json()),
-        (
-            "policy".into(),
-            stats
-                .shards
-                .first()
-                .map(|s| s.policy.clone())
-                .unwrap_or_default()
-                .to_json(),
-        ),
-        (
-            "partitioner".into(),
-            info.as_ref()
-                .map(|i| i.partitioner.clone())
-                .unwrap_or_default()
-                .to_json(),
-        ),
-        (
-            "nodes".into(),
-            info.as_ref().map(|i| i.nodes as u64).unwrap_or(1).to_json(),
-        ),
-        (
-            "epoch".into(),
-            info.as_ref().map(|i| i.epoch).unwrap_or(0).to_json(),
-        ),
-        ("modes".into(), Value::Array(mode_docs)),
-        (
-            "final_ledger_bytes".into(),
-            metrics.ledger.total().bytes().to_json(),
-        ),
-        ("final_metrics".into(), metrics.to_json()),
-    ]);
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                eprintln!("delta-loadgen: cannot create {}: {e}", parent.display());
-                exit(1);
-            });
-        }
-    }
-    let mut body = doc.to_json_string_pretty();
-    body.push('\n');
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("delta-loadgen: cannot write {path}: {e}");
-        exit(1);
-    });
-    eprintln!("wrote {path}");
 }
 
 /// `--connections N`: the many-connection soak. Opens N pipelined
@@ -585,7 +364,6 @@ fn run_bench(args: &Args, trace: &Trace, path: &str) {
 /// `reactor.closed` is zero: the event loops that serve every connection
 /// must show they accepted, woke for and closed some.
 fn run_connections(args: &Args, trace: &Trace) {
-    use serde_json::{ToJson, Value};
     let n = args.connections;
     let window = if args.pipeline > 1 { args.pipeline } else { 8 };
     let threads = n.clamp(1, 32);
@@ -740,53 +518,6 @@ fn run_connections(args: &Args, trace: &Trace) {
         }
     }
     eprintln!("c1m check: reactor.* counters alive ✓");
-
-    if let Some(path) = &args.bench_json {
-        let doc = Value::Object(vec![
-            ("trace_events".into(), trace.len().to_json()),
-            ("connections".into(), n.to_json()),
-            ("driver_threads".into(), threads.to_json()),
-            ("window".into(), window.to_json()),
-            (
-                "modes".into(),
-                Value::Array(vec![Value::Object(vec![
-                    ("name".into(), "c1m".to_string().to_json()),
-                    ("batch".into(), 1u64.to_json()),
-                    ("pipeline".into(), window.to_json()),
-                    ("events".into(), events.to_json()),
-                    ("elapsed_s".into(), elapsed.to_json()),
-                    ("events_per_sec".into(), events_per_sec.to_json()),
-                    (
-                        "latency_ns".into(),
-                        Value::Object(vec![
-                            ("count".into(), lat.count.to_json()),
-                            ("mean".into(), lat.mean().to_json()),
-                            ("p50".into(), lat.p50().to_json()),
-                            ("p90".into(), lat.p90().to_json()),
-                            ("p99".into(), lat.p99().to_json()),
-                            ("p999".into(), lat.p999().to_json()),
-                            ("max".into(), lat.max.to_json()),
-                        ]),
-                    ),
-                ])]),
-            ),
-        ]);
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                    eprintln!("delta-loadgen: cannot create {}: {e}", parent.display());
-                    exit(1);
-                });
-            }
-        }
-        let mut body = doc.to_json_string_pretty();
-        body.push('\n');
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("delta-loadgen: cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
 }
 
 fn main() {
@@ -794,24 +525,6 @@ fn main() {
     let trace = load_trace(&args);
     if args.connections > 0 {
         run_connections(&args, &trace);
-        if let Some(tpath) = &args.telemetry_json {
-            scrape_telemetry(&args.addr, tpath);
-        }
-        if args.shutdown {
-            let mut client = DeltaClient::connect(&args.addr).unwrap_or_else(|e| {
-                eprintln!("delta-loadgen: cannot reconnect for shutdown: {e}");
-                exit(1);
-            });
-            client.shutdown().unwrap_or_else(|e| {
-                eprintln!("delta-loadgen: shutdown failed: {e}");
-                exit(1);
-            });
-            eprintln!("server shutdown requested");
-        }
-        return;
-    }
-    if let Some(path) = args.bench_json.clone() {
-        run_bench(&args, &trace, &path);
         if let Some(tpath) = &args.telemetry_json {
             scrape_telemetry(&args.addr, tpath);
         }
@@ -867,7 +580,6 @@ fn main() {
                     &trace.events[..at],
                     args.batch,
                     args.pipeline,
-                    None,
                 ));
                 let epoch = DeltaClient::connect(&args.addr)
                     .and_then(|mut c| c.reshard(shard, node))
@@ -883,17 +595,10 @@ fn main() {
                     &trace.events[at..],
                     args.batch,
                     args.pipeline,
-                    None,
                 ));
                 (head.0 + tail.0, head.1 + tail.1, head.2 + tail.2)
             }
-            _ => must(replay(
-                &args.addr,
-                &trace.events,
-                args.batch,
-                args.pipeline,
-                None,
-            )),
+            _ => must(replay(&args.addr, &trace.events, args.batch, args.pipeline)),
         }
     } else {
         // Deal events round-robin across C lockstep connections.
@@ -911,9 +616,7 @@ fn main() {
         std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .iter()
-                .map(|lane| {
-                    scope.spawn(|| replay(&args.addr, lane, args.batch, args.pipeline, None))
-                })
+                .map(|lane| scope.spawn(|| replay(&args.addr, lane, args.batch, args.pipeline)))
                 .collect();
             let mut totals = (0u64, 0u64, 0u64);
             for h in handles {

@@ -595,3 +595,47 @@ fn cluster_verbs_are_typed_errors_in_the_wrong_role() {
     drop(client);
     cluster.stop();
 }
+
+/// The router coalesces a pipelined window onto its node links: the
+/// eight frames of a `pipelined(8)` window arrive in one read, and their
+/// sub-requests leave in at most one flush per node link — never one per
+/// frame. `router.mux_frames_per_flush` records one sample per link flush.
+#[test]
+fn pipelined_window_costs_at_most_one_flush_per_node() {
+    const WINDOW: usize = 8;
+    const WINDOWS: usize = 16;
+    let s = survey(WINDOW * WINDOWS);
+    let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
+    let cluster = start_cluster(
+        PolicyKind::VCover,
+        PartitionerKind::HashRing,
+        cache_bytes,
+        &s.catalog,
+    );
+    let mut pipe = DeltaClient::connect(cluster.router_addr)
+        .expect("connect")
+        .pipelined(WINDOW);
+    let mut probe = DeltaClient::connect(cluster.router_addr).expect("connect");
+    let link_flushes = |probe: &mut DeltaClient| {
+        let snap = probe.telemetry().expect("telemetry");
+        snap.histogram("router.mux_frames_per_flush")
+            .map_or(0, |h| h.count)
+    };
+    for window in s.trace.events.chunks(WINDOW).take(WINDOWS) {
+        let before = link_flushes(&mut probe);
+        for event in window {
+            let request = match event {
+                Event::Query(q) => Request::Query(q.clone()),
+                Event::Update(u) => Request::Update(*u),
+            };
+            pipe.submit(&request).expect("submit");
+        }
+        assert_eq!(pipe.drain().expect("drain").len(), WINDOW);
+        let flushes = link_flushes(&mut probe) - before;
+        assert!(
+            flushes <= NODES as u64,
+            "a window of {WINDOW} frames cost {flushes} node-link flushes"
+        );
+    }
+    cluster.stop();
+}

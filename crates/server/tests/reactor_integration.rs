@@ -216,3 +216,46 @@ fn pipelined_swarm_over_reactor() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// A pipelined window is answered with one coalesced write: a
+/// `pipelined(8)` client sends its eight frames in one `write_all`, the
+/// reactor serves all eight from one read and flushes their responses
+/// together, so each window costs exactly one `conn.flushes`. A flush per
+/// frame would cost eight.
+#[test]
+fn pipelined_window_costs_one_flush() {
+    const WINDOW: usize = 8;
+    const WINDOWS: usize = 16;
+    let (server, survey) = start(1, Duration::from_secs(5), WINDOW * WINDOWS);
+    let addr = server.local_addr();
+    let mut pipe = DeltaClient::connect(addr)
+        .expect("connect")
+        .pipelined(WINDOW);
+    let mut probe = DeltaClient::connect(addr).expect("connect");
+    let flushes = |probe: &mut DeltaClient| {
+        probe
+            .telemetry()
+            .expect("telemetry")
+            .counter("conn.flushes")
+    };
+
+    let before = flushes(&mut probe);
+    for window in survey.trace.events.chunks(WINDOW).take(WINDOWS) {
+        for event in window {
+            let request = match event {
+                Event::Query(q) => Request::Query(q.clone()),
+                Event::Update(u) => Request::Update(*u),
+            };
+            pipe.submit(&request).expect("submit");
+        }
+        let replies = pipe.drain().expect("drain");
+        assert_eq!(replies.len(), WINDOW, "every frame answered");
+    }
+    // The probe's first telemetry reply is flushed after its snapshot
+    // was taken, so the second snapshot counts it too.
+    let windows = flushes(&mut probe) - before - 1;
+    assert_eq!(windows, WINDOWS as u64, "one flush per pipelined window");
+
+    probe.shutdown().expect("shutdown");
+    server.join();
+}
