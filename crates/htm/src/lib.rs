@@ -14,7 +14,9 @@
 //! * [`Region`] — query footprints (cones, RA/Dec rectangles, great-circle
 //!   scan bands, all-sky) with conservative trixel intersection.
 //! * [`Partition`] — density-adaptive partitions with arbitrary leaf
-//!   counts, reproducing the 10–532 object sets of Fig. 8(b).
+//!   counts, reproducing the 10–532 object sets of Fig. 8(b). Each keeps
+//!   its tree as a prebuilt node arena, so point location and region
+//!   covers walk stored geometry instead of re-subdividing the mesh.
 //!
 //! ```
 //! use delta_htm::{mesh, Partition, Region, Vec3};

@@ -38,6 +38,7 @@ pub fn lookup(p: Vec3, level: u8) -> TrixelId {
 /// `region`, by recursive descent with pruning.
 pub fn cover(region: &Region, level: u8) -> Vec<TrixelId> {
     assert!(level <= TrixelId::MAX_LEVEL, "level too deep");
+    let region = region.prepare();
     let mut out = Vec::new();
     let mut stack: Vec<Trixel> = Trixel::bases().to_vec();
     while let Some(t) = stack.pop() {

@@ -12,22 +12,53 @@
 //! this: starting from the 8 base trixels it repeatedly splits the
 //! heaviest leaf (by a caller-supplied density functional) until the number
 //! of *non-empty* leaves reaches a target.
+//!
+//! Once built, the tree is fixed, so [`Partition`] stores it: a flat
+//! arena of nodes carrying each trixel's edge planes and bounding cap.
+//! [`Partition::objects_for_region`] walks it with the region prepared
+//! once, dropping a node on a cheap cap test only when the exact
+//! predicate would drop it too (the margin argument is on the region
+//! module's prefilter), so the answer is bit-for-bit the exact
+//! predicate's.
 
-use crate::region::Region;
-use crate::trixel::{Trixel, TrixelId};
+use crate::region::{PreparedRegion, Region};
+use crate::trixel::{Cap, Geometry, Trixel, TrixelId};
 use crate::vec3::Vec3;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A partition of the sphere into leaf trixels, each a cacheable object.
 ///
 /// Leaves are assigned dense indices `0..len()` in trixel-id order, which
 /// downstream crates use as object ids.
+///
+/// The partition's tree — the 8 base trixels and every split node down to
+/// the leaves — is built once, as a flat arena, when the partition is
+/// made. [`Self::locate`] and [`Self::objects_for_region`] walk it without
+/// re-subdividing a trixel or hashing an id.
 #[derive(Clone, Debug)]
 pub struct Partition {
     leaves: Vec<Trixel>,
-    index_of: HashMap<TrixelId, usize>,
-    split: HashSet<TrixelId>,
     weights: Vec<f64>,
+    /// The tree: nodes `0..8` are the base trixels; a split node's four
+    /// children sit at consecutive indices in child order.
+    nodes: Vec<Node>,
+}
+
+/// One trixel of the partition's tree, with the geometry every region
+/// test and point location needs precomputed.
+#[derive(Clone, Debug)]
+struct Node {
+    geometry: Geometry,
+    cap: Cap,
+    link: Link,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Link {
+    /// Index of the first of the four children.
+    Split(usize),
+    /// Object index of the leaf.
+    Leaf(usize),
 }
 
 /// Heap entry ordering split candidates by weight.
@@ -60,17 +91,15 @@ impl Partition {
     /// The uniform partition at a fixed HTM level (`8·4^level` leaves).
     pub fn uniform(level: u8) -> Self {
         let mut leaves = Vec::new();
-        let mut split = HashSet::new();
         let mut stack: Vec<Trixel> = Trixel::bases().to_vec();
         while let Some(t) = stack.pop() {
             if t.id.level() == level {
                 leaves.push(t);
             } else {
-                split.insert(t.id);
                 stack.extend(t.subdivide());
             }
         }
-        Self::finish(leaves, split, |_| 1.0)
+        Self::finish(leaves, |_| 1.0)
     }
 
     /// Builds a density-adaptive partition with (at least) `target` leaves
@@ -94,7 +123,6 @@ impl Partition {
             .collect();
         let total: f64 = heap.iter().map(|c| c.weight).sum();
         let negligible = total * 1e-9;
-        let mut split = HashSet::new();
         let mut done: Vec<Candidate> = Vec::new();
 
         let live = |heap: &BinaryHeap<Candidate>, done: &Vec<Candidate>| {
@@ -116,7 +144,6 @@ impl Partition {
                 heap.push(top);
                 break;
             }
-            split.insert(top.trixel.id);
             for k in top.trixel.subdivide() {
                 let w = weight(&k).max(0.0);
                 heap.push(Candidate {
@@ -127,22 +154,41 @@ impl Partition {
         }
 
         let leaves: Vec<Trixel> = heap.into_iter().chain(done).map(|c| c.trixel).collect();
-        Self::finish(leaves, split, |t| weight(t).max(0.0))
+        Self::finish(leaves, |t| weight(t).max(0.0))
     }
 
-    fn finish(
-        mut leaves: Vec<Trixel>,
-        split: HashSet<TrixelId>,
-        weight: impl Fn(&Trixel) -> f64,
-    ) -> Self {
+    fn finish(mut leaves: Vec<Trixel>, weight: impl Fn(&Trixel) -> f64) -> Self {
         leaves.sort_unstable_by_key(|t| t.id);
-        let index_of = leaves.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
         let weights = leaves.iter().map(&weight).collect();
+        // Descend from the bases with the same `subdivide` every trixel
+        // elsewhere comes from, so each node's vertices carry exactly the
+        // bits `Trixel::from_id` gives its id. A node is a leaf iff its id
+        // is one of the leaves; every other node on the way is split.
+        let mut nodes = Vec::new();
+        let mut pending: Vec<Trixel> = Trixel::bases().to_vec();
+        let mut next = 0;
+        while next < pending.len() {
+            let t = pending[next];
+            next += 1;
+            let link = match leaves.binary_search_by_key(&t.id, |l| l.id) {
+                Ok(leaf) => Link::Leaf(leaf),
+                Err(_) => {
+                    let first = pending.len();
+                    pending.extend(t.subdivide());
+                    Link::Split(first)
+                }
+            };
+            let geometry = Geometry::new(t);
+            nodes.push(Node {
+                cap: geometry.bounding_cap(),
+                geometry,
+                link,
+            });
+        }
         Self {
             leaves,
-            index_of,
-            split,
             weights,
+            nodes,
         }
     }
 
@@ -180,42 +226,69 @@ impl Partition {
     }
 
     /// Object index of the leaf containing the unit vector `p`.
+    ///
+    /// Descends from the base trixels into the first child that contains
+    /// `p` (a point on a shared edge belongs to the earlier child).
     pub fn locate(&self, p: Vec3) -> usize {
-        let mut cur = *Trixel::bases()
-            .iter()
-            .find(|t| t.contains(p))
-            .expect("base trixels cover the sphere");
-        while self.split.contains(&cur.id) {
-            cur = *cur
-                .subdivide()
-                .iter()
-                .find(|k| k.contains(p))
-                .expect("children cover parent");
+        let first_holding = |range: std::ops::Range<usize>| {
+            range
+                .into_iter()
+                .find(|&i| self.nodes[i].geometry.contains(p))
+                .expect("children cover their parent, and the bases the sphere")
+        };
+        let mut at = first_holding(0..8);
+        loop {
+            match self.nodes[at].link {
+                Link::Leaf(leaf) => return leaf,
+                Link::Split(first) => at = first_holding(first..first + 4),
+            }
         }
-        *self
-            .index_of
-            .get(&cur.id)
-            .expect("descent must end at a leaf")
     }
 
     /// Object indices of all leaves the region (conservatively) overlaps,
     /// sorted ascending.
+    ///
+    /// A leaf is in the answer iff [`Region::intersects`] holds on it and
+    /// on each of its ancestors.
     pub fn objects_for_region(&self, region: &Region) -> Vec<usize> {
+        self.objects_for_region_as(region, |leaf| leaf)
+    }
+
+    /// [`Self::objects_for_region`] with each object index mapped through
+    /// `id` (monotone, so the answer stays sorted) into one vector.
+    pub fn objects_for_region_as<T: Ord>(
+        &self,
+        region: &Region,
+        mut id: impl FnMut(usize) -> T,
+    ) -> Vec<T> {
+        let region = region.prepare();
         let mut out = Vec::new();
-        let mut stack: Vec<Trixel> = Trixel::bases().to_vec();
-        while let Some(t) = stack.pop() {
-            if !region.intersects(&t) {
-                continue;
-            }
-            if self.split.contains(&t.id) {
-                stack.extend(t.subdivide());
-            } else {
-                out.push(self.index_of[&t.id]);
-            }
+        for base in 0..8 {
+            self.collect(base, &region, &mut |leaf| out.push(id(leaf)));
         }
         out.sort_unstable();
         out.dedup();
+        // A generated trace keeps every query's answer for its lifetime:
+        // hand it over without the push-growth slack.
+        out.shrink_to_fit();
         out
+    }
+
+    fn collect(&self, at: usize, region: &PreparedRegion, out: &mut impl FnMut(usize)) {
+        let node = &self.nodes[at];
+        // The cap test is a cheap, margin-guarded "certainly not"; the
+        // exact predicate decides every node it lets through.
+        if region.misses(&node.cap) || !region.intersects_geometry(&node.geometry) {
+            return;
+        }
+        match node.link {
+            Link::Leaf(leaf) => out(leaf),
+            Link::Split(first) => {
+                for child in first..first + 4 {
+                    self.collect(child, region, out);
+                }
+            }
+        }
     }
 }
 

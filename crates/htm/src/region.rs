@@ -10,10 +10,15 @@
 //! is none (by using bounding cones), but never miss a real one. For cache
 //! decisions over-approximation is semantically safe — a query is simply
 //! associated with a superset of objects.
+//!
+//! A descent over many trixels prepares its region once (a rectangle's
+//! bounding cone, a band's window, the cap prefilter's trigonometry);
+//! [`Region::intersects`] is a prepare-and-test.
 
-use crate::trixel::Trixel;
+use crate::trixel::{Cap, Geometry, Trixel};
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
+use std::f64::consts::{FRAC_PI_2, PI};
 
 /// A region on the celestial sphere.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -137,29 +142,151 @@ impl Region {
     /// corner-vs-cap sliver). Guaranteed to return `true` whenever a real
     /// overlap exists.
     pub fn intersects(&self, t: &Trixel) -> bool {
+        self.prepare().intersects(t)
+    }
+
+    /// Readies the region for many trixel tests: a rectangle's bounding
+    /// cone, a band's distance window and the prefilter's trigonometry are
+    /// computed here, once.
+    pub(crate) fn prepare(&self) -> PreparedRegion {
         match *self {
-            Region::All => true,
-            Region::Cone { center, radius_rad } => t.min_distance_to(center) <= radius_rad,
+            Region::All => PreparedRegion::All,
+            Region::Cone { center, radius_rad } => PreparedRegion::cap(center, radius_rad),
             Region::RaDecRect { .. } => {
                 // Tight conservative: exact cone-vs-trixel on the
                 // rectangle's bounding cone.
-                let (rc, rr) = self.bounding_cone();
-                t.min_distance_to(rc) <= rr
+                let (center, radius) = self.bounding_cone();
+                PreparedRegion::cap(center, radius)
             }
             Region::GreatCircleBand {
                 pole,
                 half_width_rad,
-            } => {
+            } => PreparedRegion::Band {
+                pole,
+                lo: FRAC_PI_2 - half_width_rad,
+                hi: FRAC_PI_2 + half_width_rad,
+                widened: Widened::new(pole, half_width_rad),
+            },
+        }
+    }
+}
+
+/// Angle the cap prefilter adds to a region before it may reject a
+/// trixel, so that float error in either test cannot turn an overlap the
+/// exact predicate would report into a rejection.
+const PREFILTER_MARGIN_RAD: f64 = 1e-9;
+
+/// Slack on the prefilter's dot-product comparison, for the same reason.
+const PREFILTER_DOT_SLACK: f64 = 1e-12;
+
+/// A [`Region`] readied by [`Region::prepare`] for repeated trixel tests.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PreparedRegion {
+    All,
+    /// Trixels within `radius` of `center`: a cone, or a rectangle's
+    /// bounding cone.
+    Cone {
+        center: Vec3,
+        radius: f64,
+        widened: Option<Widened>,
+    },
+    /// Trixels whose distances from `pole` reach into `[lo, hi]`.
+    Band {
+        pole: Vec3,
+        lo: f64,
+        hi: f64,
+        widened: Option<Widened>,
+    },
+}
+
+/// The prefilter's view of a region: its axis scaled to unit length (the
+/// exact test does not need that; a dot product does) and its radius or
+/// half-width plus [`PREFILTER_MARGIN_RAD`], with that angle's sine and
+/// cosine. `None` for a zero axis, which the prefilter then never rejects.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Widened {
+    axis: Vec3,
+    angle: f64,
+    sin: f64,
+    cos: f64,
+}
+
+impl Widened {
+    fn new(axis: Vec3, angle: f64) -> Option<Self> {
+        let n = axis.norm();
+        (n > 0.0).then(|| {
+            let angle = angle + PREFILTER_MARGIN_RAD;
+            let (sin, cos) = angle.sin_cos();
+            Widened {
+                axis: Vec3::new(axis.x / n, axis.y / n, axis.z / n),
+                angle,
+                sin,
+                cos,
+            }
+        })
+    }
+}
+
+impl PreparedRegion {
+    fn cap(center: Vec3, radius: f64) -> Self {
+        PreparedRegion::Cone {
+            center,
+            radius,
+            widened: Widened::new(center, radius),
+        }
+    }
+
+    /// [`Region::intersects`].
+    pub(crate) fn intersects(&self, t: &Trixel) -> bool {
+        self.intersects_geometry(&Geometry::new(*t))
+    }
+
+    /// The exact region/trixel predicate.
+    pub(crate) fn intersects_geometry(&self, g: &Geometry) -> bool {
+        match *self {
+            PreparedRegion::All => true,
+            PreparedRegion::Cone { center, radius, .. } => g.min_distance_to(center) <= radius,
+            PreparedRegion::Band { pole, lo, hi, .. } => {
                 // The band is the locus of points at distance
                 // [pi/2 - w, pi/2 + w] from the pole; the trixel spans
                 // distances [min, max] from the pole. Intersect iff the
                 // intervals overlap.
-                let min_d = t.min_distance_to(pole);
-                let max_d = t.max_distance_to(pole);
-                let lo = std::f64::consts::FRAC_PI_2 - half_width_rad;
-                let hi = std::f64::consts::FRAC_PI_2 + half_width_rad;
+                let min_d = g.min_distance_to(pole);
+                let max_d = g.max_distance_to(pole);
                 min_d <= hi && max_d >= lo
             }
+        }
+    }
+
+    /// Whether a trixel inside `cap` provably misses the region, so the
+    /// exact predicate would reject it too.
+    ///
+    /// A cone (or a rectangle's cone) of radius `R` misses the cap when
+    /// the angle between their centres exceeds `R + r`; a band of
+    /// half-width `w` misses it when the cap's centre is more than `w + r`
+    /// from the band's great circle. Both tests run on `R` or `w` widened
+    /// by [`PREFILTER_MARGIN_RAD`], compare dot products with
+    /// [`PREFILTER_DOT_SLACK`] to spare, and keep the trixel wherever the
+    /// angle sum leaves the range on which cosine or sine is monotone.
+    pub(crate) fn misses(&self, cap: &Cap) -> bool {
+        match *self {
+            PreparedRegion::Cone {
+                widened: Some(w), ..
+            } => {
+                // cos(R' + r) by the addition formula.
+                w.angle + cap.radius < PI
+                    && w.axis.dot(cap.center)
+                        < w.cos * cap.cos_r - w.sin * cap.sin_r - PREFILTER_DOT_SLACK
+            }
+            PreparedRegion::Band {
+                widened: Some(w), ..
+            } => {
+                // sin(w' + r) by the addition formula.
+                w.angle + cap.radius < FRAC_PI_2
+                    && w.axis.dot(cap.center).abs()
+                        > w.sin * cap.cos_r + w.cos * cap.sin_r + PREFILTER_DOT_SLACK
+            }
+            _ => false,
         }
     }
 }

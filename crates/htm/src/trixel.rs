@@ -222,13 +222,7 @@ impl Trixel {
     /// Whether the unit vector `p` lies inside (or on the edge of) this
     /// spherical triangle.
     pub fn contains(&self, p: Vec3) -> bool {
-        // p is inside iff it is on the non-negative side of all three edge
-        // planes. A small negative epsilon keeps shared edges owned by both
-        // candidates so descent never gets stuck on boundary points.
-        const EPS: f64 = -1e-12;
-        self.v[0].cross(self.v[1]).dot(p) >= EPS
-            && self.v[1].cross(self.v[2]).dot(p) >= EPS
-            && self.v[2].cross(self.v[0]).dot(p) >= EPS
+        inside(&edge_crosses(&self.v), p)
     }
 
     /// Centroid direction of the triangle (normalized vertex mean).
@@ -266,28 +260,14 @@ impl Trixel {
     /// of this trixel: 0 if the point is inside, else the distance to the
     /// nearest edge arc.
     pub fn min_distance_to(&self, p: Vec3) -> f64 {
-        if self.contains(p) {
-            return 0.0;
-        }
-        let mut d = f64::INFINITY;
-        for i in 0..3 {
-            d = d.min(arc_distance(p, self.v[i], self.v[(i + 1) % 3]));
-        }
-        d
+        Geometry::new(*self).min_distance_to(p)
     }
 
     /// Maximum angular distance (radians) from a unit vector to any point
     /// of this trixel. For a convex spherical triangle the maximum is at a
     /// vertex unless the antipode lies inside.
     pub fn max_distance_to(&self, p: Vec3) -> f64 {
-        let anti = Vec3::new(-p.x, -p.y, -p.z);
-        if self.contains(anti) {
-            return std::f64::consts::PI;
-        }
-        self.v
-            .iter()
-            .map(|&v| p.angular_distance(v))
-            .fold(0.0_f64, f64::max)
+        Geometry::new(*self).max_distance_to(p)
     }
 
     /// Reconstructs the trixel for an arbitrary id by descending from its
@@ -309,17 +289,138 @@ impl Trixel {
     }
 }
 
+/// The raw edge-plane normals `v0×v1`, `v1×v2`, `v2×v0`: edge `i` runs
+/// from `v[i]` to `v[(i + 1) % 3]`.
+fn edge_crosses(v: &[Vec3; 3]) -> [Vec3; 3] {
+    [v[0].cross(v[1]), v[1].cross(v[2]), v[2].cross(v[0])]
+}
+
+/// Tolerance of [`inside`] on the unnormalised edge-cross dot product.
+const INSIDE_EPS: f64 = -1e-12;
+
+/// The point-in-triangle predicate over precomputed edge crosses.
+fn inside(cross: &[Vec3; 3], p: Vec3) -> bool {
+    // p is inside iff it is on the non-negative side of all three edge
+    // planes. A small negative epsilon keeps shared edges owned by both
+    // candidates so descent never gets stuck on boundary points.
+    cross[0].dot(p) >= INSIDE_EPS && cross[1].dot(p) >= INSIDE_EPS && cross[2].dot(p) >= INSIDE_EPS
+}
+
+/// The unit normal of an edge's great circle, or `None` for a degenerate
+/// edge (coincident endpoints).
+fn unit_normal(n: Vec3) -> Option<Vec3> {
+    let n_norm = n.norm();
+    if n_norm < 1e-15 {
+        return None;
+    }
+    Some(Vec3::new(n.x / n_norm, n.y / n_norm, n.z / n_norm))
+}
+
+/// A trixel with its edge planes precomputed: the raw crosses
+/// [`Trixel::contains`] tests and the unit normals [`arc_distance`]
+/// projects onto. Built once per node of a [`crate::Partition`]'s tree
+/// and per trixel a region test meets elsewhere, so the predicates below
+/// are the only copy of the sphere geometry.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Geometry {
+    trixel: Trixel,
+    cross: [Vec3; 3],
+    normal: [Option<Vec3>; 3],
+}
+
+impl Geometry {
+    pub(crate) fn new(trixel: Trixel) -> Self {
+        let cross = edge_crosses(&trixel.v);
+        Geometry {
+            trixel,
+            cross,
+            normal: cross.map(unit_normal),
+        }
+    }
+
+    /// [`Trixel::contains`].
+    pub(crate) fn contains(&self, p: Vec3) -> bool {
+        inside(&self.cross, p)
+    }
+
+    /// [`Trixel::min_distance_to`].
+    pub(crate) fn min_distance_to(&self, p: Vec3) -> f64 {
+        if self.contains(p) {
+            return 0.0;
+        }
+        let mut d = f64::INFINITY;
+        for i in 0..3 {
+            d = d.min(distance_to_arc(
+                p,
+                self.trixel.v[i],
+                self.trixel.v[(i + 1) % 3],
+                self.normal[i],
+            ));
+        }
+        d
+    }
+
+    /// [`Trixel::max_distance_to`].
+    pub(crate) fn max_distance_to(&self, p: Vec3) -> f64 {
+        let anti = Vec3::new(-p.x, -p.y, -p.z);
+        if self.contains(anti) {
+            return std::f64::consts::PI;
+        }
+        self.trixel
+            .v
+            .iter()
+            .map(|&v| p.angular_distance(v))
+            .fold(0.0_f64, f64::max)
+    }
+
+    /// A cap holding every point [`Self::contains`] accepts: centred on
+    /// the vertex mean, with radius the farthest vertex plus the band
+    /// [`INSIDE_EPS`] admits outside the edges. That band is
+    /// `1e-12 / |cross|` radians wide at an edge; where two widened edges
+    /// meet it moves a corner by at most `1 / sin(α/2)` times that, and
+    /// HTM corner angles `α` stay at or above 45°, so 4× the widest band
+    /// covers it.
+    pub(crate) fn bounding_cap(&self) -> Cap {
+        let (center, corner) = self.trixel.bounding_cone();
+        let shortest = self
+            .cross
+            .iter()
+            .map(|c| c.norm())
+            .fold(f64::INFINITY, f64::min);
+        let radius = corner + 4.0 * -INSIDE_EPS / shortest;
+        let (sin_r, cos_r) = radius.sin_cos();
+        Cap {
+            center,
+            radius,
+            sin_r,
+            cos_r,
+        }
+    }
+}
+
+/// A spherical cap `{p : angle(p, center) <= radius}` with the radius's
+/// sine and cosine cached for the prefilter in [`crate::region`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cap {
+    pub(crate) center: Vec3,
+    pub(crate) radius: f64,
+    pub(crate) sin_r: f64,
+    pub(crate) cos_r: f64,
+}
+
 /// Angular distance from `p` to the great-circle arc from `a` to `b`
 /// (all unit vectors). Exact: projects `p` onto the arc's circle and
 /// clamps to the segment.
 pub fn arc_distance(p: Vec3, a: Vec3, b: Vec3) -> f64 {
-    let n = a.cross(b);
-    let n_norm = n.norm();
-    if n_norm < 1e-15 {
+    distance_to_arc(p, a, b, unit_normal(a.cross(b)))
+}
+
+/// [`arc_distance`] given the arc's [`unit_normal`].
+fn distance_to_arc(p: Vec3, a: Vec3, b: Vec3, n: Option<Vec3>) -> f64 {
+    let Some(n) = n else {
         // Degenerate arc (a == b): distance to the point.
         return p.angular_distance(a);
-    }
-    let n = Vec3::new(n.x / n_norm, n.y / n_norm, n.z / n_norm);
+    };
     // Projection of p onto the circle's plane, renormalized to the sphere.
     let proj = Vec3::new(
         p.x - n.x * p.dot(n),

@@ -7,6 +7,183 @@ fn arb_radec() -> impl Strategy<Value = (f64, f64)> {
     (0.0..360.0f64, -89.9..89.9f64)
 }
 
+/// Where a drawn region or probe sits: anywhere on the sky, or exactly on
+/// the partition's own geometry, where float ties live.
+#[derive(Clone, Copy, Debug)]
+enum Anchor {
+    Sky(f64, f64),
+    /// Vertex `j` of leaf `k` (both taken modulo the available count).
+    Vertex(usize, usize),
+    /// The midpoint of leaf `k`'s edge `j`.
+    EdgeMid(usize, usize),
+    /// The pole of leaf `k`'s edge `j`, so a band's circle runs along it.
+    EdgePole(usize, usize),
+}
+
+fn arb_anchor() -> impl Strategy<Value = Anchor> {
+    prop_oneof![
+        (0.0..360.0f64, -90.0..=90.0f64).prop_map(|(ra, dec)| Anchor::Sky(ra, dec)),
+        (0usize..1000, 0usize..3).prop_map(|(k, j)| Anchor::Vertex(k, j)),
+        (0usize..1000, 0usize..3).prop_map(|(k, j)| Anchor::EdgeMid(k, j)),
+        (0usize..1000, 0usize..3).prop_map(|(k, j)| Anchor::EdgePole(k, j)),
+    ]
+}
+
+fn resolve(part: &Partition, anchor: Anchor) -> Vec3 {
+    let edge = |k: usize, j: usize| {
+        let v = part.leaves()[k % part.len()].v;
+        (v[j], v[(j + 1) % 3])
+    };
+    match anchor {
+        Anchor::Sky(ra, dec) => Vec3::from_radec_deg(ra, dec),
+        Anchor::Vertex(k, j) => part.leaves()[k % part.len()].v[j],
+        Anchor::EdgeMid(k, j) => {
+            let (a, b) = edge(k, j);
+            a.midpoint(b)
+        }
+        Anchor::EdgePole(k, j) => {
+            let (a, b) = edge(k, j);
+            a.cross(b).normalized()
+        }
+    }
+}
+
+/// A region's shape, placed at an anchor by [`place`].
+#[derive(Clone, Copy, Debug)]
+enum Sketch {
+    Cone {
+        radius_deg: f64,
+    },
+    /// A rectangle with its south-west corner at the anchor; `pole` 1 or 2
+    /// stretches it to the north or south pole.
+    Rect {
+        span_deg: f64,
+        height_deg: f64,
+        pole: u8,
+    },
+    Band {
+        half_width_rad: f64,
+    },
+    All,
+}
+
+fn arb_sketch() -> impl Strategy<Value = Sketch> {
+    prop_oneof![
+        prop_oneof![Just(0.0), 0.0..20.0f64].prop_map(|radius_deg| Sketch::Cone { radius_deg }),
+        (0.0..200.0f64, 0.0..40.0f64, 0u8..3).prop_map(|(span_deg, height_deg, pole)| {
+            Sketch::Rect {
+                span_deg,
+                height_deg,
+                pole,
+            }
+        }),
+        prop_oneof![Just(0.0), 0.0..0.3f64]
+            .prop_map(|half_width_rad| Sketch::Band { half_width_rad }),
+        Just(Sketch::All),
+    ]
+}
+
+fn place(sketch: Sketch, at: Vec3) -> Region {
+    match sketch {
+        Sketch::Cone { radius_deg } => Region::Cone {
+            center: at,
+            radius_rad: radius_deg.to_radians(),
+        },
+        Sketch::Rect {
+            span_deg,
+            height_deg,
+            pole,
+        } => {
+            let (ra, dec) = at.to_radec_deg();
+            let (dec_min, dec_max) = match pole {
+                1 => (dec, 90.0),
+                2 => (-90.0, dec),
+                _ => (dec, (dec + height_deg).min(90.0)),
+            };
+            Region::RaDecRect {
+                ra_min: ra,
+                ra_max: (ra + span_deg) % 360.0,
+                dec_min,
+                dec_max,
+            }
+        }
+        Sketch::Band { half_width_rad } => Region::GreatCircleBand {
+            pole: at,
+            half_width_rad,
+        },
+        Sketch::All => Region::All,
+    }
+}
+
+/// A lumpy data mass: two Gaussian blobs over a thin floor.
+fn mass(t: &Trixel) -> f64 {
+    let c = t.center();
+    let g = |ra: f64, dec: f64| {
+        (-(c.angular_distance(Vec3::from_radec_deg(ra, dec)).powi(2)) / 0.08).exp()
+    };
+    t.solid_angle() * (0.05 + g(30.0, 10.0) + 0.6 * g(210.0, -40.0))
+}
+
+/// The reference cover, leaf by leaf: leaf `i` is in it iff the region
+/// intersects the leaf and every one of its ancestors.
+fn reference_cover(part: &Partition, region: &Region) -> Vec<usize> {
+    (0..part.len())
+        .filter(|&i| {
+            let mut id = Some(part.leaves()[i].id);
+            while let Some(at) = id {
+                if !region.intersects(&Trixel::from_id(at)) {
+                    return false;
+                }
+                id = at.parent();
+            }
+            true
+        })
+        .collect()
+}
+
+/// The reference point location: from the bases, step into the first
+/// trixel (rebuilt from its id) that contains `p` until a leaf is hit.
+fn reference_locate(part: &Partition, p: Vec3) -> usize {
+    let first_holding = |ids: &[TrixelId]| {
+        *ids.iter()
+            .find(|&&id| Trixel::from_id(id).contains(p))
+            .expect("children cover their parent")
+    };
+    let mut at = first_holding(&TrixelId::all_bases());
+    loop {
+        if let Ok(i) = part.leaves().binary_search_by_key(&at, |t| t.id) {
+            return i;
+        }
+        at = first_holding(&at.children());
+    }
+}
+
+fn check_against_reference(
+    part: &Partition,
+    sketch: Sketch,
+    anchor: Anchor,
+    probes: &[Anchor],
+) -> Result<(), TestCaseError> {
+    let region = place(sketch, resolve(part, anchor));
+    prop_assert_eq!(
+        part.objects_for_region(&region),
+        reference_cover(part, &region),
+        "cover of {:?} ({:?})",
+        region,
+        anchor
+    );
+    for &probe in probes {
+        let p = resolve(part, probe);
+        prop_assert_eq!(
+            part.locate(p),
+            reference_locate(part, p),
+            "locate {:?}",
+            probe
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// Point lookup always yields a trixel that contains the point, at any
     /// level, and levels are consistent (nested).
@@ -80,5 +257,40 @@ proptest! {
         }
         let sum: f64 = t.subdivide().iter().map(|k| k.solid_angle()).sum();
         prop_assert!((sum - t.solid_angle()).abs() < 1e-9);
+    }
+
+    /// `objects_for_region` and `locate` agree exactly with the leaf-by-leaf
+    /// references above, on adaptive partitions split by area or by a
+    /// lumpy mass, for cones, rectangles (wrapping RA = 0, touching a
+    /// pole), bands and the whole sky, anchored anywhere or exactly on a
+    /// leaf's vertex, edge or edge pole, with zero radii and widths.
+    #[test]
+    fn cover_and_locate_match_the_references(
+        target in 8usize..150,
+        by_mass in proptest::bool::ANY,
+        sketch in arb_sketch(),
+        anchor in arb_anchor(),
+        probes in prop::collection::vec(arb_anchor(), 1..8),
+    ) {
+        let part = if by_mass {
+            Partition::adaptive(mass, target)
+        } else {
+            Partition::adaptive(|t| t.solid_angle(), target)
+        };
+        check_against_reference(&part, sketch, anchor, &probes)?;
+    }
+
+    /// The same on the construction `WorkloadConfig::spatial_partition`
+    /// uses for the `sdss_like` scale: 68 leaves split by area, then
+    /// reweighted by data mass.
+    #[test]
+    fn sdss_like_cover_and_locate_match_the_references(
+        sketch in arb_sketch(),
+        anchor in arb_anchor(),
+        probes in prop::collection::vec(arb_anchor(), 1..8),
+    ) {
+        let mut part = Partition::adaptive(|t| t.solid_angle(), 68);
+        part.reweight(mass);
+        check_against_reference(&part, sketch, anchor, &probes)?;
     }
 }

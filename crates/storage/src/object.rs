@@ -174,10 +174,7 @@ impl SpatialMapper {
     /// Objects a region (conservatively) touches: the paper's `B(q)`.
     pub fn objects_for(&self, region: &Region) -> Vec<ObjectId> {
         self.partition
-            .objects_for_region(region)
-            .into_iter()
-            .map(|i| ObjectId(i as u32))
-            .collect()
+            .objects_for_region_as(region, |i| ObjectId(i as u32))
     }
 }
 

@@ -60,6 +60,9 @@ pub struct UpdateGenerator<'a> {
     step_rad: f64,
     size_noise: LogNormal<f64>,
     mean_density: f64,
+    /// Sum of the partition's leaf weights: an update's relative density
+    /// is its object's weight over this.
+    total_weight: f64,
 }
 
 impl<'a> UpdateGenerator<'a> {
@@ -85,6 +88,12 @@ impl<'a> UpdateGenerator<'a> {
             step_rad: (2.0 * std::f64::consts::PI / 3.0) / cfg.stripe_len as f64,
             size_noise: LogNormal::new(0.0, 0.4).expect("valid lognormal"),
             mean_density: 1.0 / n as f64,
+            total_weight: mapper
+                .partition()
+                .weights()
+                .iter()
+                .sum::<f64>()
+                .max(f64::MIN_POSITIVE),
         }
     }
 
@@ -102,14 +111,7 @@ impl<'a> UpdateGenerator<'a> {
         let object = self.mapper.object_at(pos);
         // Size ∝ object density, with multiplicative noise; lognormal(0,σ)
         // has mean e^{σ²/2}, divide it out to keep the configured mean.
-        let density = self.mapper.partition().weights()[object.index()]
-            / self
-                .mapper
-                .partition()
-                .weights()
-                .iter()
-                .sum::<f64>()
-                .max(f64::MIN_POSITIVE);
+        let density = self.mapper.partition().weights()[object.index()] / self.total_weight;
         let rel = density / self.mean_density;
         let noise = self.size_noise.sample(rng) / (0.4f64 * 0.4 / 2.0).exp();
         let bytes = (self.cfg.mean_update_bytes as f64 * rel * noise) as u64;
