@@ -74,10 +74,12 @@ impl Scale {
     }
 }
 
-/// Directory where binaries drop their JSON series (`results/`, created on
-/// demand at the workspace root).
+/// Directory where binaries drop their JSON series: `results/` under the
+/// current directory, created on demand. Run from the workspace root,
+/// that is the root's `results/`; run anywhere else, the binary writes
+/// there, not into the tree it was built from.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }

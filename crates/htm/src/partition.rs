@@ -14,15 +14,16 @@
 //! of *non-empty* leaves reaches a target.
 //!
 //! Once built, the tree is fixed, so [`Partition`] stores it: a flat
-//! arena of nodes carrying each trixel's edge planes and bounding cap.
-//! [`Partition::objects_for_region`] walks it with the region prepared
-//! once, dropping a node on a cheap cap test only when the exact
-//! predicate would drop it too (the margin argument is on the region
-//! module's prefilter), so the answer is bit-for-bit the exact
-//! predicate's.
+//! arena of nodes carrying each trixel's vertices, edge planes and
+//! slivers. [`Partition::objects_for_region`] walks it with the region
+//! prepared once. The region module's dot-product rules settle a node
+//! either way only where the exact predicate would answer the same (the
+//! margin argument is on `PreparedRegion::decide`), and the exact
+//! predicate decides the nodes they leave open, so the answer is
+//! bit-for-bit the exact predicate's.
 
 use crate::region::{PreparedRegion, Region};
-use crate::trixel::{Cap, Geometry, Trixel, TrixelId};
+use crate::trixel::{Geometry, Trixel, TrixelId};
 use crate::vec3::Vec3;
 use std::collections::BinaryHeap;
 
@@ -49,7 +50,6 @@ pub struct Partition {
 #[derive(Clone, Debug)]
 struct Node {
     geometry: Geometry,
-    cap: Cap,
     link: Link,
 }
 
@@ -178,10 +178,8 @@ impl Partition {
                     Link::Split(first)
                 }
             };
-            let geometry = Geometry::new(t);
             nodes.push(Node {
-                cap: geometry.bounding_cap(),
-                geometry,
+                geometry: Geometry::new(t),
                 link,
             });
         }
@@ -276,9 +274,12 @@ impl Partition {
 
     fn collect(&self, at: usize, region: &PreparedRegion, out: &mut impl FnMut(usize)) {
         let node = &self.nodes[at];
-        // The cap test is a cheap, margin-guarded "certainly not"; the
-        // exact predicate decides every node it lets through.
-        if region.misses(&node.cap) || !region.intersects_geometry(&node.geometry) {
+        // A few dot products settle most nodes; the exact predicate
+        // decides the rest.
+        let hit = region
+            .decide(&node.geometry)
+            .unwrap_or_else(|| region.intersects_geometry(&node.geometry));
+        if !hit {
             return;
         }
         match node.link {

@@ -317,15 +317,17 @@ fn unit_normal(n: Vec3) -> Option<Vec3> {
 }
 
 /// A trixel with its edge planes precomputed: the raw crosses
-/// [`Trixel::contains`] tests and the unit normals [`arc_distance`]
-/// projects onto. Built once per node of a [`crate::Partition`]'s tree
-/// and per trixel a region test meets elsewhere, so the predicates below
-/// are the only copy of the sphere geometry.
+/// [`Trixel::contains`] tests, the unit normals [`arc_distance`]
+/// projects onto, and each edge's sliver. Built once per node of a
+/// [`crate::Partition`]'s tree and per trixel a region test meets
+/// elsewhere, so the predicates below are the only copy of the sphere
+/// geometry.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Geometry {
     trixel: Trixel,
     cross: [Vec3; 3],
     normal: [Option<Vec3>; 3],
+    sliver: [f64; 3],
 }
 
 impl Geometry {
@@ -335,7 +337,34 @@ impl Geometry {
             trixel,
             cross,
             normal: cross.map(unit_normal),
+            sliver: cross.map(|c| -INSIDE_EPS / c.norm()),
         }
+    }
+
+    /// The corner vertices, counterclockwise.
+    pub(crate) fn vertices(&self) -> &[Vec3; 3] {
+        &self.trixel.v
+    }
+
+    /// Edge `i`'s unit normal, pointing into the trixel, or `None` for a
+    /// degenerate edge.
+    pub(crate) fn normals(&self) -> &[Option<Vec3>; 3] {
+        &self.normal
+    }
+
+    /// Edge `i`'s sliver: the angle `1e-12 / |cross_i|` by which
+    /// [`Self::contains`]'s tolerance admits points outside the edge.
+    /// It also bounds, ten thousand times over, how far the computed edge
+    /// plane that [`arc_distance`] projects onto can miss the edge's own
+    /// vertices: about `1e-16 / |cross_i|`, the cross product's rounding
+    /// error over its length.
+    pub(crate) fn slivers(&self) -> &[f64; 3] {
+        &self.sliver
+    }
+
+    /// The widest of the three slivers.
+    pub(crate) fn widest_sliver(&self) -> f64 {
+        self.sliver[0].max(self.sliver[1]).max(self.sliver[2])
     }
 
     /// [`Trixel::contains`].
@@ -372,40 +401,6 @@ impl Geometry {
             .map(|&v| p.angular_distance(v))
             .fold(0.0_f64, f64::max)
     }
-
-    /// A cap holding every point [`Self::contains`] accepts: centred on
-    /// the vertex mean, with radius the farthest vertex plus the band
-    /// [`INSIDE_EPS`] admits outside the edges. That band is
-    /// `1e-12 / |cross|` radians wide at an edge; where two widened edges
-    /// meet it moves a corner by at most `1 / sin(α/2)` times that, and
-    /// HTM corner angles `α` stay at or above 45°, so 4× the widest band
-    /// covers it.
-    pub(crate) fn bounding_cap(&self) -> Cap {
-        let (center, corner) = self.trixel.bounding_cone();
-        let shortest = self
-            .cross
-            .iter()
-            .map(|c| c.norm())
-            .fold(f64::INFINITY, f64::min);
-        let radius = corner + 4.0 * -INSIDE_EPS / shortest;
-        let (sin_r, cos_r) = radius.sin_cos();
-        Cap {
-            center,
-            radius,
-            sin_r,
-            cos_r,
-        }
-    }
-}
-
-/// A spherical cap `{p : angle(p, center) <= radius}` with the radius's
-/// sine and cosine cached for the prefilter in [`crate::region`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Cap {
-    pub(crate) center: Vec3,
-    pub(crate) radius: f64,
-    pub(crate) sin_r: f64,
-    pub(crate) cos_r: f64,
 }
 
 /// Angular distance from `p` to the great-circle arc from `a` to `b`

@@ -185,6 +185,10 @@ fn check_against_reference(
 }
 
 proptest! {
+    // Debug builds keep `cargo test` quick; the release step in CI runs
+    // the covers at 8192 cases.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 8192 }))]
+
     /// Point lookup always yields a trixel that contains the point, at any
     /// level, and levels are consistent (nested).
     #[test]
