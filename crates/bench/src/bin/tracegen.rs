@@ -3,34 +3,34 @@
 //!
 //! ```sh
 //! # generate (defaults: small scale, results/trace_small.jsonl)
-//! cargo run --release -p delta-bench --bin tracegen -- --scale paper --out results/trace_paper.jsonl
+//! cargo run --release -p delta_bench --bin tracegen -- --scale paper --out results/trace_paper.jsonl
 //!
 //! # inspect any trace file (stats + Fig 7(a)-style hotspots)
-//! cargo run --release -p delta-bench --bin tracegen -- --inspect results/trace_paper.jsonl
+//! cargo run --release -p delta_bench --bin tracegen -- --inspect results/trace_paper.jsonl
 //! ```
 //!
 //! Written traces replay byte-identically through the simulator, so any
 //! figure can be regenerated from the artifact without re-running the
 //! generator — the reproduction's equivalent of publishing the trace.
 
-use delta_bench::{results_dir, Scale};
+use delta_bench::{cli_or_exit, results_dir};
 use delta_workload::{read_jsonl_with_header, write_jsonl, MixStats, SyntheticSurvey, TraceStats};
 use std::path::PathBuf;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = arg_value("--inspect") {
-        return inspect(PathBuf::from(path));
+    let cli = cli_or_exit(
+        "tracegen [--scale small|paper] [--out FILE] | tracegen --inspect FILE",
+        true,
+        &[],
+    );
+    if let Some(path) = cli.inspect {
+        return inspect(path);
     }
 
-    let scale = Scale::from_args();
+    let scale = cli.scale;
     let cfg = scale.config();
-    let out = arg_value("--out")
-        .map(PathBuf::from)
+    let out = cli
+        .out
         .unwrap_or_else(|| results_dir().join(format!("trace_{}.jsonl", scale.label())));
 
     eprintln!("generating survey ({} events)...", cfg.n_events());
