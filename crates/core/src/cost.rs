@@ -6,12 +6,8 @@
 //! mechanisms; [`CostLedger`] is the running account a simulation writes
 //! and every figure reads.
 
-use serde::{Deserialize, Serialize};
-
 /// A network-traffic cost in bytes.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cost(pub u64);
 
 impl Cost {
@@ -67,7 +63,7 @@ impl std::fmt::Display for Cost {
 }
 
 /// Costs split by communication mechanism.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Bytes of query results shipped from the server.
     pub query_ship: Cost,
@@ -85,7 +81,7 @@ impl CostBreakdown {
 }
 
 /// The running account of a simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostLedger {
     /// Byte costs by mechanism.
     pub breakdown: CostBreakdown,

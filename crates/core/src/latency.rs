@@ -10,7 +10,6 @@
 //! be evaluated quantitatively.
 
 use delta_net::LinkModel;
-use serde::{Deserialize, Serialize};
 
 /// Fixed local processing time for a query answered at the cache,
 /// in seconds. Kept small and constant: execution cost modeling is out
@@ -72,7 +71,7 @@ impl LatencyCollector {
 }
 
 /// Summary statistics of per-query response times.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of queries measured.
     pub count: u64,

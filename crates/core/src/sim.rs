@@ -14,7 +14,6 @@ use crate::policy_trait::CachingPolicy;
 use delta_net::LinkModel;
 use delta_storage::ObjectCatalog;
 use delta_workload::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Simulation options.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +46,7 @@ impl SimOptions {
 }
 
 /// One sample of the cumulative-cost curve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeriesPoint {
     /// Event sequence number.
     pub seq: u64,
@@ -56,7 +55,7 @@ pub struct SeriesPoint {
 }
 
 /// The result of one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimReport {
     /// Policy name.
     pub policy: String,

@@ -23,11 +23,10 @@
 
 use crate::trixel::{Geometry, Trixel};
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::FRAC_PI_2;
 
 /// A region on the celestial sphere.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Region {
     /// All directions within `radius_rad` of `center` (a spherical cap).
     Cone {

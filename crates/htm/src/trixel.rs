@@ -11,13 +11,12 @@
 //! the depth.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a trixel at any subdivision level.
 ///
 /// The all-important property: `id.level()` and the full ancestor path are
 /// recoverable from the integer alone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TrixelId(u64);
 
 impl TrixelId {

@@ -5,10 +5,8 @@
 //! converted once; all internal math is Cartesian, which keeps the trixel
 //! side tests (`cross` + `dot`) cheap and branch-free.
 
-use serde::{Deserialize, Serialize};
-
 /// A point (or direction) in 3-space. For sphere work it is kept normalized.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Vec3 {
     /// X component (towards RA=0, Dec=0).
     pub x: f64,

@@ -9,10 +9,8 @@
 //! cost scales linearly with size once transfers are much larger than a
 //! frame (§3, citing Stevens).
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point link with fixed bandwidth and round-trip time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkModel {
     /// Usable bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: f64,

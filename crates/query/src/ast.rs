@@ -22,11 +22,10 @@
 //! `CIRCLE`/`RECT`/`POINT` accept an optional leading `'J2000'` string
 //! argument, as SkyServer's HTM functions do; it is ignored.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Query {
     /// What the query returns.
     pub projection: Projection,
@@ -44,7 +43,7 @@ pub struct Query {
 }
 
 /// The SELECT list.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Projection {
     /// `SELECT *` — every column.
     All,
@@ -55,7 +54,7 @@ pub enum Projection {
 }
 
 /// One conjunct of the WHERE clause.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// A spatial constraint.
     Spatial(Shape),
@@ -85,7 +84,7 @@ pub enum Predicate {
 }
 
 /// A spatial footprint literal.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Shape {
     /// `CIRCLE(ra, dec, radius_deg)` — a cone search.
     Circle {
@@ -120,7 +119,7 @@ pub enum Shape {
 }
 
 /// Comparison operator of a [`Predicate::Compare`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,

@@ -41,7 +41,7 @@
 //! `--pipeline W` keeps up to W frames in flight per connection over
 //! tagged frames. Both default to 1, which is the PR-1 lockstep replay.
 //! Per-shard event order is preserved in every mode, so per-shard
-//! ledgers still match the offline `shard_trace` twin; only cross-shard
+//! ledgers still match the offline `twin::Twin`; only cross-shard
 //! interleaving varies.
 //!
 //! After the replay it fetches the statistics snapshot, prints the

@@ -194,9 +194,10 @@ pub struct ServerConfig {
     pub cache_bytes: u64,
     /// Policy each shard runs.
     pub policy: PolicyKind,
-    /// Master seed; shard `s` seeds its policy with `seed + s`. In
-    /// cluster mode every node must share it, so a shard rebuilt on a
-    /// new owner after a reshard gets the identical policy.
+    /// Master seed; shard `s` seeds its policy with
+    /// [`ServerConfig::shard_seed`]. In cluster mode every node must
+    /// share it, so a shard rebuilt on a new owner after a reshard gets
+    /// the identical policy.
     pub seed: u64,
     /// Workload configuration the SQL frontend is built from: its seed,
     /// blob count and target object count reconstruct the schema / sky
@@ -253,6 +254,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
+    /// The seed shard `shard`'s policy runs with: `seed + shard`. Every
+    /// engine built for the shard — at start-up, on attach, as a backup
+    /// or in the offline [`crate::twin::Twin`] — uses it.
+    pub fn shard_seed(&self, shard: usize) -> u64 {
+        self.seed + shard as u64
+    }
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_shards == 0 {

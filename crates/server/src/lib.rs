@@ -12,9 +12,10 @@
 //! * [`partition`] — pluggable catalog sharding behind the
 //!   [`partition::Partitioner`] trait (round-robin preserved
 //!   byte-for-byte, plus a weighted rendezvous [`partition::HashRing`]
-//!   with bounded remap), exact result-byte apportioning and the offline
-//!   [`partition::shard_trace`] twin that makes server *and cluster*
-//!   runs testable against [`delta_core::simulate`].
+//!   with bounded remap) and exact result-byte apportioning.
+//! * [`twin`] — the offline sharded oracle: one plain engine per shard,
+//!   built from the server's own recipe, that makes server *and
+//!   cluster* runs testable against [`delta_core::simulate`].
 //! * [`router`] — the cluster tier: `delta-routerd` fronts multiple
 //!   `delta-serverd` nodes, splits/merges queries across them exactly
 //!   like the in-process frontend does across shards, and coordinates
@@ -115,17 +116,19 @@ pub mod replication;
 pub mod router;
 pub mod server;
 pub mod shard;
+pub mod twin;
 
 pub use client::{DeltaClient, PipelinedClient, QueryReply, SqlRejection, SqlReply, UpdateReply};
 pub use config::{ClusterConfig, FrontDoor, PolicyKind, ReplicationConfig, ServerConfig};
 pub use connection::{buffered_frame_len, drop_cause, prepare_read_buffer, DropCause};
-pub use partition::{apportion, shard_trace, HashRing, Partitioner, PartitionerKind, RoundRobin};
+pub use partition::{apportion, HashRing, Partitioner, PartitionerKind, RoundRobin};
 pub use protocol::{
     error_code, read_frame, write_frame, BatchItem, BatchReply, NodeInfo, NodeOp, NodeRole,
     Request, Response, ShardStats, SqlStage, StatsSnapshot,
 };
 pub use router::{Router, RouterConfig};
 pub use server::Server;
+pub use twin::Twin;
 
 // Telemetry is part of the wire surface (`Request::Telemetry` returns a
 // `TelemetrySnapshot` frame), so re-export the types a scraping client

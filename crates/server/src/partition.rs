@@ -19,15 +19,15 @@
 //! sizes (largest-remainder rounding, so the shares sum exactly to the
 //! original).
 //!
-//! Everything here is pure and deterministic, and [`shard_trace`] applies
-//! the *same* mapping to a whole trace offline. That is what makes the
-//! server (and the router tier above it) testable against the in-process
-//! simulator: replaying a trace over TCP against an N-shard deployment
-//! must produce, per shard, exactly the ledger `sim::simulate` produces
-//! on that shard's sub-catalog and sub-trace.
+//! Everything here is pure and deterministic, and the offline
+//! [`crate::twin::Twin`] applies the *same* mapping event by event. That
+//! is what makes the server (and the router tier above it) testable
+//! against the in-process simulator: replaying a trace over TCP against
+//! an N-shard deployment must produce, per shard, exactly the ledger
+//! `sim::simulate` produces on that shard's sub-catalog and sub-trace.
 
 use delta_storage::{ObjectCatalog, ObjectId};
-use delta_workload::{Event, QueryEvent, Trace, UpdateEvent};
+use delta_workload::{QueryEvent, UpdateEvent};
 
 /// Which [`Partitioner`] implementation a deployment runs. Carried in
 /// configuration, the v4 `Hello` handshake and the bench metadata, so
@@ -77,8 +77,8 @@ impl std::fmt::Display for PartitionerKind {
 /// `global id ↔ (shard, local id)` with dense local ids per shard; the
 /// provided methods derive everything the serving layers need from that
 /// bijection — sub-catalogs, cache-budget splits, query/update routing —
-/// so any implementation automatically agrees with its offline
-/// [`shard_trace`] twin.
+/// so any implementation automatically agrees with the offline
+/// [`crate::twin::Twin`].
 pub trait Partitioner: Send + Sync {
     /// Which implementation this is (wire / metadata identity).
     fn kind(&self) -> PartitionerKind;
@@ -388,38 +388,6 @@ pub fn apportion(total: u64, weights: &[u64]) -> Vec<u64> {
     shares
 }
 
-/// Applies the shard mapping to a whole trace: returns, per shard, its
-/// sub-catalog, sub-trace (local ids, apportioned bytes) and cache
-/// budget. This is the offline twin of what the live server — and the
-/// router tier over a multi-node cluster — does online.
-pub fn shard_trace(
-    map: &dyn Partitioner,
-    catalog: &ObjectCatalog,
-    trace: &Trace,
-    total_cache: u64,
-) -> Vec<(ObjectCatalog, Trace, u64)> {
-    let caches = map.shard_cache_bytes(total_cache, catalog);
-    let mut events: Vec<Vec<Event>> = vec![Vec::new(); map.n_shards()];
-    for event in trace.iter() {
-        match event {
-            Event::Query(q) => {
-                for (s, sub) in map.split_query(q, catalog) {
-                    events[s].push(Event::Query(sub));
-                }
-            }
-            Event::Update(u) => {
-                let (s, sub) = map.split_update(u);
-                events[s].push(Event::Update(sub));
-            }
-        }
-    }
-    events
-        .into_iter()
-        .enumerate()
-        .map(|(s, evs)| (map.shard_catalog(s, catalog), Trace::new(evs), caches[s]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,54 +554,6 @@ mod tests {
             let subs = map.split_query(&q, &c);
             assert_eq!(subs.len(), 1);
             assert_eq!(subs[0].1, q);
-        }
-    }
-
-    #[test]
-    fn shard_trace_partitions_all_events() {
-        // Big enough that the hash ring leaves no shard empty (a
-        // precondition `shard_trace` shares with the live server).
-        let sizes: Vec<u64> = (1..=32).map(|i| i * 100).collect();
-        let c = ObjectCatalog::from_sizes(&sizes);
-        for map in both(4, c.len()) {
-            assert!((0..4).all(|s| map.shard_len(s) > 0));
-            let trace = Trace::new(vec![
-                Event::Query(QueryEvent {
-                    seq: 0,
-                    objects: vec![ObjectId(0), ObjectId(1), ObjectId(2)],
-                    result_bytes: 100,
-                    tolerance: 0,
-                    kind: QueryKind::Cone,
-                }),
-                Event::Update(UpdateEvent {
-                    seq: 1,
-                    object: ObjectId(5),
-                    bytes: 9,
-                }),
-                Event::Query(QueryEvent {
-                    seq: 2,
-                    objects: vec![ObjectId(5)],
-                    result_bytes: 40,
-                    tolerance: 1,
-                    kind: QueryKind::Selection,
-                }),
-            ]);
-            let shards = shard_trace(map.as_ref(), &c, &trace, 1_000);
-            assert_eq!(shards.len(), 4);
-            let total_cache: u64 = shards.iter().map(|(_, _, cache)| cache).sum();
-            assert_eq!(total_cache, 1_000);
-            let query_bytes: u64 = shards.iter().map(|(_, t, _)| t.total_query_bytes()).sum();
-            assert_eq!(query_bytes, 140);
-            let update_bytes: u64 = shards.iter().map(|(_, t, _)| t.total_update_bytes()).sum();
-            assert_eq!(update_bytes, 9);
-            // The update to global object 5 landed on its owner as the
-            // right local id.
-            let s = map.shard_of(ObjectId(5));
-            let l = map.local_id(ObjectId(5));
-            let (_, t, _) = &shards[s];
-            assert!(t
-                .iter()
-                .any(|e| matches!(e, Event::Update(u) if u.object == l && u.bytes == 9)));
         }
     }
 

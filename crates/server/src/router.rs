@@ -8,8 +8,8 @@
 //! per-shard sub-events exactly like the in-process frontend does, and
 //! groups them **per owning node** into pre-split [`Request::NodeOps`]
 //! frames. Per-shard sub-event order equals client order, so per-shard
-//! ledgers stay byte-identical to the offline
-//! [`crate::partition::shard_trace`] twin — the property the cluster
+//! ledgers stay byte-identical to the offline [`crate::twin::Twin`] —
+//! the property the cluster
 //! differential test pins end-to-end.
 //!
 //! ## Routing epochs and live resharding

@@ -53,6 +53,7 @@ use delta_telemetry::{Telemetry, TelemetrySnapshot};
 use delta_workload::QueryEvent;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
@@ -124,10 +125,7 @@ impl Server {
                 ));
             }
         }
-        let weights: Vec<u64> = (0..config.n_shards)
-            .map(|s| map.shard_catalog(s, &catalog).total_bytes())
-            .collect();
-        let caches = apportion(config.cache_bytes, &weights);
+        let caches = map.shard_cache_bytes(config.cache_bytes, &catalog);
 
         let hosted: Vec<u16> = match &config.cluster {
             Some(c) => c.hosted.clone(),
@@ -188,34 +186,6 @@ impl Server {
         };
         let mut slots: Vec<RwLock<Option<ShardCore>>> = Vec::with_capacity(config.n_shards);
         slots.resize_with(config.n_shards, || RwLock::new(None));
-        for &s in &hosted {
-            let s = s as usize;
-            let mut core = ShardCore::new(ShardSpec {
-                shard: s as u16,
-                catalog: map.shard_catalog(s, &catalog),
-                cache_bytes: caches[s],
-                policy: config.policy,
-                seed: config.seed + s as u64,
-                restore: restores[s].take(),
-                snapshot_path: config
-                    .snapshot_dir
-                    .as_ref()
-                    .map(|dir| dir.join(format!("shard-{s}.jsonl"))),
-                telemetry: ShardTelemetry::register(&telemetry),
-            });
-            if let Some(rt) = &repl {
-                // A warm-restored primary starts its log at the restored
-                // event count: earlier history is not replayable, so
-                // targets bootstrap from a snapshot instead of the log.
-                core.set_repl(Arc::new(ReplState::new(
-                    s as u16,
-                    core.events(),
-                    rt.replicas as usize,
-                    Arc::clone(&rt.notifier),
-                )));
-            }
-            *slots[s].write().expect("fresh slot") = Some(core);
-        }
         let mut backups: Vec<RwLock<Option<ShardCore>>> = Vec::with_capacity(config.n_shards);
         backups.resize_with(config.n_shards, || RwLock::new(None));
         telemetry
@@ -240,6 +210,22 @@ impl Server {
             wire,
             repl,
         });
+        for &s in &hosted {
+            let s = s as usize;
+            let mut core = shared.shard_core(s, restores[s].take(), shared.snapshot_path(s));
+            if let Some(rt) = &shared.repl {
+                // A warm-restored primary starts its log at the restored
+                // event count: earlier history is not replayable, so
+                // targets bootstrap from a snapshot instead of the log.
+                core.set_repl(Arc::new(ReplState::new(
+                    s as u16,
+                    core.events(),
+                    rt.replicas as usize,
+                    Arc::clone(&rt.notifier),
+                )));
+            }
+            *shared.slots[s].write().expect("fresh slot") = Some(core);
+        }
 
         // One pump thread per successor rank: the pump at rank `r` ships
         // every hosted primary's applied-event log to the peer at
@@ -330,7 +316,7 @@ fn validate_restore(
     // invisibly.
     let configured = config
         .policy
-        .build(cache, config.seed + shard as u64)
+        .build(cache, config.shard_seed(shard))
         .preferred_capacity(sub, cache);
     if snap.capacity != configured {
         return Err(format!(
@@ -385,6 +371,45 @@ struct ReplRuntime {
 }
 
 impl Shared {
+    /// Shard `s`'s core, built from the recipe every engine for the
+    /// shard follows: its sub-catalog, its budget and
+    /// [`ServerConfig::shard_seed`].
+    fn shard_core(
+        &self,
+        s: usize,
+        restore: Option<EngineSnapshot>,
+        snapshot_path: Option<PathBuf>,
+    ) -> ShardCore {
+        ShardCore::new(ShardSpec {
+            shard: s as u16,
+            catalog: self.map.shard_catalog(s, &self.catalog),
+            cache_bytes: self.caches[s],
+            policy: self.config.policy,
+            seed: self.config.shard_seed(s),
+            restore,
+            snapshot_path,
+            telemetry: ShardTelemetry::register(&self.telemetry),
+        })
+    }
+
+    /// Where a primary of shard `s` persists its snapshot, if anywhere.
+    fn snapshot_path(&self, s: usize) -> Option<PathBuf> {
+        let dir = self.config.snapshot_dir.as_ref()?;
+        Some(dir.join(format!("shard-{s}.jsonl")))
+    }
+
+    /// Decodes a shard state blob and validates it against shard `s`'s
+    /// sub-catalog, policy and budget.
+    fn restore_blob(&self, s: usize, state: &[u8]) -> Result<EngineSnapshot, String> {
+        let snap = std::str::from_utf8(state)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+            .and_then(snapshot_from_str)
+            .map_err(|e| format!("bad state blob: {e}"))?;
+        let sub = self.map.shard_catalog(s, &self.catalog);
+        validate_restore(&snap, &sub, &self.config, self.caches[s], s)?;
+        Ok(snap)
+    }
+
     fn hosted(&self) -> Vec<u16> {
         (0..self.slots.len() as u16)
             .filter(|&s| self.slots[s as usize].read().expect("slot").is_some())
@@ -1175,35 +1200,15 @@ fn handle_attach(shared: &Shared, shard: u16, state: &[u8]) -> Response {
         code: error_code::RESHARD_FAILED,
         message,
     };
-    let snap = match std::str::from_utf8(state)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-        .and_then(snapshot_from_str)
-    {
+    let snap = match shared.restore_blob(s, state) {
         Ok(snap) => snap,
-        Err(e) => return reshard_failed(format!("attach shard {shard}: bad state blob: {e}")),
+        Err(msg) => return reshard_failed(format!("attach shard {shard}: {msg}")),
     };
-    let sub = shared.map.shard_catalog(s, &shared.catalog);
-    if let Err(msg) = validate_restore(&snap, &sub, &shared.config, shared.caches[s], s) {
-        return reshard_failed(format!("attach shard {shard}: {msg}"));
-    }
     let mut slot = shared.slots[s].write().expect("slot");
     if slot.is_some() {
         return reshard_failed(format!("this node already hosts shard {shard}"));
     }
-    *slot = Some(ShardCore::new(ShardSpec {
-        shard,
-        catalog: sub,
-        cache_bytes: shared.caches[s],
-        policy: shared.config.policy,
-        seed: shared.config.seed + s as u64,
-        restore: Some(snap),
-        snapshot_path: shared
-            .config
-            .snapshot_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("shard-{s}.jsonl"))),
-        telemetry: ShardTelemetry::register(&shared.telemetry),
-    }));
+    *slot = Some(shared.shard_core(s, Some(snap), shared.snapshot_path(s)));
     drop(slot);
     shared
         .telemetry
@@ -1351,43 +1356,23 @@ fn handle_replica_bootstrap(shared: &Shared, shard: u16, state: &[u8]) -> Respon
             message: format!("shard {shard} is served as a primary here"),
         };
     }
-    let sub = shared.map.shard_catalog(s, &shared.catalog);
     let restore = if state.is_empty() {
         None
     } else {
-        let snap = match std::str::from_utf8(state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-            .and_then(snapshot_from_str)
-        {
-            Ok(snap) => snap,
-            Err(e) => {
+        match shared.restore_blob(s, state) {
+            Ok(snap) => Some(snap),
+            Err(msg) => {
                 return Response::Error {
                     code: error_code::NOT_REPLICA,
-                    message: format!("bootstrap shard {shard}: bad state blob: {e}"),
+                    message: format!("bootstrap shard {shard}: {msg}"),
                 }
             }
-        };
-        if let Err(msg) = validate_restore(&snap, &sub, &shared.config, shared.caches[s], s) {
-            return Response::Error {
-                code: error_code::NOT_REPLICA,
-                message: format!("bootstrap shard {shard}: {msg}"),
-            };
         }
-        Some(snap)
     };
-    let core = ShardCore::new(ShardSpec {
-        shard,
-        catalog: sub,
-        cache_bytes: shared.caches[s],
-        policy: shared.config.policy,
-        seed: shared.config.seed + s as u64,
-        restore,
-        // Backups never persist: the primary re-seeds them on demand,
-        // and a backup snapshot on disk could resurrect stale state
-        // as a primary after a cold restart.
-        snapshot_path: None,
-        telemetry: ShardTelemetry::register(&shared.telemetry),
-    });
+    // Backups never persist: the primary re-seeds them on demand, and a
+    // backup snapshot on disk could resurrect stale state as a primary
+    // after a cold restart.
+    let core = shared.shard_core(s, restore, None);
     let offset = core.events();
     *shared.backups[s].write().expect("backup slot") = Some(core);
     shared.telemetry.counter("replica.bootstraps").inc();
@@ -1450,12 +1435,7 @@ fn handle_promote(shared: &Shared, shard: u16) -> Response {
             Arc::clone(&rt.notifier),
         ))
     });
-    let snapshot_path = shared
-        .config
-        .snapshot_dir
-        .as_ref()
-        .map(|dir| dir.join(format!("shard-{s}.jsonl")));
-    let (core, offset) = backup.into_primary(snapshot_path, repl);
+    let (core, offset) = backup.into_primary(shared.snapshot_path(s), repl);
     *slot = Some(core);
     drop(slot);
     shared

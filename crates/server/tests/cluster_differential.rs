@@ -1,9 +1,9 @@
 //! The cluster differential suite: a trace replayed through a 2-node
 //! `delta-routerd` cluster — its shared multiplexed node links — must
-//! produce, per shard, byte-identical ledgers to `sim::simulate` over
-//! the offline `shard_trace` twin — for both partitioners, and **across
-//! a live mid-trace reshard** (where the in-process twin mirrors the
-//! migration with the same snapshot/restore primitive the nodes use).
+//! produce, per shard, byte-identical ledgers to the offline `Twin` —
+//! for both partitioners, and **across a live mid-trace reshard** (where
+//! the twin mirrors the migration with the same snapshot/restore
+//! primitive the nodes use).
 //!
 //! Also here: the killed-node contract (typed `NODE_UNAVAILABLE`, never
 //! a wrong answer), the stale-epoch contract — a client holding an
@@ -12,15 +12,13 @@
 //! and never a silently wrong answer — and the typed refusal of verbs
 //! sent to the wrong role.
 
-use delta_core::engine::Engine;
-use delta_core::{sim, CachingPolicy, CostLedger, EngineMetrics, VCover};
 use delta_server::{
-    error_code, shard_trace, BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor,
-    NodeRole, PartitionerKind, PolicyKind, Request, Response, Router, RouterConfig, Server,
-    ServerConfig,
+    error_code, BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor, NodeRole,
+    PartitionerKind, PolicyKind, Request, Response, Router, RouterConfig, Server, ServerConfig,
+    Twin,
 };
 use delta_storage::{ObjectCatalog, ObjectId};
-use delta_workload::{Event, QueryEvent, QueryKind, SyntheticSurvey, Trace, WorkloadConfig};
+use delta_workload::{Event, QueryEvent, QueryKind, SyntheticSurvey, WorkloadConfig};
 
 const SHARDS: usize = 4;
 const NODES: u16 = 2;
@@ -31,6 +29,24 @@ fn survey(n: usize) -> SyntheticSurvey {
     cfg.n_queries = n;
     cfg.n_updates = n;
     SyntheticSurvey::generate(&cfg)
+}
+
+/// The recipe every node shares and the twin is built from; each node
+/// adds its own cluster role.
+fn shared_config(
+    policy: PolicyKind,
+    partitioner: PartitionerKind,
+    cache_bytes: u64,
+) -> ServerConfig {
+    ServerConfig {
+        bind: "127.0.0.1:0".to_string(),
+        n_shards: SHARDS,
+        partitioner,
+        cache_bytes,
+        policy,
+        seed: SEED,
+        ..ServerConfig::default()
+    }
 }
 
 struct Cluster {
@@ -50,18 +66,12 @@ fn start_cluster(
     let mut node_addrs = Vec::new();
     for node in 0..NODES {
         let config = ServerConfig {
-            bind: "127.0.0.1:0".to_string(),
-            n_shards: SHARDS,
-            partitioner,
-            cache_bytes,
-            policy,
-            seed: SEED,
             cluster: Some(ClusterConfig {
                 node,
                 nodes: NODES,
                 hosted: ClusterConfig::default_hosted(node, NODES, SHARDS),
             }),
-            ..ServerConfig::default()
+            ..shared_config(policy, partitioner, cache_bytes)
         };
         let server = Server::start(config, catalog.clone()).expect("node starts");
         node_addrs.push(server.local_addr());
@@ -122,28 +132,6 @@ fn replay_batched(addr: std::net::SocketAddr, events: &[Event], batch: usize) {
     }
 }
 
-/// Per-shard `sim::simulate` ledgers over the offline twin.
-fn expected_shard_ledgers(
-    s: &SyntheticSurvey,
-    partitioner: PartitionerKind,
-    cache_bytes: u64,
-) -> Vec<CostLedger> {
-    let map = partitioner.build(SHARDS, s.catalog.len());
-    shard_trace(map.as_ref(), &s.catalog, &s.trace, cache_bytes)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, (catalog, trace, shard_cache))| {
-            let mut p = VCover::new(shard_cache, SEED + shard as u64);
-            let opts = sim::SimOptions {
-                cache_bytes: shard_cache,
-                sample_every: u64::MAX,
-                link: None,
-            };
-            sim::simulate(&mut p, &catalog, &trace, opts).ledger
-        })
-        .collect()
-}
-
 /// The acceptance pin: a 50k-event trace through the 2-node router is
 /// per-shard byte-identical to the in-process simulation, under both
 /// partitioners.
@@ -162,7 +150,12 @@ fn cluster_router_matches_sim_per_shard() {
         assert_eq!(info.partitioner, partitioner.to_string());
         let stats = client.stats().expect("stats");
         assert_eq!(stats.shards.len(), SHARDS, "{partitioner}: shard count");
-        let want = expected_shard_ledgers(&s, partitioner, cache_bytes);
+        let want = Twin::new(
+            &shared_config(PolicyKind::VCover, partitioner, cache_bytes),
+            &s.catalog,
+        )
+        .apply_all(&s.trace.events)
+        .ledgers();
         for (shard, want) in stats.shards.iter().zip(&want) {
             assert_eq!(
                 &shard.metrics.ledger, want,
@@ -180,10 +173,10 @@ fn cluster_router_matches_sim_per_shard() {
 }
 
 /// The reshard pin: the identity holds *across a live mid-trace
-/// reshard*. The in-process twin replays each shard's sub-trace through
-/// the engine directly, mirroring the migration on the moved shard with
-/// the same snapshot/restore primitive the nodes use — so the comparison
-/// covers the state transfer itself, not just the happy path.
+/// reshard*. The twin replays each shard's sub-trace through the engine
+/// directly, mirroring the migration on the moved shard with the same
+/// snapshot/restore primitive the nodes use — so the comparison covers
+/// the state transfer itself, not just the happy path.
 #[test]
 fn mid_trace_reshard_is_byte_identical_to_the_engine_twin() {
     let s = survey(25_000);
@@ -195,44 +188,13 @@ fn mid_trace_reshard_is_byte_identical_to_the_engine_twin() {
     // to node 1 mid-trace.
     let (moved_shard, to_node) = (0u16, 1u16);
 
-    // In-process twin: same split, same engines, same migration.
-    let map = partitioner.build(SHARDS, s.catalog.len());
-    let prefix = shard_trace(
-        map.as_ref(),
-        &s.catalog,
-        &Trace::new(s.trace.events[..mid].to_vec()),
-        cache_bytes,
-    );
-    let suffix = shard_trace(
-        map.as_ref(),
-        &s.catalog,
-        &Trace::new(s.trace.events[mid..].to_vec()),
-        cache_bytes,
-    );
-    let twin: Vec<EngineMetrics> = (0..SHARDS)
-        .map(|shard| {
-            let (sub_catalog, pre_trace, shard_cache) = &prefix[shard];
-            let (_, post_trace, _) = &suffix[shard];
-            let build = || policy.build(*shard_cache, SEED + shard as u64);
-            let mut engine: Engine<'static, dyn CachingPolicy + Send> =
-                Engine::new(build(), sub_catalog, *shard_cache);
-            engine.init(None);
-            for event in pre_trace.iter() {
-                engine.apply(event).expect("twin prefix event");
-            }
-            if shard == moved_shard as usize {
-                // The migration: snapshot at the old owner, restore at
-                // the new one under a fresh policy — exactly what
-                // DetachShard/AttachShard do on the wire.
-                let snap = engine.snapshot();
-                engine = Engine::restore(build(), sub_catalog, &snap).expect("twin restore");
-            }
-            for event in post_trace.iter() {
-                engine.apply(event).expect("twin suffix event");
-            }
-            engine.metrics()
-        })
-        .collect();
+    // The twin: same split, same engines, same migration — snapshot at
+    // the old owner, restore at the new one under a fresh policy, exactly
+    // what DetachShard/AttachShard do on the wire.
+    let mut twin = Twin::new(&shared_config(policy, partitioner, cache_bytes), &s.catalog);
+    twin.apply_all(&s.trace.events[..mid]);
+    twin.migrate(moved_shard as usize);
+    let twin = twin.apply_all(&s.trace.events[mid..]).metrics();
 
     // The router must track the twin across the migration, which also
     // exercises its quiesce (the reshard waits for in-flight multiplexed

@@ -8,8 +8,8 @@
 //! * **bounded unavailability**: the first success on an orphaned shard
 //!   lands within 2× the router's `node_timeout` of the kill;
 //! * **determinism across the failover**: the final per-shard ledgers
-//!   (served by the promoted backups) are byte-identical to
-//!   `sim::simulate` over the offline `shard_trace` twin;
+//!   (served by the promoted backups) are byte-identical to the
+//!   offline `Twin` (`sim::simulate` per shard);
 //! * **live counters**: `router.promotions`/`router.failovers` and the
 //!   `replica.*` scrape plane all moved.
 //!
@@ -23,10 +23,9 @@
 //! surviving node has no fence for a retried sub-item it already
 //! applied), which is exactly the caveat DESIGN.md documents.
 
-use delta_core::{sim, CostLedger, VCover};
 use delta_server::{
-    error_code, shard_trace, DeltaClient, FrontDoor, NodeRole, PartitionerKind, Request, Response,
-    Router, RouterConfig,
+    error_code, DeltaClient, FrontDoor, NodeRole, PartitionerKind, PolicyKind, Request, Response,
+    Router, RouterConfig, ServerConfig, Twin,
 };
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_workload::{Event, QueryEvent, QueryKind, Trace, UpdateEvent};
@@ -82,29 +81,6 @@ fn workload() -> (ObjectCatalog, Trace) {
     (catalog, Trace::new(events))
 }
 
-/// Per-shard `sim::simulate` ledgers over the offline twin — the
-/// oracle the post-failover cluster must match byte for byte.
-fn expected_shard_ledgers(
-    catalog: &ObjectCatalog,
-    trace: &Trace,
-    cache_bytes: u64,
-) -> Vec<CostLedger> {
-    let map = PartitionerKind::RoundRobin.build(SHARDS, catalog.len());
-    shard_trace(map.as_ref(), catalog, trace, cache_bytes)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, (catalog, trace, shard_cache))| {
-            let mut p = VCover::new(shard_cache, SEED + shard as u64);
-            let opts = sim::SimOptions {
-                cache_bytes: shard_cache,
-                sample_every: u64::MAX,
-                link: None,
-            };
-            sim::simulate(&mut p, &catalog, &trace, opts).ledger
-        })
-        .collect()
-}
-
 /// Reserves a distinct loopback port by binding ephemeral and dropping
 /// the listener (the usual small race; the daemons bind right after).
 fn free_addr() -> SocketAddr {
@@ -121,22 +97,22 @@ fn spawn_node(
     node: usize,
     peers: &str,
     trace_path: &std::path::Path,
-    cache_bytes: u64,
+    recipe: &ServerConfig,
 ) -> Child {
     Command::new(bin)
         .args([
             "--bind",
             &addr.to_string(),
             "--shards",
-            &SHARDS.to_string(),
+            &recipe.n_shards.to_string(),
             "--partitioner",
-            "rr",
+            &recipe.partitioner.to_string(),
             "--cache-bytes",
-            &cache_bytes.to_string(),
+            &recipe.cache_bytes.to_string(),
             "--policy",
-            "vcover",
+            &recipe.policy.to_string(),
             "--seed",
-            &SEED.to_string(),
+            &recipe.seed.to_string(),
             "--trace",
             &trace_path.display().to_string(),
             "--node-id",
@@ -185,7 +161,15 @@ fn connect_router(addr: SocketAddr) -> DeltaClient {
 #[test]
 fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     let (catalog, trace) = workload();
-    let cache_bytes = (catalog.total_bytes() as f64 * 0.3) as u64;
+    // The recipe both nodes are started with and the twin is built from.
+    let recipe = ServerConfig {
+        n_shards: SHARDS,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes: (catalog.total_bytes() as f64 * 0.3) as u64,
+        policy: PolicyKind::VCover,
+        seed: SEED,
+        ..ServerConfig::default()
+    };
     let trace_path =
         std::env::temp_dir().join(format!("delta-failover-{}.jsonl", std::process::id()));
     delta_workload::write_jsonl(&trace_path, &catalog, &trace, "failover chaos trace")
@@ -198,7 +182,7 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     let peers = format!("{},{}", addrs[0], addrs[1]);
     let bin = env!("CARGO_BIN_EXE_delta-serverd");
     let mut children: Vec<Child> = (0..NODES)
-        .map(|node| spawn_node(bin, addrs[node], node, &peers, &trace_path, cache_bytes))
+        .map(|node| spawn_node(bin, addrs[node], node, &peers, &trace_path, &recipe))
         .collect();
     for &addr in &addrs {
         await_node(addr);
@@ -218,7 +202,7 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     .expect("router starts");
     let router_addr = router.local_addr();
 
-    let map = PartitionerKind::RoundRobin.build(SHARDS, catalog.len());
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
     let dead_node = 1usize;
     let orphaned = |e: &Event| {
         let o = match e {
@@ -339,7 +323,9 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     // that lived through bootstrap, replication, and promotion.
     let stats = admin.stats().expect("stats");
     assert_eq!(stats.shards.len(), SHARDS);
-    let want = expected_shard_ledgers(&catalog, &trace, cache_bytes);
+    let want = Twin::new(&recipe, &catalog)
+        .apply_all(&trace.events)
+        .ledgers();
     for shard in &stats.shards {
         assert_eq!(
             &shard.metrics.ledger, &want[shard.shard as usize],

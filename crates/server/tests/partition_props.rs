@@ -1,10 +1,12 @@
 //! Property tests for the sharding arithmetic: `apportion`'s exactness,
-//! query splitting under arbitrary shard counts, agreement between the
-//! offline `shard_trace` twin and online routing on random traces — all
-//! quantified over *both* partitioners — plus the [`HashRing`]-specific
-//! bounded-remap property that makes live resharding affordable.
+//! query splitting under arbitrary shard counts, the offline `Twin`'s
+//! byte and update accounting on random traces — all quantified over
+//! *both* partitioners — plus the [`HashRing`]-specific bounded-remap
+//! property that makes live resharding affordable.
 
-use delta_server::{apportion, shard_trace, HashRing, Partitioner, PartitionerKind, RoundRobin};
+use delta_server::{
+    apportion, HashRing, Partitioner, PartitionerKind, PolicyKind, RoundRobin, ServerConfig, Twin,
+};
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_workload::{Event, QueryEvent, QueryKind, Trace, UpdateEvent};
 use proptest::prelude::*;
@@ -30,10 +32,6 @@ fn arb_kind() -> impl Strategy<Value = QueryKind> {
 
 fn arb_partitioner_kind() -> impl Strategy<Value = PartitionerKind> {
     prop::sample::select(vec![PartitionerKind::RoundRobin, PartitionerKind::HashRing])
-}
-
-fn build(kind: PartitionerKind, n_shards: usize, n_objects: usize) -> Box<dyn Partitioner> {
-    kind.build(n_shards, n_objects)
 }
 
 proptest! {
@@ -80,7 +78,7 @@ proptest! {
         n_shards in 1usize..12,
     ) {
         let n_shards = n_shards.min(n_objects);
-        let map = build(kind, n_shards, n_objects);
+        let map = kind.build(n_shards, n_objects);
         let mut seen = vec![false; n_objects];
         let mut total = 0usize;
         for s in 0..map.n_shards() {
@@ -153,7 +151,7 @@ proptest! {
             .map(|o| ObjectId(o % sizes.len() as u32))
             .collect();
         let q = QueryEvent { seq: 1, objects: objects.clone(), result_bytes, tolerance, kind };
-        let map = build(kind_sel, n_shards, sizes.len());
+        let map = kind_sel.build(n_shards, sizes.len());
         let subs = map.split_query(&q, &catalog);
 
         prop_assert_eq!(
@@ -177,12 +175,12 @@ proptest! {
         }
     }
 
-    /// The offline `shard_trace` twin routes every event exactly as the
-    /// online `split_query`/`split_update` path does, for random traces,
-    /// shard counts and partitioners — the equivalence the integration
-    /// and cluster differential tests lean on.
+    /// The offline twin loses and duplicates nothing, for random traces,
+    /// shard counts and partitioners: under NoCache its shards together
+    /// ship exactly the trace's query bytes, and each update is counted
+    /// once, on the shard that owns its object.
     #[test]
-    fn shard_trace_agrees_with_online_routing(
+    fn twin_ships_every_query_byte_and_counts_every_update_once(
         kind_sel in arb_partitioner_kind(),
         sizes in arb_catalog_sizes(),
         n_shards in 1usize..10,
@@ -218,45 +216,31 @@ proptest! {
             })
             .collect();
         let trace = Trace::new(events.clone());
-        let map = build(kind_sel, n_shards, sizes.len());
+        let map = kind_sel.build(n_shards, sizes.len());
         // An empty shard cannot carry a sub-catalog; the live server
-        // refuses such configurations, so the twin skips them too.
+        // refuses such configurations, so the property skips them too.
         if (0..n_shards).any(|s| map.shard_len(s) == 0) {
             return Ok(());
         }
 
-        let offline = shard_trace(map.as_ref(), &catalog, &trace, total_cache);
-
-        // Online twin: route event by event with the same primitives.
-        let mut online: Vec<Vec<Event>> = vec![Vec::new(); n_shards];
-        for event in &events {
-            match event {
-                Event::Query(q) => {
-                    for (s, sub) in map.split_query(&q.clone(), &catalog) {
-                        online[s].push(Event::Query(sub));
-                    }
-                }
-                Event::Update(u) => {
-                    let (s, sub) = map.split_update(&u.clone());
-                    online[s].push(Event::Update(sub));
-                }
-            }
+        let config = ServerConfig {
+            n_shards,
+            partitioner: kind_sel,
+            cache_bytes: total_cache,
+            policy: PolicyKind::NoCache,
+            ..ServerConfig::default()
+        };
+        let metrics = Twin::new(&config, &catalog).apply_all(&events).metrics();
+        prop_assert_eq!(metrics.len(), n_shards);
+        let shipped: u64 = metrics.iter().map(|m| m.ledger.total().bytes()).sum();
+        prop_assert_eq!(shipped, trace.total_query_bytes());
+        for (s, m) in metrics.iter().enumerate() {
+            let owned = events
+                .iter()
+                .filter(|e| matches!(e, Event::Update(u) if map.shard_of(u.object) == s))
+                .count();
+            prop_assert_eq!(m.updates, owned as u64, "shard {} update count", s);
         }
-
-        prop_assert_eq!(offline.len(), n_shards);
-        let caches = map.shard_cache_bytes(total_cache, &catalog);
-        prop_assert_eq!(caches.iter().sum::<u64>(), total_cache);
-        for (s, (sub_catalog, sub_trace, cache)) in offline.iter().enumerate() {
-            prop_assert_eq!(&sub_trace.events, &online[s], "shard {} sub-trace diverged", s);
-            prop_assert_eq!(*cache, caches[s]);
-            prop_assert_eq!(sub_catalog.len(), map.shard_len(s));
-        }
-
-        // Byte totals survive the partitioning exactly.
-        let query_bytes: u64 = offline.iter().map(|(_, t, _)| t.total_query_bytes()).sum();
-        prop_assert_eq!(query_bytes, trace.total_query_bytes());
-        let update_bytes: u64 = offline.iter().map(|(_, t, _)| t.total_update_bytes()).sum();
-        prop_assert_eq!(update_bytes, trace.total_update_bytes());
     }
 
     /// Sub-catalogs tile the catalog: every object appears on exactly
@@ -270,7 +254,7 @@ proptest! {
     ) {
         let catalog = ObjectCatalog::from_sizes(&sizes);
         let n_shards = n_shards.min(sizes.len());
-        let map = build(kind_sel, n_shards, sizes.len());
+        let map = kind_sel.build(n_shards, sizes.len());
         let mut seen = vec![0u32; sizes.len()];
         for s in (0..n_shards).filter(|&s| map.shard_len(s) > 0) {
             let sub = map.shard_catalog(s, &catalog);

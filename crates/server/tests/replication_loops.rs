@@ -12,17 +12,17 @@
 //!
 //! The run must stay healthy from the first event to the last:
 //!
-//! * per-shard ledgers are byte-identical to `sim::simulate`;
+//! * per-shard ledgers are byte-identical to the offline `Twin`
+//!   (`sim::simulate` per shard);
 //! * `replica.bootstraps` equals the shard count — a target that went
 //!   down can only come back through a second bootstrap;
 //! * `replica.shipped_events` equals the applied events — every event
 //!   reached its backup through the log, so no target stayed down;
 //! * `replica.acked_below_r` is zero and group commit was observed.
 
-use delta_core::{sim, CostLedger, VCover};
 use delta_server::{
-    shard_trace, BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor, PartitionerKind,
-    PolicyKind, ReplicationConfig, Request, Response, Router, RouterConfig, Server, ServerConfig,
+    BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor, PartitionerKind, PolicyKind,
+    ReplicationConfig, Request, Response, Router, RouterConfig, Server, ServerConfig, Twin,
 };
 use delta_workload::{Event, SyntheticSurvey, WorkloadConfig};
 use std::net::TcpListener;
@@ -41,23 +41,6 @@ fn free_port() -> u16 {
         .port()
 }
 
-fn expected_shard_ledgers(s: &SyntheticSurvey, cache_bytes: u64) -> Vec<CostLedger> {
-    let map = PartitionerKind::RoundRobin.build(SHARDS, s.catalog.len());
-    shard_trace(map.as_ref(), &s.catalog, &s.trace, cache_bytes)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, (catalog, trace, shard_cache))| {
-            let mut p = VCover::new(shard_cache, SEED + shard as u64);
-            let opts = sim::SimOptions {
-                cache_bytes: shard_cache,
-                sample_every: u64::MAX,
-                link: None,
-            };
-            sim::simulate(&mut p, &catalog, &trace, opts).ledger
-        })
-        .collect()
-}
-
 #[test]
 fn mutual_backups_on_one_loop_stay_replicated() {
     let mut cfg = WorkloadConfig::small();
@@ -66,6 +49,15 @@ fn mutual_backups_on_one_loop_stay_replicated() {
     let s = SyntheticSurvey::generate(&cfg);
     let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
 
+    // The recipe both nodes share and the twin is built from.
+    let shared = ServerConfig {
+        n_shards: SHARDS,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes,
+        policy: PolicyKind::VCover,
+        seed: SEED,
+        ..ServerConfig::default()
+    };
     let peers: Vec<String> = (0..NODES)
         .map(|_| format!("127.0.0.1:{}", free_port()))
         .collect();
@@ -73,11 +65,6 @@ fn mutual_backups_on_one_loop_stay_replicated() {
         .map(|node| {
             let config = ServerConfig {
                 bind: peers[node as usize].clone(),
-                n_shards: SHARDS,
-                partitioner: PartitionerKind::RoundRobin,
-                cache_bytes,
-                policy: PolicyKind::VCover,
-                seed: SEED,
                 front: FrontDoor { threads: 1 },
                 cluster: Some(ClusterConfig {
                     node,
@@ -89,7 +76,7 @@ fn mutual_backups_on_one_loop_stay_replicated() {
                     peers: peers.clone(),
                     backup_of: None,
                 }),
-                ..ServerConfig::default()
+                ..shared.clone()
             };
             Server::start(config, s.catalog.clone()).expect("node starts")
         })
@@ -150,7 +137,9 @@ fn mutual_backups_on_one_loop_stay_replicated() {
 
     let (mut client, _) = client.into_lockstep().expect("lockstep");
     let stats = client.stats().expect("stats");
-    let want = expected_shard_ledgers(&s, cache_bytes);
+    let want = Twin::new(&shared, &s.catalog)
+        .apply_all(&s.trace.events)
+        .ledgers();
     assert_eq!(stats.shards.len(), SHARDS);
     for shard in &stats.shards {
         assert_eq!(

@@ -3,14 +3,12 @@
 //!
 //! The central property: replaying a synthetic trace through a 4-shard
 //! server produces, per shard, exactly the ledger `sim::simulate`
-//! produces on that shard's sub-catalog and sub-trace (the offline twin
-//! from `partition::shard_trace`) — and the per-shard ledgers sum to the
-//! aggregate snapshot.
+//! produces on that shard's sub-catalog and sub-trace (the offline
+//! `Twin`) — and the per-shard ledgers sum to the aggregate snapshot.
 
-use delta_core::{sim, CostLedger};
+use delta_core::sim;
 use delta_server::{
-    shard_trace, BatchItem, BatchReply, DeltaClient, PolicyKind, Request, Response, RoundRobin,
-    Server, ServerConfig,
+    BatchItem, BatchReply, DeltaClient, PolicyKind, Request, Response, Server, ServerConfig, Twin,
 };
 use delta_workload::{Event, SyntheticSurvey, WorkloadConfig};
 
@@ -35,7 +33,7 @@ fn start_server(
     n_shards: usize,
     policy: PolicyKind,
     cache_fraction: f64,
-) -> (Server, u64) {
+) -> (Server, ServerConfig) {
     let cache_bytes = (survey.catalog.total_bytes() as f64 * cache_fraction) as u64;
     let config = ServerConfig {
         bind: "127.0.0.1:0".to_string(),
@@ -45,8 +43,8 @@ fn start_server(
         seed: 42,
         ..ServerConfig::default()
     };
-    let server = Server::start(config, survey.catalog.clone()).expect("server starts");
-    (server, cache_bytes)
+    let server = Server::start(config.clone(), survey.catalog.clone()).expect("server starts");
+    (server, config)
 }
 
 fn replay(client: &mut DeltaClient, survey: &SyntheticSurvey) {
@@ -60,31 +58,6 @@ fn replay(client: &mut DeltaClient, survey: &SyntheticSurvey) {
             }
         }
     }
-}
-
-/// The sharded-simulation twin of a server run: per-shard ledgers from
-/// `sim::simulate` over `shard_trace`'s sub-traces.
-fn expected_shard_ledgers(
-    survey: &SyntheticSurvey,
-    n_shards: usize,
-    policy: PolicyKind,
-    cache_bytes: u64,
-    seed: u64,
-) -> Vec<CostLedger> {
-    let map = RoundRobin::new(n_shards, survey.catalog.len());
-    shard_trace(&map, &survey.catalog, &survey.trace, cache_bytes)
-        .into_iter()
-        .enumerate()
-        .map(|(s, (catalog, trace, shard_cache))| {
-            let mut p = policy.build(shard_cache, seed + s as u64);
-            let opts = sim::SimOptions {
-                cache_bytes: shard_cache,
-                sample_every: u64::MAX,
-                link: None,
-            };
-            sim::simulate(p.as_mut(), &catalog, &trace, opts).ledger
-        })
-        .collect()
 }
 
 /// Every policy the server serves, against its sharded simulation twin.
@@ -103,7 +76,7 @@ fn sharded_server_matches_sharded_simulation_exactly() {
         PolicyKind::Gdsf,
         PolicyKind::Lru,
     ] {
-        let (server, cache_bytes) = start_server(&survey, n_shards, policy, 0.3);
+        let (server, config) = start_server(&survey, n_shards, policy, 0.3);
         let addr = server.local_addr();
 
         let mut client = DeltaClient::connect(addr).expect("connect");
@@ -113,7 +86,9 @@ fn sharded_server_matches_sharded_simulation_exactly() {
         let final_stats = server.join();
 
         assert_eq!(stats.shards.len(), n_shards);
-        let expected = expected_shard_ledgers(&survey, n_shards, policy, cache_bytes, 42);
+        let expected = Twin::new(&config, &survey.catalog)
+            .apply_all(&survey.trace.events)
+            .ledgers();
         for (shard, want) in stats.shards.iter().zip(&expected) {
             assert_eq!(
                 &shard.metrics.ledger, want,
@@ -154,7 +129,7 @@ fn sharded_server_matches_sharded_simulation_exactly() {
 #[test]
 fn single_shard_server_equals_unsharded_simulation() {
     let survey = small_survey(300);
-    let (server, cache_bytes) = start_server(&survey, 1, PolicyKind::VCover, 0.3);
+    let (server, config) = start_server(&survey, 1, PolicyKind::VCover, 0.3);
     let mut client = DeltaClient::connect(server.local_addr()).expect("connect");
     replay(&mut client, &survey);
     let stats = client.stats().expect("stats");
@@ -163,9 +138,9 @@ fn single_shard_server_equals_unsharded_simulation() {
 
     // One shard means no splitting at all: the server must match a plain
     // sim::simulate run byte-for-byte.
-    let mut vcover = delta_core::VCover::new(cache_bytes, 42);
+    let mut vcover = delta_core::VCover::new(config.cache_bytes, 42);
     let opts = sim::SimOptions {
-        cache_bytes,
+        cache_bytes: config.cache_bytes,
         sample_every: u64::MAX,
         link: None,
     };
@@ -360,14 +335,14 @@ fn replay_mixed(
 
 /// One connection, mixed batch sizes, deep pipeline: because per-shard
 /// sub-event order still equals trace order, the per-shard ledgers must
-/// stay byte-identical to the offline `shard_trace` simulation twin —
+/// stay byte-identical to the offline simulation twin —
 /// batching and pipelining buy throughput without changing a single
 /// decision.
 #[test]
 fn batched_pipelined_replay_matches_sharded_simulation_exactly() {
     let n_shards = shard_count();
     let survey = small_survey(300);
-    let (server, cache_bytes) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
+    let (server, config) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
     let addr = server.local_addr();
 
     replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
@@ -377,7 +352,9 @@ fn batched_pipelined_replay_matches_sharded_simulation_exactly() {
     client.shutdown().expect("shutdown");
     server.join();
 
-    let expected = expected_shard_ledgers(&survey, n_shards, PolicyKind::VCover, cache_bytes, 42);
+    let expected = Twin::new(&config, &survey.catalog)
+        .apply_all(&survey.trace.events)
+        .ledgers();
     for (shard, want) in stats.shards.iter().zip(&expected) {
         assert_eq!(
             &shard.metrics.ledger, want,

@@ -11,8 +11,8 @@
 
 use delta_core::{sim, CostLedger, VCover};
 use delta_server::{
-    error_code, read_frame, shard_trace, write_frame, BatchItem, BatchReply, DeltaClient,
-    PolicyKind, Request, Response, RoundRobin, Server, ServerConfig, StatsSnapshot,
+    error_code, read_frame, write_frame, BatchItem, BatchReply, DeltaClient, PolicyKind, Request,
+    Response, Server, ServerConfig, StatsSnapshot, Twin,
 };
 use delta_storage::ObjectId;
 use delta_workload::{Event, QueryEvent, QueryKind, SyntheticSurvey, UpdateEvent, WorkloadConfig};
@@ -80,25 +80,6 @@ fn replay_batched(addr: std::net::SocketAddr, events: &[Event], batch: usize) {
     }
 }
 
-/// The sharded-simulation twin: per-shard ledgers from `sim::simulate`
-/// over `shard_trace`'s sub-traces.
-fn expected_shard_ledgers(survey: &SyntheticSurvey, cache_bytes: u64) -> Vec<CostLedger> {
-    let map = RoundRobin::new(shard_count(), survey.catalog.len());
-    shard_trace(&map, &survey.catalog, &survey.trace, cache_bytes)
-        .into_iter()
-        .enumerate()
-        .map(|(s, (catalog, trace, shard_cache))| {
-            let mut p = VCover::new(shard_cache, 42 + s as u64);
-            let opts = sim::SimOptions {
-                cache_bytes: shard_cache,
-                sample_every: u64::MAX,
-                link: None,
-            };
-            sim::simulate(&mut p, &catalog, &trace, opts).ledger
-        })
-        .collect()
-}
-
 fn assert_stats_match(stats: &StatsSnapshot, want: &[CostLedger], context: &str) {
     assert_eq!(stats.shards.len(), want.len(), "{context}: shard count");
     for (shard, want) in stats.shards.iter().zip(want) {
@@ -128,16 +109,15 @@ fn tri_modal_ledgers_are_byte_identical() {
 
     // Driver 2: the TCP server, per-shard against the offline twin.
     let dir = scratch_dir("tri-modal");
-    let server = Server::start(
-        config(PolicyKind::VCover, cache_bytes, Some(dir.clone())),
-        s.catalog.clone(),
-    )
-    .expect("server starts");
+    let cfg = config(PolicyKind::VCover, cache_bytes, Some(dir.clone()));
+    let server = Server::start(cfg.clone(), s.catalog.clone()).expect("server starts");
     let addr = server.local_addr();
     replay_batched(addr, &s.trace.events, 128);
     let mut client = DeltaClient::connect(addr).expect("connect");
     let stats = client.stats().expect("stats");
-    let want = expected_shard_ledgers(&s, cache_bytes);
+    let want = Twin::new(&cfg, &s.catalog)
+        .apply_all(&s.trace.events)
+        .ledgers();
     assert_stats_match(&stats, &want, "fresh server");
     if shard_count() == 1 {
         // With one shard there is no partitioning: both drivers see the
@@ -150,11 +130,7 @@ fn tri_modal_ledgers_are_byte_identical() {
     // The snapshot/restore cycle: a server restarted from the snapshots
     // reports the same per-shard ledgers — the tri-modal identity holds
     // after warm restart too.
-    let server = Server::start(
-        config(PolicyKind::VCover, cache_bytes, Some(dir.clone())),
-        s.catalog.clone(),
-    )
-    .expect("warm server starts");
+    let server = Server::start(cfg, s.catalog.clone()).expect("warm server starts");
     let mut client = DeltaClient::connect(server.local_addr()).expect("connect");
     let restored = client.stats().expect("stats");
     for (a, b) in stats.shards.iter().zip(&restored.shards) {

@@ -8,10 +8,9 @@
 //! reference by [`ObjectId`].
 
 use delta_htm::{Partition, Region, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a data object (index into the catalog).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -35,7 +34,7 @@ pub const GB: u64 = 1_000_000_000;
 pub const MB: u64 = 1_000_000;
 
 /// Static description of one data object.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DataObject {
     /// Identifier (equals its catalog position).
     pub id: ObjectId,
@@ -47,7 +46,7 @@ pub struct DataObject {
 }
 
 /// The immutable set of data objects a repository serves.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ObjectCatalog {
     objects: Vec<DataObject>,
     total_bytes: u64,

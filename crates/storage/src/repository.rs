@@ -19,11 +19,10 @@
 //! forget keeps the full history, as an authoritative server must.
 
 use crate::object::{ObjectCatalog, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One update applied at the repository.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateRecord {
     /// Global event-sequence number at which the update arrived. Doubles
     /// as the update's timestamp for staleness-tolerance checks.

@@ -6,12 +6,10 @@
 //! update traffic, a long warm-up prefix of cheap queries, drifting query
 //! hotspots and great-circle-clustered updates.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative frequencies of the query shapes in the trace (§6.1 lists
 /// range, spatial self-join, selection and aggregation queries; cone
 /// searches and stripe scans are the canonical SkyServer additions).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QueryMix {
     /// Cone searches around a position.
     pub cone: f64,
@@ -47,7 +45,7 @@ impl QueryMix {
 }
 
 /// Full configuration of a synthetic survey workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkloadConfig {
     /// Master RNG seed; everything downstream is deterministic in it.
     pub seed: u64,

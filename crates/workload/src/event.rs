@@ -6,12 +6,11 @@
 //! tolerance-for-staleness `t(q)` is expressed in event ticks.
 
 use delta_storage::ObjectId;
-use serde::{Deserialize, Serialize};
 
 /// The SQL shape of a query, as classified in §6.1 ("range queries,
 /// spatial self-join queries, simple selection queries, as well as
 /// aggregation queries").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryKind {
     /// Cone search around a position.
     Cone,
@@ -28,7 +27,7 @@ pub enum QueryKind {
 }
 
 /// A read-only user query arriving at the cache.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryEvent {
     /// Global event sequence number (the time axis).
     pub seq: u64,
@@ -44,7 +43,7 @@ pub struct QueryEvent {
 }
 
 /// A data update arriving at the repository.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateEvent {
     /// Global event sequence number.
     pub seq: u64,
@@ -55,7 +54,7 @@ pub struct UpdateEvent {
 }
 
 /// One event of the interleaved trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A user query at the cache.
     Query(QueryEvent),
@@ -87,9 +86,9 @@ impl Event {
 }
 
 mod json {
-    //! Hand-written JSON codecs (the vendored serde is derive-free),
-    //! matching serde's shape: newtype ids as bare numbers, unit enum
-    //! variants as strings, data-carrying variants externally tagged.
+    //! Hand-written JSON codecs, matching serde's conventional shape:
+    //! newtype ids as bare numbers, unit enum variants as strings,
+    //! data-carrying variants externally tagged.
 
     use super::{Event, QueryEvent, QueryKind, UpdateEvent};
     use delta_storage::ObjectId;

@@ -9,10 +9,9 @@
 
 use crate::event::{Event, QueryKind};
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Per-object activity aggregates over a trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceStats {
     /// Number of queries touching each object.
     pub query_touches: Vec<u64>,
@@ -82,7 +81,7 @@ fn top_k(counts: &[u64], k: usize) -> Vec<usize> {
 }
 
 /// One point of the Fig. 7(a) scatter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScatterPoint {
     /// Event sequence number (x-axis).
     pub seq: u64,
@@ -210,7 +209,7 @@ mod tests {
 /// Distribution summary of the query-shape mix and result sizes — the
 /// §6.1 trace properties ("several kinds of queries … no single query
 /// template dominates"; heavy-tailed result sizes).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MixStats {
     /// Query counts per [`QueryKind`], in enum order
     /// (cone, range, self-join, aggregate, scan, selection).

@@ -8,12 +8,11 @@
 
 use crate::event::Event;
 use delta_storage::ObjectCatalog;
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// The interleaved query/update event sequence.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// Events ordered by sequence number.
     pub events: Vec<Event>,
@@ -84,7 +83,7 @@ impl Trace {
 }
 
 /// Header line of a trace file: everything needed to rebuild the catalog.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceHeader {
     /// Format version.
     pub version: u32,
