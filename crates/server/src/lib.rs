@@ -7,7 +7,7 @@
 //! * [`protocol`] — a length-prefixed binary wire protocol: the
 //!   event-shaped `Query`, `Update`, `Stats` and `Shutdown` frames, plus
 //!   `Sql` (raw SQL compiled server-side into the access set `B(q)`),
-//!   `Batch` (many events in one frame, coalesced per shard) and
+//!   `Batch` (many events in one frame, one sub-batch per shard) and
 //!   `Tagged` (correlation-id envelope the pipelined client rides).
 //! * [`partition`] — pluggable catalog sharding behind the
 //!   [`partition::Partitioner`] trait (round-robin preserved
@@ -25,7 +25,10 @@
 //! * [`mux`] — the correlation mux behind the router's shared node
 //!   links: `Tagged`-envelope correlation ids, per-client fan-out
 //!   accounting and reply merging as a socket-free state machine, shared
-//!   between the reactor data plane and the pipelined client.
+//!   between the reactor data plane and the pipelined client. Its
+//!   splitter, [`mux::MergeState`] and [`mux::shape_response`] serve the
+//!   node too: every event frame, on either tier, is split, merged and
+//!   shaped by the same three functions.
 //! * [`replication`] — primary/backup replication state: the per-shard
 //!   applied-event log a primary ships to its backups, acknowledged
 //!   offsets, and the settle notification that makes an acknowledged

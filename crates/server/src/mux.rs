@@ -1,4 +1,5 @@
-//! The correlation mux behind the router's shared node links.
+//! The correlation mux behind the router's shared node links, and the
+//! split → merge → shape path every event frame takes on both tiers.
 //!
 //! This module is the **socket-free** state machine of the router's
 //! data plane: everything about correlation ids, per-client
@@ -13,11 +14,15 @@
 //!   windowed [`crate::client::PipelinedClient`] and every shared node
 //!   link use the same implementation, so the client side and the
 //!   router side of the `Tagged` envelope cannot drift apart.
-//! * [`MergeState`] — merges per-op [`BatchReply`]s back into per-item
-//!   replies with the exact batch semantics of the in-process fan-out
-//!   (query sub-replies accumulate, update replies overwrite, an error
-//!   poisons its item only), which is what keeps a routed batch
-//!   byte-identical to the same batch served by one standalone server.
+//! * [`split_items`], [`MergeState`] and [`shape_response`] — the one
+//!   serving path. A `Query`, `Update`, `Sql` or `Batch` frame becomes a
+//!   list of items with a [`ReplyKind`]; the splitter cuts each item
+//!   into per-shard sub-events; per-op [`BatchReply`]s merge back into
+//!   per-item replies (query sub-replies accumulate, update replies
+//!   set, an error poisons its item only); and the merge is shaped
+//!   into the client-facing response. The router and the node run the
+//!   same three functions, so a routed frame is answered exactly as one
+//!   standalone server answers it.
 //! * [`FanoutTable`] — one entry per suspended client request: which
 //!   connection owes the response, how many node sub-requests are still
 //!   outstanding (and on which nodes), and the merge in progress. A
@@ -35,9 +40,12 @@
 //! wire version bump, and a node cannot tell a router's shared link
 //! from a deep pipelined client.
 
-use crate::protocol::{error_code, BatchReply, NodeOp, Response};
+use crate::partition::Partitioner;
+use crate::protocol::{error_code, BatchItem, BatchReply, NodeOp, Response, SqlStage};
+use delta_query::{QueryCompiler, QueryError};
 use delta_reactor::TimerKey;
-use delta_workload::QueryKind;
+use delta_storage::{ObjectCatalog, ObjectId};
+use delta_workload::{QueryEvent, QueryKind};
 use std::collections::HashMap;
 use std::io;
 use std::time::Instant;
@@ -118,42 +126,77 @@ pub struct QueryAcc {
     pub shipped: u16,
 }
 
-/// Merges per-op replies back into per-item replies with the in-process
-/// batch semantics: query sub-replies accumulate into a [`QueryAcc`],
-/// an update reply overwrites its item, and an error poisons its item
-/// only (taking precedence over sub-queries other nodes served).
+/// One client item under merge: its resolved reply, if any, and, for a
+/// query, the tally of its sub-replies.
+#[derive(Debug, Default)]
+struct ItemMerge {
+    reply: Option<BatchReply>,
+    acc: Option<QueryAcc>,
+}
+
+impl ItemMerge {
+    fn resolve(self) -> BatchReply {
+        match (self.reply, self.acc) {
+            (Some(r), _) => r,
+            (None, Some(acc)) => BatchReply::Query {
+                shards_touched: acc.sent,
+                local_answers: acc.local,
+                shipped: acc.shipped,
+            },
+            // Every valid item declares itself a query or gets a reply;
+            // fail loudly if that ever breaks rather than fabricate one.
+            (None, None) => BatchReply::Error {
+                code: error_code::BAD_FRAME,
+                message: "item produced no outcome".to_string(),
+            },
+        }
+    }
+}
+
+/// Merges per-op replies back into per-item replies, on the node and at
+/// the router alike: query sub-replies accumulate into a [`QueryAcc`],
+/// an update reply sets its item, and an error poisons its item only,
+/// taking precedence over sub-queries other shards or nodes served.
+///
+/// **The first error wins.** Once an item holds an error, later errors
+/// for it (a second shard's contract violation, a second shard's
+/// fence) are dropped. Ops merge in shard order on a node, so a
+/// node's reply names the lowest failing shard; the router merges node
+/// replies in arrival order.
 #[derive(Debug)]
 pub struct MergeState {
-    replies: Vec<Option<BatchReply>>,
-    accs: Vec<Option<QueryAcc>>,
+    items: Vec<ItemMerge>,
 }
 
 impl MergeState {
     /// A merge over `n_items` client items, none resolved yet.
     pub fn new(n_items: usize) -> MergeState {
-        let mut replies = Vec::with_capacity(n_items);
-        replies.resize_with(n_items, || None);
-        let mut accs = Vec::with_capacity(n_items);
-        accs.resize_with(n_items, || None);
-        MergeState { replies, accs }
+        MergeState {
+            items: (0..n_items).map(|_| ItemMerge::default()).collect(),
+        }
     }
 
-    /// Number of client items under merge.
-    pub fn n_items(&self) -> usize {
-        self.replies.len()
+    /// Starts a fresh merge over `n_items` items in this merge's
+    /// storage, so a connection can reuse one merge for every frame.
+    pub(crate) fn reset(&mut self, n_items: usize) {
+        self.items.clear();
+        self.items.resize_with(n_items, ItemMerge::default);
     }
 
-    /// Resolves `item` to an error before any op is sent (unknown
-    /// object, etc.).
+    /// Resolves `item` to an error (unknown object, fenced event),
+    /// unless it already holds one.
     pub fn poison(&mut self, item: usize, code: u16, message: String) {
-        self.replies[item] = Some(BatchReply::Error { code, message });
+        let reply = &mut self.items[item].reply;
+        if !matches!(reply, Some(BatchReply::Error { .. })) {
+            *reply = Some(BatchReply::Error { code, message });
+        }
     }
 
     /// Declares `item` a query that split into `sent` sub-queries, so
     /// the final reply can report the fan-out width even when every
     /// sub-reply is absorbed.
     pub fn expect_query(&mut self, item: usize, sent: u16) {
-        self.accs[item] = Some(QueryAcc {
+        self.items[item].acc = Some(QueryAcc {
             sent,
             local: 0,
             shipped: 0,
@@ -170,7 +213,7 @@ impl MergeState {
                 shipped,
                 ..
             } => {
-                let Some(acc) = self.accs[item].as_mut() else {
+                let Some(acc) = self.items[item].acc.as_mut() else {
                     return Err(io::Error::other(
                         "node sent a query reply for a non-query item",
                     ));
@@ -179,33 +222,49 @@ impl MergeState {
                 acc.shipped += shipped;
             }
             BatchReply::Update { shard, version } => {
-                self.replies[item] = Some(BatchReply::Update { shard, version });
+                self.items[item].reply = Some(BatchReply::Update { shard, version });
             }
-            BatchReply::Error { code, message } => {
-                self.replies[item] = Some(BatchReply::Error { code, message });
-            }
+            BatchReply::Error { code, message } => self.poison(item, code, message),
         }
         Ok(())
     }
+}
 
-    /// Finalizes the merge into one reply per item, in item order.
-    pub fn finish(self) -> Vec<BatchReply> {
-        self.replies
-            .into_iter()
-            .zip(self.accs)
-            .map(|(reply, acc)| match (reply, acc) {
-                (Some(r), _) => r,
-                (None, Some(acc)) => BatchReply::Query {
-                    shards_touched: acc.sent,
-                    local_answers: acc.local,
-                    shipped: acc.shipped,
-                },
-                (None, None) => BatchReply::Error {
-                    code: error_code::BAD_FRAME,
-                    message: "item produced no outcome".to_string(),
-                },
-            })
-            .collect()
+/// The one item splitter both tiers run. An item naming an object
+/// outside `catalog` is poisoned with `UNKNOWN_OBJECT`; a query declares
+/// its split width; and every `(shard, item, sub-event)` goes to `emit`
+/// in item order, so each shard sees its sub-events in item order. The
+/// router groups them per owning node, the node per shard.
+pub(crate) fn split_items(
+    map: &dyn Partitioner,
+    catalog: &ObjectCatalog,
+    items: impl IntoIterator<Item = BatchItem>,
+    merge: &mut MergeState,
+    mut emit: impl FnMut(usize, usize, BatchItem),
+) {
+    let unknown = |o: ObjectId| format!("object {o} is outside the catalog");
+    for (i, item) in items.into_iter().enumerate() {
+        match item {
+            BatchItem::Query(q) => {
+                if let Some(&bad) = q.objects.iter().find(|o| o.index() >= catalog.len()) {
+                    merge.poison(i, error_code::UNKNOWN_OBJECT, unknown(bad));
+                    continue;
+                }
+                let subs = map.split_query(&q, catalog);
+                merge.expect_query(i, subs.len() as u16);
+                for (s, sub) in subs {
+                    emit(s, i, BatchItem::Query(sub));
+                }
+            }
+            BatchItem::Update(u) => {
+                if u.object.index() >= catalog.len() {
+                    merge.poison(i, error_code::UNKNOWN_OBJECT, unknown(u.object));
+                    continue;
+                }
+                let (s, local) = map.split_update(&u);
+                emit(s, i, BatchItem::Update(local));
+            }
+        }
     }
 }
 
@@ -215,12 +274,13 @@ pub enum ReplyKind {
     /// A lone `Query`/`Update` request: the single item reply converts
     /// to `QueryOk`/`UpdateOk`/`Error`.
     Single,
-    /// A `Batch` request: the item replies ship as `BatchOk`.
+    /// A `Batch` (or a node's `NodeOps`) request: the item replies ship
+    /// as `BatchOk`.
     Batch,
     /// A compiled SQL request: the single query reply converts to
     /// `SqlOk` carrying the compile-time facts captured here.
     Sql {
-        /// Size of the access set the router compiled.
+        /// Size of the compiled access set.
         objects: u32,
         /// Estimated result size in bytes.
         result_bytes: u64,
@@ -229,6 +289,42 @@ pub enum ReplyKind {
         /// Workload classification of the query.
         kind: QueryKind,
     },
+}
+
+/// The SQL compile step both tiers run: the compiled query event with
+/// the [`ReplyKind::Sql`] that shapes its reply, or the typed
+/// `SqlRejected` response naming the failing stage.
+pub(crate) fn compile_sql(
+    compiler: &QueryCompiler,
+    seq: u64,
+    sql: &str,
+) -> Result<(QueryEvent, ReplyKind), Response> {
+    let compiled = compiler.compile(sql).map_err(|e| match e {
+        QueryError::Parse(e) => {
+            let span = e.span();
+            Response::SqlRejected {
+                stage: SqlStage::Parse,
+                span_start: span.start as u32,
+                span_end: span.end as u32,
+                message: e.to_string(),
+            }
+        }
+        QueryError::Analyze(e) => Response::SqlRejected {
+            stage: SqlStage::Analyze,
+            span_start: 0,
+            span_end: 0,
+            message: e.to_string(),
+        },
+    })?;
+    let objects = compiled.objects.len() as u32;
+    let event = compiled.into_event(seq);
+    let kind = ReplyKind::Sql {
+        objects,
+        result_bytes: event.result_bytes,
+        tolerance: event.tolerance,
+        kind: event.kind,
+    };
+    Ok((event, kind))
 }
 
 /// Converts a single-item reply into the lockstep response shape.
@@ -248,18 +344,21 @@ pub fn single_reply(reply: BatchReply) -> Response {
     }
 }
 
-/// Shapes a finished merge into the client-facing response for `kind`.
-pub fn shape_response(kind: &ReplyKind, merge: MergeState) -> Response {
-    let mut replies = merge.finish();
+/// Finishes a merge into one reply per item, in item order, and shapes
+/// them into the client-facing response for `kind`. The merge is left
+/// empty.
+pub fn shape_response(kind: &ReplyKind, merge: &mut MergeState) -> Response {
+    let mut replies = merge.items.drain(..).map(ItemMerge::resolve);
+    let mut lone = || single_reply(replies.next().expect("a lone frame merges one item"));
     match kind {
-        ReplyKind::Single => single_reply(replies.remove(0)),
-        ReplyKind::Batch => Response::BatchOk(replies),
+        ReplyKind::Batch => Response::BatchOk(replies.collect()),
+        ReplyKind::Single => lone(),
         ReplyKind::Sql {
             objects,
             result_bytes,
             tolerance,
             kind,
-        } => match single_reply(replies.remove(0)) {
+        } => match lone() {
             Response::QueryOk {
                 shards_touched,
                 local_answers,
@@ -555,7 +654,7 @@ impl FanoutTable {
         if f.outstanding > 0 {
             return None;
         }
-        let f = self.fanouts.remove(&fanout).expect("present");
+        let mut f = self.fanouts.remove(&fanout).expect("present");
         if f.dead {
             return None;
         }
@@ -564,7 +663,7 @@ impl FanoutTable {
             conn: f.conn,
             fanout,
             timer: f.timer,
-            result: Ok(wrap_corr(f.corr, shape_response(&f.kind, f.merge))),
+            result: Ok(wrap_corr(f.corr, shape_response(&f.kind, &mut f.merge))),
         })
     }
 

@@ -340,13 +340,13 @@ mod tests {
             repl.mark_bootstrapped(t, 0);
         }
         for seq in 1..=events {
-            repl.append(crate::protocol::BatchItem::Update(
+            repl.append_batch(vec![crate::protocol::BatchItem::Update(
                 delta_workload::UpdateEvent {
                     seq,
                     object: delta_storage::ObjectId(0),
                     bytes: 1,
                 },
-            ));
+            )]);
         }
         repl
     }

@@ -14,8 +14,8 @@
 //!   the typed [`Response::SqlRejected`], carrying the
 //!   [`delta_query::QueryError`] stage, span and message.
 //! * [`Request::Batch`] packs many query/update events into one frame;
-//!   the server coalesces each shard's sub-events into a single channel
-//!   send, amortizing the fan-out/join cost, and replies with one
+//!   the server runs each shard's sub-events as one sub-batch under one
+//!   lock acquisition, amortizing the fan-out cost, and replies with one
 //!   [`Response::BatchOk`] holding a per-item reply in item order.
 //! * [`Request::Tagged`] wraps any other request with a caller-chosen
 //!   correlation id the server echoes on the [`Response::Tagged`] reply —
@@ -33,32 +33,12 @@ use delta_telemetry::{HistogramSnapshot, TelemetrySnapshot};
 use delta_workload::{QueryEvent, QueryKind, UpdateEvent};
 use std::io::{self, Read, Write};
 
-/// Protocol version; bumped on incompatible frame changes.
-/// Version 2 added `Sql`, `Batch` and `Tagged` frames (pure additions:
-/// version-1 frames are unchanged on the wire). Version 3 reshaped the
-/// `StatsOk` per-shard payload around the engine's uniform
-/// [`EngineMetrics`] (adds query/update/tolerance-served counters).
-/// Version 4 adds the cluster vocabulary (pure additions again): the
-/// `Hello` node handshake carrying a **routing epoch**, pre-split
-/// `NodeOps` frames the router sends to shard-hosting nodes, the
-/// `DetachShard`/`AttachShard`/`SetEpoch` resharding admin verbs, the
-/// router-level `Reshard` request, and the typed `WrongEpoch` redirect a
-/// stale-mapped client receives instead of a wrong answer. Version 5 adds
-/// the observability verb (pure additions once more): `Telemetry` asks a
-/// peer for its [`delta_telemetry::TelemetrySnapshot`] — wall-clock
-/// latency histograms and wire counters, strictly outside the
-/// deterministic engine state — and `TelemetryOk` carries it back;
-/// routers answer with the cluster-wide merge. Version 6 adds the
-/// replication vocabulary (pure additions): `Replicate` streams a
-/// suffix of a primary shard's applied event log to a backup (acked
-/// with the backup's new offset in `ReplicaOk`), `ReplicaBootstrap`
-/// (re)seeds a backup — empty state means "build a fresh twin and
-/// replay from offset zero", otherwise the blob is the same snapshot
-/// JSONL resharding ships — `ReplicaStatus`/`ReplicaStatusOk` report a
-/// node's backup shards and offsets, and `Promote`/`PromoteOk` turn a
-/// backup into a serving primary, fencing already-applied sequence
-/// numbers behind the typed `ALREADY_APPLIED` batch error so client
-/// retries across a failover are exactly-once per event.
+/// The protocol version both ends must speak. A peer declares it in
+/// [`Request::Hello`], and a node or router answers a different value
+/// with a typed `BAD_FRAME` instead of misreading later frames. Every
+/// frame this module encodes is part of the contract, and
+/// `tests/golden_frames.rs` pins their bytes; a change to any frame's
+/// layout bumps this number.
 pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Upper bound on a frame payload, to fail fast on corrupt length words.
@@ -558,16 +538,13 @@ pub enum Response {
     },
 }
 
-/// Error codes carried by [`Response::Error`].
+/// Error codes carried by [`Response::Error`]. Codes are never reused;
+/// 3 is unassigned.
 pub mod error_code {
     /// The request frame could not be decoded.
     pub const BAD_FRAME: u16 = 1;
     /// An object id is outside the catalog.
     pub const UNKNOWN_OBJECT: u16 = 2;
-    /// The server is draining and no longer accepts events. Kept for
-    /// wire compatibility: since shard execution moved inline (shards
-    /// live as long as the connections), the server no longer emits it.
-    pub const SHUTTING_DOWN: u16 = 3;
     /// The server was started without a SQL frontend (no workload
     /// preset to build the schema/sky/partition from).
     pub const SQL_UNAVAILABLE: u16 = 4;

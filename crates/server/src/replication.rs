@@ -276,20 +276,11 @@ impl ReplState {
         self.inner.lock().expect("replication log poisoned")
     }
 
-    /// Appends one applied event. Callers invoke this inside the same
-    /// engine-lock window that applied the event, so the log order is
-    /// the apply order (the lock order is engine → log, everywhere).
-    pub fn append(&self, item: BatchItem) {
-        let mut log = self.lock();
-        log.items.push_back(item);
-        log.truncate();
-        drop(log);
-        self.notifier.bump();
-    }
-
     /// Appends a shard sub-batch's applied events, in order, under one
-    /// lock, one truncation and one pump wake. Same contract as
-    /// [`ReplState::append`].
+    /// lock, one truncation and one pump wake. Callers invoke this
+    /// inside the same engine-lock window that applied the events, so
+    /// the log order is the apply order (the lock order is engine → log,
+    /// everywhere).
     pub fn append_batch(&self, items: Vec<BatchItem>) {
         if items.is_empty() {
             return;
@@ -453,7 +444,7 @@ mod tests {
         repl.mark_bootstrapped(0, 0);
         repl.mark_bootstrapped(1, 0);
         for seq in 1..=5 {
-            repl.append(item(seq));
+            repl.append_batch(vec![item(seq)]);
         }
         let (from, items) = repl.suffix_for(0).expect("unshipped suffix");
         assert_eq!(from, 0);
@@ -478,7 +469,7 @@ mod tests {
         repl.mark_bootstrapped(0, 0);
         repl.set_status(0, TargetStatus::Down);
         for seq in 0..(LOG_CAP as u64 + 10) {
-            repl.append(item(seq));
+            repl.append_batch(vec![item(seq)]);
         }
         // The down target came back: its acked offset predates the
         // retained log, so shipping must demand a re-bootstrap.
@@ -507,7 +498,7 @@ mod tests {
         let repl = ReplState::new(0, 0, 2, Arc::new(Notifier::new()));
         repl.mark_bootstrapped(0, 0);
         repl.mark_bootstrapped(1, 0);
-        repl.append(item(1));
+        repl.append_batch(vec![item(1)]);
         let (waker, rx) = pipe_waker();
         assert!(!repl.watch(1, &waker), "no acks yet");
         repl.record_ack(0, 1);
@@ -560,7 +551,7 @@ mod tests {
         // past the log start.
         assert_eq!(repl.status(0), TargetStatus::NeedsBootstrap);
         repl.mark_bootstrapped(0, 100);
-        repl.append(item(101));
+        repl.append_batch(vec![item(101)]);
         let (from, items) = repl.suffix_for(0).expect("suffix after bootstrap");
         assert_eq!((from, items.len()), (100, 1));
     }

@@ -42,16 +42,16 @@ use crate::connection::{
 };
 use crate::front::{BackendFactory, FrameFactory, ReactorFront, ReactorTelemetry, BACKEND_TOKEN};
 use crate::mux::{
-    shape_response, wrap_corr, Completion, Correlator, FanoutTable, MergeState, Purpose, ReplyKind,
-    SubEntry,
+    compile_sql, shape_response, split_items, wrap_corr, Completion, Correlator, FanoutTable,
+    MergeState, Purpose, ReplyKind, SubEntry,
 };
 use crate::partition::{Partitioner, PartitionerKind};
 use crate::protocol::{
     append_frame_with, encode_tagged_request_into, error_code, BatchItem, NodeInfo, NodeOp,
-    NodeRole, Request, Response, ShardStats, SqlStage, StatsSnapshot,
+    NodeRole, Request, Response, ShardStats, StatsSnapshot,
 };
 use crate::replication::jittered;
-use delta_query::{QueryCompiler, QueryError, Schema};
+use delta_query::{QueryCompiler, Schema};
 use delta_reactor::{Interest, Poller, TimerWheel};
 use delta_storage::ObjectCatalog;
 use delta_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetrySnapshot};
@@ -632,65 +632,6 @@ struct NodePlan {
     items: Vec<usize>,
 }
 
-/// Splits `items` over the cluster partitioner into one [`NodePlan`]
-/// per node (client order preserved within each node, hence per shard),
-/// pre-resolving invalid items straight into `merge`. The fan-out then
-/// sends one `NodeOps` sub-request per touched node and merges the
-/// per-op replies back into per-item replies exactly like the server's
-/// in-process fan-out does.
-fn split_plans(
-    shared: &RouterShared,
-    owner: &[u16],
-    items: Vec<BatchItem>,
-    merge: &mut MergeState,
-) -> Vec<NodePlan> {
-    let mut plans: Vec<NodePlan> = (0..shared.nodes.len())
-        .map(|_| NodePlan::default())
-        .collect();
-    for (i, item) in items.into_iter().enumerate() {
-        match item {
-            BatchItem::Query(q) => {
-                if let Some(&bad) = q.objects.iter().find(|o| o.index() >= shared.catalog.len()) {
-                    merge.poison(
-                        i,
-                        error_code::UNKNOWN_OBJECT,
-                        format!("object {bad} is outside the catalog"),
-                    );
-                    continue;
-                }
-                let subs = shared.map.split_query(&q, &shared.catalog);
-                merge.expect_query(i, subs.len() as u16);
-                for (s, sub) in subs {
-                    let plan = &mut plans[owner[s] as usize];
-                    plan.ops.push(NodeOp {
-                        shard: s as u16,
-                        item: BatchItem::Query(sub),
-                    });
-                    plan.items.push(i);
-                }
-            }
-            BatchItem::Update(u) => {
-                if u.object.index() >= shared.catalog.len() {
-                    merge.poison(
-                        i,
-                        error_code::UNKNOWN_OBJECT,
-                        format!("object {} is outside the catalog", u.object),
-                    );
-                    continue;
-                }
-                let (s, local) = shared.map.split_update(&u);
-                let plan = &mut plans[owner[s] as usize];
-                plan.ops.push(NodeOp {
-                    shard: s as u16,
-                    item: BatchItem::Update(local),
-                });
-                plan.items.push(i);
-            }
-        }
-    }
-    plans
-}
-
 /// The version handshake: a router answers with its own shape, and a
 /// peer speaking another protocol version gets a typed `BAD_FRAME`.
 fn handle_hello(shared: &RouterShared, version: u8) -> Response {
@@ -1204,17 +1145,32 @@ impl MuxHandler {
         backend: &mut dyn LoopBackend,
     ) {
         let mut merge = MergeState::new(items.len());
-        let (epoch, plans) = {
+        let mut plans: Vec<NodePlan> = (0..self.shared.nodes.len())
+            .map(|_| NodePlan::default())
+            .collect();
+        // Client order is preserved within each node, hence per shard.
+        let epoch = {
             let route = self.shared.route.read().expect("route lock");
-            (
-                route.epoch,
-                split_plans(&self.shared, &route.owner, items, &mut merge),
-            )
+            split_items(
+                &*self.shared.map,
+                &self.shared.catalog,
+                items,
+                &mut merge,
+                |s, i, sub| {
+                    let plan = &mut plans[route.owner[s] as usize];
+                    plan.ops.push(NodeOp {
+                        shard: s as u16,
+                        item: sub,
+                    });
+                    plan.items.push(i);
+                },
+            );
+            route.epoch
         };
         if plans.iter().all(|p| p.ops.is_empty()) {
             // Every item resolved at the router (invalid objects, empty
             // batch): no node involved, answer synchronously.
-            self.answer(corr, Ok(shape_response(&kind, merge)));
+            self.answer(corr, Ok(shape_response(&kind, &mut merge)));
             return;
         }
         let fanout = router_backend(backend).begin_fanout(key, corr, kind, merge, plans, epoch);
@@ -1239,39 +1195,12 @@ impl MuxHandler {
             self.answer(corr, Ok(response));
             return;
         };
-        let compiled = match compiler.compile(sql) {
-            Ok(c) => c,
-            Err(QueryError::Parse(e)) => {
-                let span = e.span();
-                let response = Response::SqlRejected {
-                    stage: SqlStage::Parse,
-                    span_start: span.start as u32,
-                    span_end: span.end as u32,
-                    message: e.to_string(),
-                };
-                self.answer(corr, Ok(response));
-                return;
+        match compile_sql(compiler, seq, sql) {
+            Ok((event, kind)) => {
+                self.begin_routed(key, corr, kind, vec![BatchItem::Query(event)], backend)
             }
-            Err(QueryError::Analyze(e)) => {
-                let response = Response::SqlRejected {
-                    stage: SqlStage::Analyze,
-                    span_start: 0,
-                    span_end: 0,
-                    message: e.to_string(),
-                };
-                self.answer(corr, Ok(response));
-                return;
-            }
-        };
-        let objects = compiled.objects.len() as u32;
-        let event = compiled.into_event(seq);
-        let kind = ReplyKind::Sql {
-            objects,
-            result_bytes: event.result_bytes,
-            tolerance: event.tolerance,
-            kind: event.kind,
-        };
-        self.begin_routed(key, corr, kind, vec![BatchItem::Query(event)], backend);
+            Err(rejected) => self.answer(corr, Ok(rejected)),
+        }
     }
 }
 

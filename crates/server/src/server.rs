@@ -35,22 +35,22 @@ use crate::client::DeltaClient;
 use crate::config::ServerConfig;
 use crate::connection::{FrameHandler, LoopBackend, WireTelemetry};
 use crate::front::{BackendFactory, FrameFactory, ReactorFront, ReactorTelemetry, BACKEND_TOKEN};
+use crate::mux::{compile_sql, shape_response, split_items, MergeState, ReplyKind};
 use crate::parked::{AckBackend, ParkTelemetry, ReplyQueue, Wait, ACK_PIPE_TOKEN};
 use crate::partition::{apportion, Partitioner};
 use crate::protocol::{
     error_code, BatchItem, BatchReply, NodeInfo, NodeOp, NodeRole, Request, Response, ShardStats,
-    SqlStage, StatsSnapshot, PROTOCOL_VERSION,
+    StatsSnapshot, PROTOCOL_VERSION,
 };
 use crate::replication::{jittered, Notifier, ReplState, TargetStatus};
 use crate::shard::{OpClass, OpOutcome, ShardCore, ShardOp, ShardSpec, ShardTelemetry};
 use delta_core::engine::{read_snapshot, snapshot_from_str, snapshot_to_string};
 use delta_core::EngineSnapshot;
 use delta_net::{TrafficClass, TrafficMeter};
-use delta_query::{QueryCompiler, QueryError, Schema};
+use delta_query::{QueryCompiler, Schema};
 use delta_reactor::{Interest, Poller};
-use delta_storage::{ObjectCatalog, ObjectId};
+use delta_storage::ObjectCatalog;
 use delta_telemetry::{Telemetry, TelemetrySnapshot};
-use delta_workload::QueryEvent;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -491,6 +491,26 @@ struct ConnState {
     /// it handshakes) — what cluster-mode event requests are fenced
     /// against.
     epoch: u64,
+    /// The serving frame's buffers, reused across frames.
+    frame: FrameBuf,
+}
+
+/// What [`run_ops`] works in: each global shard's ops, in item order,
+/// and the merge of their replies. A connection keeps one and reuses it
+/// for every event frame, so a steady stream of frames allocates
+/// neither.
+struct FrameBuf {
+    ops: Vec<Vec<ShardOp>>,
+    merge: MergeState,
+}
+
+impl FrameBuf {
+    /// Empties the buffers for a frame of `n_items` items.
+    fn start(&mut self, n_items: usize) -> &mut FrameBuf {
+        self.ops.iter_mut().for_each(Vec::clear);
+        self.merge.reset(n_items);
+        self
+    }
 }
 
 impl ConnState {
@@ -501,6 +521,10 @@ impl ConnState {
         ConnState {
             compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
             epoch: 0,
+            frame: FrameBuf {
+                ops: vec![Vec::new(); shared.slots.len()],
+                merge: MergeState::new(0),
+            },
         }
     }
 }
@@ -664,11 +688,12 @@ fn is_event_request(request: &Request) -> bool {
     )
 }
 
-/// Serves one decoded request. Every event-applying path pushes, per
-/// replicated shard it touched, the log end it must wait for onto
-/// `waits`: the reply leaves only once every reachable backup holds
-/// those events — what makes an acknowledged write survive this node's
-/// death.
+/// Serves one decoded request. Every event frame (`Query`, `Update`,
+/// `Sql`, `Batch`, `NodeOps`) takes the one path, [`run_ops`], which
+/// pushes, per replicated shard it touched, the log end it must wait
+/// for onto `waits`: the reply leaves only once every reachable backup
+/// holds those events — what makes an acknowledged write survive this
+/// node's death.
 fn handle_request(
     shared: &Shared,
     request: Request,
@@ -683,32 +708,51 @@ fn handle_request(
         }
     }
     match request {
-        Request::Query(q) => handle_query_as(shared, q, OpClass::Query, waits),
-        Request::Update(u) => {
-            if u.object.index() >= shared.catalog.len() {
-                return unknown_object(u.object);
-            }
-            let (shard, local) = shared.map.split_update(&u);
-            let slot = shared.slots[shard].read().expect("slot");
-            match slot.as_ref() {
-                Some(core) => {
-                    let fence = core.fence();
-                    if fence > 0 && local.seq <= fence {
-                        return already_applied(local.seq, fence);
-                    }
-                    let version = core.apply_update(local);
-                    waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
-                    Response::UpdateOk {
-                        shard: shard as u16,
-                        version,
-                    }
-                }
-                None => wrong_node(shared, shard),
+        Request::Query(q) => serve_items(
+            shared,
+            &mut conn.frame,
+            ReplyKind::Single,
+            OpClass::Query,
+            [BatchItem::Query(q)],
+            waits,
+        ),
+        Request::Update(u) => serve_items(
+            shared,
+            &mut conn.frame,
+            ReplyKind::Single,
+            OpClass::Update,
+            [BatchItem::Update(u)],
+            waits,
+        ),
+        Request::Sql { seq, sql } => {
+            let Some(compiler) = conn.compiler.as_ref() else {
+                return Response::Error {
+                    code: error_code::SQL_UNAVAILABLE,
+                    message: "server has no SQL frontend (start it from a workload preset)"
+                        .to_string(),
+                };
+            };
+            match compile_sql(compiler, seq, &sql) {
+                Ok((event, kind)) => serve_items(
+                    shared,
+                    &mut conn.frame,
+                    kind,
+                    OpClass::Sql,
+                    [BatchItem::Query(event)],
+                    waits,
+                ),
+                Err(rejected) => rejected,
             }
         }
-        Request::Sql { seq, sql } => handle_sql(shared, conn.compiler.as_ref(), seq, &sql, waits),
-        Request::Batch(items) => handle_batch(shared, items, waits),
-        Request::NodeOps(ops) => handle_node_ops(shared, ops, waits),
+        Request::Batch(items) => serve_items(
+            shared,
+            &mut conn.frame,
+            ReplyKind::Batch,
+            OpClass::Batch,
+            items,
+            waits,
+        ),
+        Request::NodeOps(ops) => handle_node_ops(shared, &mut conn.frame, ops, waits),
         Request::Hello { version, epoch } => {
             // The handshake is the one frame designed to carry the
             // protocol version — reject a mismatch here, typed, instead
@@ -778,270 +822,41 @@ fn handle_request(
     }
 }
 
-/// A shard's read-locked slot, tagged with its shard id.
-type LockedShard<'a> = (usize, RwLockReadGuard<'a, Option<ShardCore>>);
-
-/// Read-locks every shard in `shards` (ascending, deduplicated input),
-/// failing with the missing shard if any is not hosted here.
-fn lock_shards<'a>(
-    shared: &'a Shared,
-    shards: impl Iterator<Item = usize>,
-) -> Result<Vec<LockedShard<'a>>, usize> {
-    let mut guards = Vec::new();
-    for s in shards {
-        let guard = shared.slots[s].read().expect("slot");
-        if guard.is_none() {
-            return Err(s);
-        }
-        guards.push((s, guard));
-    }
-    Ok(guards)
-}
-
-/// The query fan-out, with the telemetry op class made explicit so the
-/// SQL path's shard time lands in its own histograms.
-fn handle_query_as(
+/// Splits client items over this node's shards and serves them on
+/// the one path, [`run_ops`].
+fn serve_items<I>(
     shared: &Shared,
-    q: QueryEvent,
+    frame: &mut FrameBuf,
+    kind: ReplyKind,
     class: OpClass,
+    items: I,
     waits: &mut Vec<Wait>,
-) -> Response {
-    if let Some(&bad) = q.objects.iter().find(|o| o.index() >= shared.catalog.len()) {
-        return unknown_object(bad);
-    }
-    let subs = shared.map.split_query(&q, &shared.catalog);
-    // Every touched shard must be hosted here before anything executes:
-    // a partially-served query on a stale map would be a wrong answer.
-    let guards = match lock_shards(shared, subs.iter().map(|(s, _)| *s)) {
-        Ok(g) => g,
-        Err(missing) => return wrong_node(shared, missing),
-    };
-    // A promoted primary's fence: the old primary already served this
-    // event before failover, so a retry through the new epoch gets the
-    // typed reply — never a partial or double execution.
-    if let Some(fence) = guards
-        .iter()
-        .map(|(_, g)| g.as_ref().expect("checked by lock_shards").fence())
-        .find(|&f| f > 0 && q.seq <= f)
-    {
-        return already_applied(q.seq, fence);
-    }
-    let mut sent = 0u16;
-    let mut local_answers = 0u16;
-    let mut shipped = 0u16;
-    let mut failure: Option<String> = None;
-    // Every touched shard serves its sub-query even after a failure, so
-    // a contract violation on one shard never leaves another shard's
-    // sub-trace short (the differential tests depend on it). Queries
-    // are events too (they advance policy and ledger state), so the
-    // reply waits for backup acknowledgement like an update does.
-    for ((_, guard), (_, sub)) in guards.iter().zip(subs) {
-        let core = guard.as_ref().expect("checked by lock_shards");
-        sent += 1;
-        match core.serve_query_as(sub, class) {
-            Ok(true) => local_answers += 1,
-            Ok(false) => shipped += 1,
-            Err(error) => {
-                failure.get_or_insert(error);
-            }
-        }
-        waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
-    }
-    drop(guards);
-    if let Some(message) = failure {
-        return Response::Error {
-            code: error_code::CONTRACT_VIOLATED,
-            message,
-        };
-    }
-    Response::QueryOk {
-        shards_touched: sent,
-        local_answers,
-        shipped,
-    }
+) -> Response
+where
+    I: IntoIterator<Item = BatchItem>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
+    let FrameBuf { ops, merge } = frame.start(items.len());
+    split_items(
+        &*shared.map,
+        &shared.catalog,
+        items,
+        merge,
+        |s, item, sub| ops[s].push(ShardOp::new(item as u32, sub)),
+    );
+    run_ops(shared, frame, class, kind, waits)
 }
 
-/// Compiles raw SQL with the connection's compiler and serves the
-/// resulting event through the normal shard fan-out.
-fn handle_sql(
+/// Serves the router's pre-split, shard-targeted ops on the one path.
+/// Each op is its own item (a query op declares a split width of 1), so
+/// the `BatchOk` carries one reply per op, in op order.
+fn handle_node_ops(
     shared: &Shared,
-    compiler: Option<&QueryCompiler>,
-    seq: u64,
-    sql: &str,
+    frame: &mut FrameBuf,
+    ops: Vec<NodeOp>,
     waits: &mut Vec<Wait>,
 ) -> Response {
-    let Some(compiler) = compiler else {
-        return Response::Error {
-            code: error_code::SQL_UNAVAILABLE,
-            message: "server has no SQL frontend (start it from a workload preset)".to_string(),
-        };
-    };
-    let compiled = match compiler.compile(sql) {
-        Ok(c) => c,
-        Err(QueryError::Parse(e)) => {
-            let span = e.span();
-            return Response::SqlRejected {
-                stage: SqlStage::Parse,
-                span_start: span.start as u32,
-                span_end: span.end as u32,
-                message: e.to_string(),
-            };
-        }
-        Err(QueryError::Analyze(e)) => {
-            return Response::SqlRejected {
-                stage: SqlStage::Analyze,
-                span_start: 0,
-                span_end: 0,
-                message: e.to_string(),
-            };
-        }
-    };
-    let objects = compiled.objects.len() as u32;
-    let event = compiled.into_event(seq);
-    let (result_bytes, tolerance, kind) = (event.result_bytes, event.tolerance, event.kind);
-    match handle_query_as(shared, event, OpClass::Sql, waits) {
-        Response::QueryOk {
-            shards_touched,
-            local_answers,
-            shipped,
-        } => Response::SqlOk {
-            shards_touched,
-            local_answers,
-            shipped,
-            objects,
-            result_bytes,
-            tolerance,
-            kind,
-        },
-        other => other,
-    }
-}
-
-/// Serves a whole batch with one lock acquisition per touched shard:
-/// every item is split as usual, but each shard executes its sub-events
-/// as one ordered [`ShardCore::run_batch`], so the serialization cost is
-/// paid per *batch*, not per event.
-///
-/// Per-shard sub-event order equals item order, which is what keeps a
-/// batched replay byte-identical to the same events sent one frame at a
-/// time (pinned by the shard-level and integration tests).
-fn handle_batch(shared: &Shared, items: Vec<BatchItem>, waits: &mut Vec<Wait>) -> Response {
-    struct QueryAcc {
-        sent: u16,
-        local: u16,
-        shipped: u16,
-    }
-    let mut replies: Vec<Option<BatchReply>> = Vec::with_capacity(items.len());
-    replies.resize_with(items.len(), || None);
-    let mut accs: Vec<Option<QueryAcc>> = Vec::with_capacity(items.len());
-    accs.resize_with(items.len(), || None);
-    let mut per_shard: Vec<Vec<ShardOp>> = vec![Vec::new(); shared.slots.len()];
-
-    for (i, item) in items.into_iter().enumerate() {
-        match item {
-            BatchItem::Query(q) => {
-                if let Some(&bad) = q.objects.iter().find(|o| o.index() >= shared.catalog.len()) {
-                    replies[i] = Some(batch_error(unknown_object(bad)));
-                    continue;
-                }
-                let subs = shared.map.split_query(&q, &shared.catalog);
-                accs[i] = Some(QueryAcc {
-                    sent: subs.len() as u16,
-                    local: 0,
-                    shipped: 0,
-                });
-                for (s, sub) in subs {
-                    per_shard[s].push(ShardOp::Query {
-                        item: i as u32,
-                        event: sub,
-                    });
-                }
-            }
-            BatchItem::Update(u) => {
-                if u.object.index() >= shared.catalog.len() {
-                    replies[i] = Some(batch_error(unknown_object(u.object)));
-                    continue;
-                }
-                let (s, local) = shared.map.split_update(&u);
-                per_shard[s].push(ShardOp::Update {
-                    item: i as u32,
-                    event: local,
-                });
-            }
-        }
-    }
-
-    // All touched shards must be hosted before any sub-batch runs: a
-    // stale map must never half-execute a batch.
-    let touched: Vec<usize> = (0..per_shard.len())
-        .filter(|&s| !per_shard[s].is_empty())
-        .collect();
-    let guards = match lock_shards(shared, touched.iter().copied()) {
-        Ok(g) => g,
-        Err(missing) => return wrong_node(shared, missing),
-    };
-    fence_items(&guards, &mut per_shard, &mut replies);
-    for (s, guard) in guards {
-        let core = guard.as_ref().expect("checked by lock_shards");
-        for outcome in core.run_batch(std::mem::take(&mut per_shard[s])) {
-            match outcome {
-                OpOutcome::Query { item, local } => {
-                    let acc = accs[item as usize]
-                        .as_mut()
-                        .expect("query outcome for non-query item");
-                    if local {
-                        acc.local += 1;
-                    } else {
-                        acc.shipped += 1;
-                    }
-                }
-                // A contract violation poisons its item only; the rest
-                // of the batch is unaffected. The error reply takes
-                // precedence over any sub-queries of the same item that
-                // other shards did serve.
-                OpOutcome::QueryFailed { item, error } => {
-                    replies[item as usize] = Some(BatchReply::Error {
-                        code: error_code::CONTRACT_VIOLATED,
-                        message: error,
-                    });
-                }
-                OpOutcome::Update { item, version } => {
-                    replies[item as usize] = Some(BatchReply::Update {
-                        shard: s as u16,
-                        version,
-                    });
-                }
-            }
-        }
-        waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
-    }
-
-    let replies = replies
-        .into_iter()
-        .zip(accs)
-        .map(|(reply, acc)| match (reply, acc) {
-            (Some(r), _) => r,
-            (None, Some(acc)) => BatchReply::Query {
-                shards_touched: acc.sent,
-                local_answers: acc.local,
-                shipped: acc.shipped,
-            },
-            // An update that reached no shard can't happen (every valid
-            // object id owns exactly one shard), but fail loudly if the
-            // invariant ever breaks rather than fabricating a reply.
-            (None, None) => BatchReply::Error {
-                code: error_code::BAD_FRAME,
-                message: "item produced no outcome".to_string(),
-            },
-        })
-        .collect();
-    Response::BatchOk(replies)
-}
-
-/// Executes the router's pre-split, shard-targeted ops. Replies come
-/// back as a `BatchOk` with one reply per op in op order; each shard's
-/// ops run as one coalesced sub-batch, exactly like `handle_batch`.
-fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>, waits: &mut Vec<Wait>) -> Response {
     if shared.config.cluster.is_none() {
         return not_clustered("NodeOps");
     }
@@ -1067,35 +882,62 @@ fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>, waits: &mut Vec<Wait>) -> 
             ),
         };
     }
-    let mut replies: Vec<Option<BatchReply>> = Vec::with_capacity(ops.len());
-    replies.resize_with(ops.len(), || None);
-    let mut per_shard: Vec<Vec<ShardOp>> = vec![Vec::new(); shared.slots.len()];
+    let FrameBuf {
+        ops: shard_ops,
+        merge,
+    } = frame.start(ops.len());
     for (i, op) in ops.into_iter().enumerate() {
-        let shard_ops = &mut per_shard[op.shard as usize];
-        match op.item {
-            BatchItem::Query(q) => shard_ops.push(ShardOp::Query {
-                item: i as u32,
-                event: q,
-            }),
-            BatchItem::Update(u) => shard_ops.push(ShardOp::Update {
-                item: i as u32,
-                event: u,
-            }),
+        if matches!(op.item, BatchItem::Query(_)) {
+            merge.expect_query(i, 1);
         }
+        shard_ops[op.shard as usize].push(ShardOp::new(i as u32, op.item));
     }
-    let touched: Vec<usize> = (0..per_shard.len())
-        .filter(|&s| !per_shard[s].is_empty())
-        .collect();
-    // Nothing executes unless every targeted shard is hosted here — the
-    // router's map was stale, and it must re-route, not half-run.
-    let guards = match lock_shards(shared, touched.iter().copied()) {
-        Ok(g) => g,
-        Err(missing) => return wrong_node(shared, missing),
-    };
-    fence_items(&guards, &mut per_shard, &mut replies);
-    for (s, guard) in guards {
-        let core = guard.as_ref().expect("checked by lock_shards");
-        for outcome in core.run_batch(std::mem::take(&mut per_shard[s])) {
+    run_ops(shared, frame, OpClass::Batch, ReplyKind::Batch, waits)
+}
+
+/// A shard's read-locked slot, tagged with its shard id.
+type LockedShard<'a> = (usize, RwLockReadGuard<'a, Option<ShardCore>>);
+
+/// The one function that locks shard slots and runs sub-batches for
+/// event requests. `frame.ops` holds each shard's ops in item order,
+/// which keeps a batched replay byte-identical to the same events sent
+/// one frame at a time.
+///
+/// Every touched shard must be hosted here before anything executes
+/// (else `WRONG_NODE`): a stale map must never half-run a frame. Items a
+/// promoted primary's fence blocks are poisoned and dropped, each
+/// remaining shard runs its ops as one sub-batch under `class`, the
+/// outcomes merge into `frame.merge`, and, per replicated shard, the log end
+/// the reply must wait for is pushed onto `waits`. Queries are events
+/// too, so their replies wait for backups like updates do.
+fn run_ops(
+    shared: &Shared,
+    frame: &mut FrameBuf,
+    class: OpClass,
+    kind: ReplyKind,
+    waits: &mut Vec<Wait>,
+) -> Response {
+    let FrameBuf { ops, merge } = frame;
+    let mut guards: Vec<LockedShard<'_>> = Vec::new();
+    for (s, shard_ops) in ops.iter().enumerate() {
+        if shard_ops.is_empty() {
+            continue;
+        }
+        let guard = shared.slots[s].read().expect("slot");
+        if guard.is_none() {
+            return wrong_node(shared, s);
+        }
+        guards.push((s, guard));
+    }
+    fence_items(&guards, ops, merge);
+    for (s, guard) in &guards {
+        let shard_ops = &mut ops[*s];
+        // A shard whose every op was fenced runs nothing.
+        if shard_ops.is_empty() {
+            continue;
+        }
+        let core = guard.as_ref().expect("checked above");
+        core.run(class, shard_ops.drain(..), |outcome| {
             let (item, reply) = match outcome {
                 OpOutcome::Query { item, local } => (
                     item,
@@ -1115,26 +957,19 @@ fn handle_node_ops(shared: &Shared, ops: Vec<NodeOp>, waits: &mut Vec<Wait>) -> 
                 OpOutcome::Update { item, version } => (
                     item,
                     BatchReply::Update {
-                        shard: s as u16,
+                        shard: *s as u16,
                         version,
                     },
                 ),
             };
-            replies[item as usize] = Some(reply);
-        }
+            merge
+                .absorb(reply, item as usize)
+                .expect("every query op's item declared itself a query");
+        });
         waits.extend(core.repl().map(|r| (Arc::clone(r), r.end())));
     }
-    Response::BatchOk(
-        replies
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or(BatchReply::Error {
-                    code: error_code::BAD_FRAME,
-                    message: "op produced no outcome".to_string(),
-                })
-            })
-            .collect(),
-    )
+    drop(guards);
+    shape_response(&kind, merge)
 }
 
 /// Resharding step 1 at the losing node: stop hosting the shard and hand
@@ -1217,48 +1052,34 @@ fn handle_attach(shared: &Shared, shard: u16, state: &[u8]) -> Response {
     Response::AttachOk { shard }
 }
 
-/// Promotion fences for a coalesced batch: an item the old primary
-/// applied before failover must not re-execute — and must not
-/// half-execute on its other shards either, so any fenced shard fences
-/// the whole item. Fenced items get the typed `ALREADY_APPLIED` reply
-/// and their ops are removed from every shard's sub-batch.
-fn fence_items(
-    guards: &[LockedShard<'_>],
-    per_shard: &mut [Vec<ShardOp>],
-    replies: &mut [Option<BatchReply>],
-) {
-    let mut fenced: Vec<(u32, u64, u64)> = Vec::new();
+/// Promotion fences: an item the old primary applied before failover
+/// must not re-execute, and must not half-execute on its other shards
+/// either, so any fenced shard fences the whole item. Fenced items get
+/// the typed `ALREADY_APPLIED` reply and their ops leave every shard's
+/// sub-batch.
+fn fence_items(guards: &[LockedShard<'_>], ops: &mut [Vec<ShardOp>], merge: &mut MergeState) {
+    let mut dead: Vec<u32> = Vec::new();
     for (s, guard) in guards {
-        let fence = guard.as_ref().expect("checked by lock_shards").fence();
+        let fence = guard.as_ref().expect("checked by run_ops").fence();
         if fence == 0 {
             continue;
         }
-        for op in &per_shard[*s] {
-            let (item, seq) = match op {
-                ShardOp::Query { item, event } => (*item, event.seq),
-                ShardOp::Update { item, event } => (*item, event.seq),
-            };
-            if seq <= fence {
-                fenced.push((item, seq, fence));
-            }
+        for op in ops[*s].iter().filter(|op| op.seq() <= fence) {
+            merge.poison(
+                op.item() as usize,
+                error_code::ALREADY_APPLIED,
+                format!(
+                    "seq {} was applied before failover (fence {fence})",
+                    op.seq()
+                ),
+            );
+            dead.push(op.item());
         }
     }
-    if fenced.is_empty() {
-        return;
-    }
-    let mut dead: Vec<u32> = Vec::with_capacity(fenced.len());
-    for &(item, seq, fence) in &fenced {
-        replies[item as usize] = Some(batch_error(already_applied(seq, fence)));
-        dead.push(item);
-    }
-    for ops in per_shard.iter_mut() {
-        ops.retain(|op| {
-            let item = match op {
-                ShardOp::Query { item, .. } => *item,
-                ShardOp::Update { item, .. } => *item,
-            };
-            !dead.contains(&item)
-        });
+    if !dead.is_empty() {
+        for shard_ops in ops.iter_mut() {
+            shard_ops.retain(|op| !dead.contains(&op.item()));
+        }
     }
 }
 
@@ -1301,18 +1122,8 @@ fn handle_replicate(
     let ops = items
         .into_iter()
         .enumerate()
-        .map(|(i, item)| match item {
-            BatchItem::Query(q) => ShardOp::Query {
-                item: i as u32,
-                event: q,
-            },
-            BatchItem::Update(u) => ShardOp::Update {
-                item: i as u32,
-                event: u,
-            },
-        })
-        .collect();
-    core.run_batch(ops);
+        .map(|(i, item)| ShardOp::new(i as u32, item));
+    core.run(OpClass::Batch, ops, |_| {});
     let offset = core.events();
     drop(guard);
     shared.telemetry.counter("replica.applied_events").add(n);
@@ -1444,16 +1255,6 @@ fn handle_promote(shared: &Shared, shard: u16) -> Response {
         .set(shared.hosted().len() as u64);
     shared.telemetry.counter("node.promotions").inc();
     Response::PromoteOk { shard, offset }
-}
-
-/// The typed reply for an event a promoted primary's fence blocks: the
-/// old primary applied it before failover, so a retrying client counts
-/// it done rather than double-applying.
-fn already_applied(seq: u64, fence: u64) -> Response {
-    Response::Error {
-        code: error_code::ALREADY_APPLIED,
-        message: format!("seq {seq} was applied before failover (fence {fence})"),
-    }
 }
 
 /// Socket timeout for pump round trips: a peer slower than this is
@@ -1602,24 +1403,6 @@ fn max_lag(shared: &Shared) -> u64 {
     let mut worst = 0;
     for_each_repl(shared, |repl| worst = worst.max(repl.lag()));
     worst
-}
-
-/// Converts a single-request error response into its batch-item shape.
-fn batch_error(r: Response) -> BatchReply {
-    match r {
-        Response::Error { code, message } => BatchReply::Error { code, message },
-        other => BatchReply::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("unexpected error shape {other:?}"),
-        },
-    }
-}
-
-fn unknown_object(o: ObjectId) -> Response {
-    Response::Error {
-        code: error_code::UNKNOWN_OBJECT,
-        message: format!("object {o} is outside the catalog"),
-    }
 }
 
 fn wrong_node(shared: &Shared, shard: usize) -> Response {

@@ -71,6 +71,31 @@ pub enum ShardOp {
     },
 }
 
+impl ShardOp {
+    /// The op carrying shard-local `event` for batch item `item`.
+    pub(crate) fn new(item: u32, event: BatchItem) -> ShardOp {
+        match event {
+            BatchItem::Query(event) => ShardOp::Query { item, event },
+            BatchItem::Update(event) => ShardOp::Update { item, event },
+        }
+    }
+
+    /// Index of the originating batch item.
+    pub(crate) fn item(&self) -> u32 {
+        match self {
+            ShardOp::Query { item, .. } | ShardOp::Update { item, .. } => *item,
+        }
+    }
+
+    /// The event's sequence number.
+    pub(crate) fn seq(&self) -> u64 {
+        match self {
+            ShardOp::Query { event, .. } => event.seq,
+            ShardOp::Update { event, .. } => event.seq,
+        }
+    }
+}
+
 /// Outcome of one [`ShardOp`], in sub-batch order.
 #[derive(Clone, Debug)]
 pub enum OpOutcome {
@@ -343,103 +368,86 @@ impl ShardCore {
         self.engine.lock().expect("shard engine poisoned")
     }
 
-    /// Applies one update, returning the object's new version.
-    pub fn apply_update(&self, u: UpdateEvent) -> u64 {
+    /// The one locked, timed and replicating body every op runs
+    /// through: `ops` execute in order under ONE lock acquisition, so a
+    /// sub-batch is a single serialization unit. The lock wait is
+    /// recorded once under `class` (the sub-batch waits as a unit) and
+    /// each op's `Engine::apply` time individually. A replicated
+    /// primary logs what applied, in apply order, with one
+    /// [`ReplState::append_batch`] before the lock drops; a violated
+    /// query applied nothing, so its copy is dropped. Each outcome goes
+    /// to `on_outcome` in op order.
+    pub(crate) fn run(
+        &self,
+        class: OpClass,
+        ops: impl IntoIterator<Item = ShardOp>,
+        mut on_outcome: impl FnMut(OpOutcome),
+    ) {
+        let timers = self.telemetry.timers(class);
         let t0 = Instant::now();
         let mut engine = self.lock();
-        let waited = t0.elapsed();
-        let t1 = Instant::now();
-        let version = apply_update(&mut engine, u);
-        if let Some(repl) = &self.repl {
-            repl.append(BatchItem::Update(u));
+        timers.lock_wait.record_duration(t0.elapsed());
+        let mut logged = Vec::new();
+        for op in ops {
+            let copy = self.repl.as_ref().map(|_| match &op {
+                ShardOp::Query { event, .. } => BatchItem::Query(event.clone()),
+                ShardOp::Update { event, .. } => BatchItem::Update(*event),
+            });
+            let t1 = Instant::now();
+            let outcome = match op {
+                ShardOp::Query { item, event } => {
+                    match serve_query(self.shard, &mut engine, event) {
+                        Ok(local) => OpOutcome::Query { item, local },
+                        Err(error) => OpOutcome::QueryFailed { item, error },
+                    }
+                }
+                ShardOp::Update { item, event } => OpOutcome::Update {
+                    item,
+                    version: apply_update(&mut engine, event),
+                },
+            };
+            timers.apply.record_duration(t1.elapsed());
+            if !matches!(outcome, OpOutcome::QueryFailed { .. }) {
+                logged.extend(copy);
+            }
+            on_outcome(outcome);
         }
-        let applied = t1.elapsed();
-        drop(engine);
-        let timers = self.telemetry.timers(OpClass::Update);
-        timers.lock_wait.record_duration(waited);
-        timers.apply.record_duration(applied);
-        version
+        if let Some(repl) = &self.repl {
+            repl.append_batch(logged);
+        }
+    }
+
+    /// Runs one op on its own under `class`.
+    fn run_one(&self, class: OpClass, op: ShardOp) -> OpOutcome {
+        let mut outcome = None;
+        self.run(class, [op], |o| outcome = Some(o));
+        outcome.expect("one op, one outcome")
+    }
+
+    /// Applies one update, returning the object's new version.
+    pub fn apply_update(&self, event: UpdateEvent) -> u64 {
+        match self.run_one(OpClass::Update, ShardOp::Update { item: 0, event }) {
+            OpOutcome::Update { version, .. } => version,
+            other => unreachable!("update produced {other:?}"),
+        }
     }
 
     /// Serves one sub-query: `Ok(local)` on success, the rendered engine
     /// error when the policy violated the satisfaction contract (the
     /// shard stays up either way).
-    pub fn serve_query(&self, q: QueryEvent) -> Result<bool, String> {
-        self.serve_query_as(q, OpClass::Query)
-    }
-
-    /// [`ShardCore::serve_query`] timed under an explicit class — how
-    /// compiled SQL attributes its shard time to `sql` rather than
-    /// `query`.
-    pub fn serve_query_as(&self, q: QueryEvent, class: OpClass) -> Result<bool, String> {
-        let t0 = Instant::now();
-        let mut engine = self.lock();
-        let waited = t0.elapsed();
-        let t1 = Instant::now();
-        // Replicate the query before handing its ownership to the
-        // engine; violated queries apply no event, so their clone is
-        // dropped, not logged.
-        let logged = self.repl.as_ref().map(|_| BatchItem::Query(q.clone()));
-        let result = serve_query(self.shard, &mut engine, q);
-        if let (Some(repl), Some(item), Ok(_)) = (&self.repl, logged, &result) {
-            repl.append(item);
+    pub fn serve_query(&self, event: QueryEvent) -> Result<bool, String> {
+        match self.run_one(OpClass::Query, ShardOp::Query { item: 0, event }) {
+            OpOutcome::Query { local, .. } => Ok(local),
+            OpOutcome::QueryFailed { error, .. } => Err(error),
+            other => unreachable!("query produced {other:?}"),
         }
-        let applied = t1.elapsed();
-        drop(engine);
-        let timers = self.telemetry.timers(class);
-        timers.lock_wait.record_duration(waited);
-        timers.apply.record_duration(applied);
-        result
     }
 
-    /// Executes a coalesced sub-batch in order under ONE lock
-    /// acquisition — the whole sub-batch is a single serialization unit,
-    /// exactly like the former worker's coalesced channel send. The
-    /// lock wait is recorded once (the batch waits as a unit); each
-    /// op's `Engine::apply` time is recorded individually, all under
-    /// [`OpClass::Batch`]. A replicated primary logs the applied events
-    /// with one [`ReplState::append_batch`] before the lock drops.
+    /// Executes a coalesced sub-batch under [`OpClass::Batch`],
+    /// returning the outcomes in op order.
     pub fn run_batch(&self, ops: Vec<ShardOp>) -> Vec<OpOutcome> {
-        let timers = self.telemetry.timers(OpClass::Batch);
-        let t0 = Instant::now();
-        let mut engine = self.lock();
-        timers.lock_wait.record_duration(t0.elapsed());
-        let run = |engine: &mut ShardEngine, op: ShardOp| {
-            let t1 = Instant::now();
-            let outcome = match op {
-                ShardOp::Query { item, event } => match serve_query(self.shard, engine, event) {
-                    Ok(local) => OpOutcome::Query { item, local },
-                    Err(error) => OpOutcome::QueryFailed { item, error },
-                },
-                ShardOp::Update { item, event } => OpOutcome::Update {
-                    item,
-                    version: apply_update(engine, event),
-                },
-            };
-            timers.apply.record_duration(t1.elapsed());
-            outcome
-        };
-        let Some(repl) = &self.repl else {
-            return ops.into_iter().map(|op| run(&mut engine, op)).collect();
-        };
-        // Log what applied, in apply order: a violated query applied
-        // nothing, so its copy is dropped.
-        let mut logged = Vec::with_capacity(ops.len());
-        let outcomes = ops
-            .into_iter()
-            .map(|op| {
-                let copy = match &op {
-                    ShardOp::Query { event, .. } => BatchItem::Query(event.clone()),
-                    ShardOp::Update { event, .. } => BatchItem::Update(*event),
-                };
-                let outcome = run(&mut engine, op);
-                if !matches!(outcome, OpOutcome::QueryFailed { .. }) {
-                    logged.push(copy);
-                }
-                outcome
-            })
-            .collect();
-        repl.append_batch(logged);
+        let mut outcomes = Vec::with_capacity(ops.len());
+        self.run(OpClass::Batch, ops, |o| outcomes.push(o));
         outcomes
     }
 

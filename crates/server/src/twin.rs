@@ -9,11 +9,15 @@
 //! sub-catalog and sub-trace. It shares the split with the serving path
 //! (checked on its own by the partition properties); its independence
 //! lies in its driver, which never touches [`crate::shard::ShardCore`],
-//! the reactor, the router or the mux.
+//! the reactor, the router or the mux. [`Twin::apply`] also returns the
+//! reply the server owes for each event, tallied from the twin's own
+//! engine outcomes, so the per-item replies of both tiers are checked
+//! against something other than the merge that produced them.
 
 use crate::config::ServerConfig;
 use crate::partition::Partitioner;
-use delta_core::{CachingPolicy, CostLedger, Engine, EngineMetrics};
+use crate::protocol::BatchReply;
+use delta_core::{CachingPolicy, CostLedger, Engine, EngineMetrics, EngineOutcome};
 use delta_storage::ObjectCatalog;
 use delta_workload::Event;
 
@@ -63,21 +67,44 @@ impl Twin {
         }
     }
 
-    /// Splits one global event and applies each sub-event to its shard.
+    /// Splits one global event, applies each sub-event to its shard and
+    /// returns the reply a server owes for it: for a query, its
+    /// sub-query count and how many of them were answered locally or
+    /// shipped; for an update, the owning shard and the new version.
+    /// The tally is the twin's own, so a server test that compares
+    /// per-item replies checks the serving path's merge independently.
     ///
     /// # Panics
     /// Panics if a shard's policy violates the satisfaction contract,
     /// naming the shard and the event's `seq`, as `sim::simulate` does.
-    pub fn apply(&mut self, event: &Event) {
+    pub fn apply(&mut self, event: &Event) -> BatchReply {
         match event {
             Event::Query(q) => {
-                for (s, sub) in self.map.split_query(q, &self.catalog) {
-                    self.apply_on(s, &Event::Query(sub));
+                let subs = self.map.split_query(q, &self.catalog);
+                let shards_touched = subs.len() as u16;
+                let mut local_answers = 0;
+                for (s, sub) in subs {
+                    if let EngineOutcome::Query { local: true, .. } =
+                        self.apply_on(s, &Event::Query(sub))
+                    {
+                        local_answers += 1;
+                    }
+                }
+                BatchReply::Query {
+                    shards_touched,
+                    local_answers,
+                    shipped: shards_touched - local_answers,
                 }
             }
             Event::Update(u) => {
                 let (s, sub) = self.map.split_update(u);
-                self.apply_on(s, &Event::Update(sub));
+                match self.apply_on(s, &Event::Update(sub)) {
+                    EngineOutcome::Update { version } => BatchReply::Update {
+                        shard: s as u16,
+                        version,
+                    },
+                    other => panic!("twin shard {s}: update produced {other:?}"),
+                }
             }
         }
     }
@@ -90,10 +117,11 @@ impl Twin {
         self
     }
 
-    fn apply_on(&mut self, s: usize, event: &Event) {
-        if let Err(e) = self.shards[s].engine.apply(event) {
-            panic!("twin shard {s}, seq {}: {e}", event.seq());
-        }
+    fn apply_on(&mut self, s: usize, event: &Event) -> EngineOutcome {
+        self.shards[s]
+            .engine
+            .apply(event)
+            .unwrap_or_else(|e| panic!("twin shard {s}, seq {}: {e}", event.seq()))
     }
 
     /// Moves a shard the way `DetachShard`/`AttachShard` do: snapshot
@@ -170,7 +198,7 @@ mod tests {
             let map = partitioner.build(4, c.len());
             assert!((0..4).all(|s| map.shard_len(s) > 0));
             let mut twin = Twin::new(&config(partitioner, 4, 1_000), &c);
-            twin.apply_all(&[
+            let replies: Vec<BatchReply> = [
                 Event::Query(QueryEvent {
                     seq: 0,
                     objects: vec![ObjectId(0), ObjectId(1), ObjectId(2)],
@@ -190,7 +218,35 @@ mod tests {
                     tolerance: 1,
                     kind: QueryKind::Selection,
                 }),
-            ]);
+            ]
+            .iter()
+            .map(|e| twin.apply(e))
+            .collect();
+            // NoCache ships every sub-query; the update reports its
+            // owner and the object's first version.
+            let mut owners: Vec<usize> = (0..3).map(|o| map.shard_of(ObjectId(o))).collect();
+            owners.sort_unstable();
+            owners.dedup();
+            let width = owners.len() as u16;
+            assert_eq!(
+                replies,
+                vec![
+                    BatchReply::Query {
+                        shards_touched: width,
+                        local_answers: 0,
+                        shipped: width,
+                    },
+                    BatchReply::Update {
+                        shard: map.shard_of(ObjectId(5)) as u16,
+                        version: 1,
+                    },
+                    BatchReply::Query {
+                        shards_touched: 1,
+                        local_answers: 0,
+                        shipped: 1,
+                    },
+                ]
+            );
             let metrics = twin.metrics();
             assert_eq!(metrics.len(), 4);
             // NoCache ships every sub-query's apportioned bytes, so the

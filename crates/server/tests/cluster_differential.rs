@@ -112,9 +112,10 @@ impl Cluster {
 }
 
 /// Replays events through the router in `Batch` frames, asserting
-/// per-item success.
-fn replay_batched(addr: std::net::SocketAddr, events: &[Event], batch: usize) {
+/// per-item success and returning every event's reply in event order.
+fn replay_batched(addr: std::net::SocketAddr, events: &[Event], batch: usize) -> Vec<BatchReply> {
     let mut client = DeltaClient::connect(addr).expect("connect");
+    let mut replies = Vec::with_capacity(events.len());
     for chunk in events.chunks(batch) {
         let items: Vec<BatchItem> = chunk
             .iter()
@@ -128,8 +129,10 @@ fn replay_batched(addr: std::net::SocketAddr, events: &[Event], batch: usize) {
                 !matches!(reply, BatchReply::Error { .. }),
                 "unexpected batch error: {reply:?}"
             );
+            replies.push(reply);
         }
     }
+    replies
 }
 
 /// The acceptance pin: a 50k-event trace through the 2-node router is
@@ -141,7 +144,7 @@ fn cluster_router_matches_sim_per_shard() {
     let cache_bytes = (s.catalog.total_bytes() as f64 * 0.3) as u64;
     for partitioner in [PartitionerKind::RoundRobin, PartitionerKind::HashRing] {
         let cluster = start_cluster(PolicyKind::VCover, partitioner, cache_bytes, &s.catalog);
-        replay_batched(cluster.router_addr, &s.trace.events, 128);
+        let replies = replay_batched(cluster.router_addr, &s.trace.events, 128);
 
         let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
         let info = client.hello(0).expect("hello");
@@ -150,13 +153,25 @@ fn cluster_router_matches_sim_per_shard() {
         assert_eq!(info.partitioner, partitioner.to_string());
         let stats = client.stats().expect("stats");
         assert_eq!(stats.shards.len(), SHARDS, "{partitioner}: shard count");
-        let want = Twin::new(
+        let mut twin = Twin::new(
             &shared_config(PolicyKind::VCover, partitioner, cache_bytes),
             &s.catalog,
-        )
-        .apply_all(&s.trace.events)
-        .ledgers();
-        for (shard, want) in stats.shards.iter().zip(&want) {
+        );
+        // Every per-item reply the router merged equals the one the
+        // twin tallies from its own engines.
+        assert_eq!(
+            replies.len(),
+            s.trace.len(),
+            "{partitioner}: one reply per event"
+        );
+        for (i, (event, got)) in s.trace.iter().zip(&replies).enumerate() {
+            let want = twin.apply(event);
+            assert_eq!(
+                got, &want,
+                "{partitioner}: reply {i} diverged from the twin's"
+            );
+        }
+        for (shard, want) in stats.shards.iter().zip(&twin.ledgers()) {
             assert_eq!(
                 &shard.metrics.ledger, want,
                 "{partitioner}: shard {} ledger diverged from its simulation twin",

@@ -24,8 +24,9 @@
 //! applied), which is exactly the caveat DESIGN.md documents.
 
 use delta_server::{
-    error_code, DeltaClient, FrontDoor, NodeRole, PartitionerKind, PolicyKind, Request, Response,
-    Router, RouterConfig, ServerConfig, Twin,
+    error_code, BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor, NodeOp, NodeRole,
+    PartitionerKind, PolicyKind, Request, Response, Router, RouterConfig, Server, ServerConfig,
+    Twin,
 };
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_workload::{Event, QueryEvent, QueryKind, Trace, UpdateEvent};
@@ -379,4 +380,178 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
         let _ = child.wait();
     }
     let _ = std::fs::remove_file(&trace_path);
+}
+
+/// The promotion fence on every event frame, without a kill: a node
+/// promotes a backup it seeded by hand, and every frame kind that names
+/// an already-applied sequence number on the promoted shard gets the
+/// typed `ALREADY_APPLIED` for that item and executes nothing of it on
+/// any shard, while the frame's other items run. The SIGKILL test only
+/// meets the fence when a reply is lost after its event reached the
+/// backup, which a run may or may not hit.
+#[test]
+fn promoted_shard_fences_applied_seqs_on_every_event_frame() {
+    let catalog = ObjectCatalog::from_sizes(&[100; 8]);
+    let recipe = ServerConfig {
+        bind: "127.0.0.1:0".to_string(),
+        n_shards: 2,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes: 200,
+        policy: PolicyKind::NoCache,
+        seed: SEED,
+        ..ServerConfig::default()
+    };
+    let map = recipe.partitioner.build(2, catalog.len());
+    let on = |shard: usize| {
+        (0..catalog.len() as u32)
+            .map(ObjectId)
+            .find(|&o| map.shard_of(o) == shard)
+            .expect("each shard owns an object")
+    };
+    let (o0, o1) = (on(0), on(1));
+    let update = |seq: u64, object: ObjectId| UpdateEvent {
+        seq,
+        object,
+        bytes: 10,
+    };
+    let query = |seq: u64, objects: Vec<ObjectId>| QueryEvent {
+        seq,
+        objects,
+        result_bytes: 50,
+        tolerance: 0,
+        kind: QueryKind::Cone,
+    };
+    let node = Server::start(
+        ServerConfig {
+            cluster: Some(ClusterConfig {
+                node: 0,
+                nodes: 2,
+                hosted: vec![0],
+            }),
+            ..recipe.clone()
+        },
+        catalog.clone(),
+    )
+    .expect("node starts");
+    let mut client = DeltaClient::connect(node.local_addr()).expect("connect");
+    client.hello(0).expect("hello");
+
+    // Seed a backup of shard 1 with three applied events (local ids),
+    // then promote it: its fence is seq 3.
+    let local = map.local_id(o1);
+    for (request, want) in [
+        (
+            Request::ReplicaBootstrap {
+                shard: 1,
+                state: Vec::new(),
+            },
+            Response::ReplicaOk {
+                shard: 1,
+                offset: 0,
+            },
+        ),
+        (
+            Request::Replicate {
+                shard: 1,
+                from_offset: 0,
+                items: vec![
+                    BatchItem::Update(update(1, local)),
+                    BatchItem::Update(update(2, local)),
+                    BatchItem::Query(query(3, vec![local])),
+                ],
+            },
+            Response::ReplicaOk {
+                shard: 1,
+                offset: 3,
+            },
+        ),
+        (
+            Request::Promote { shard: 1 },
+            Response::PromoteOk {
+                shard: 1,
+                offset: 3,
+            },
+        ),
+    ] {
+        assert_eq!(client.request(&request).expect("request"), want);
+    }
+
+    let fenced = |seq: u64| BatchReply::Error {
+        code: error_code::ALREADY_APPLIED,
+        message: format!("seq {seq} was applied before failover (fence 3)"),
+    };
+    let lone = |reply: BatchReply| match reply {
+        BatchReply::Error { code, message } => Response::Error { code, message },
+        other => panic!("not an error reply: {other:?}"),
+    };
+    // A lone update, and a lone query whose other sub-query lands on the
+    // unfenced shard 0: neither runs anywhere.
+    assert_eq!(
+        client
+            .request(&Request::Update(update(2, o1)))
+            .expect("update"),
+        lone(fenced(2))
+    );
+    assert_eq!(
+        client
+            .request(&Request::Query(query(3, vec![o0, o1])))
+            .expect("query"),
+        lone(fenced(3))
+    );
+    // A batch and the router's pre-split form: the fenced item alone is
+    // answered typed; the rest of the frame runs.
+    assert_eq!(
+        client
+            .request(&Request::Batch(vec![
+                BatchItem::Update(update(1, o1)),
+                BatchItem::Update(update(4, o0)),
+                BatchItem::Query(query(5, vec![o1])),
+            ]))
+            .expect("batch"),
+        Response::BatchOk(vec![
+            fenced(1),
+            BatchReply::Update {
+                shard: 0,
+                version: 1,
+            },
+            BatchReply::Query {
+                shards_touched: 1,
+                local_answers: 0,
+                shipped: 1,
+            },
+        ])
+    );
+    assert_eq!(
+        client
+            .request(&Request::NodeOps(vec![
+                NodeOp {
+                    shard: 1,
+                    item: BatchItem::Update(update(2, local)),
+                },
+                NodeOp {
+                    shard: 0,
+                    item: BatchItem::Update(update(6, map.local_id(o0))),
+                },
+            ]))
+            .expect("node ops"),
+        Response::BatchOk(vec![
+            fenced(2),
+            BatchReply::Update {
+                shard: 0,
+                version: 2,
+            },
+        ])
+    );
+
+    // Only the unfenced events executed: shard 0 holds its two updates
+    // and no query, shard 1 its three seeded events plus query seq 5.
+    let stats = client.stats().expect("stats");
+    let events: Vec<(u16, u64, u64)> = stats
+        .shards
+        .iter()
+        .map(|s| (s.shard, s.metrics.updates, s.metrics.queries))
+        .collect();
+    assert_eq!(events, vec![(0, 2, 0), (1, 2, 2)]);
+    client.shutdown().expect("shutdown");
+    node.join();
 }

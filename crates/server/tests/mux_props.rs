@@ -7,7 +7,9 @@
 //! misdelivered answer); and a link dying mid-flight must fail only
 //! the fan-outs that had sub-requests pending on that node.
 
-use delta_server::mux::{Completion, Correlator, FanoutTable, MergeState, ReplyKind, SubEntry};
+use delta_server::mux::{
+    shape_response, Completion, Correlator, FanoutTable, MergeState, ReplyKind, SubEntry,
+};
 use delta_server::{error_code, BatchItem, BatchReply, NodeOp, Response};
 use delta_storage::ObjectId;
 use delta_workload::UpdateEvent;
@@ -128,6 +130,40 @@ fn untag(response: Response, want_corr: Option<u64>) -> Response {
         (inner, None) => inner,
         (inner, Some(want)) => panic!("tagged request {want} answered bare: {inner:?}"),
     }
+}
+
+/// One rule for repeated errors on both tiers: an item keeps the first
+/// error it is given, whether it came from a shard's reply or was
+/// poisoned before any op ran, and an error outranks the sub-queries
+/// other shards served.
+#[test]
+fn the_first_error_of_an_item_wins() {
+    let violated = |shard: u16| BatchReply::Error {
+        code: error_code::CONTRACT_VIOLATED,
+        message: format!("shard {shard}: violated"),
+    };
+    let served = BatchReply::Query {
+        shards_touched: 1,
+        local_answers: 1,
+        shipped: 0,
+    };
+    let mut merge = MergeState::new(2);
+    merge.expect_query(0, 3);
+    for reply in [served.clone(), violated(1), violated(3), served] {
+        merge.absorb(reply, 0).expect("item 0 is a query");
+    }
+    merge.poison(1, error_code::UNKNOWN_OBJECT, "unknown".to_string());
+    merge.poison(1, error_code::ALREADY_APPLIED, "fenced".to_string());
+    assert_eq!(
+        shape_response(&ReplyKind::Batch, &mut merge),
+        Response::BatchOk(vec![
+            violated(1),
+            BatchReply::Error {
+                code: error_code::UNKNOWN_OBJECT,
+                message: "unknown".to_string(),
+            },
+        ])
+    );
 }
 
 proptest! {

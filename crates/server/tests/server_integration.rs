@@ -6,7 +6,7 @@
 //! produces on that shard's sub-catalog and sub-trace (the offline
 //! `Twin`) — and the per-shard ledgers sum to the aggregate snapshot.
 
-use delta_core::sim;
+use delta_core::{sim, CostLedger};
 use delta_server::{
     BatchItem, BatchReply, DeltaClient, PolicyKind, Request, Response, Server, ServerConfig, Twin,
 };
@@ -47,16 +47,52 @@ fn start_server(
     (server, config)
 }
 
-fn replay(client: &mut DeltaClient, survey: &SyntheticSurvey) {
-    for event in survey.trace.iter() {
-        match event {
+/// Replays the trace one lone frame per event, returning each event's
+/// reply in item form.
+fn replay(client: &mut DeltaClient, survey: &SyntheticSurvey) -> Vec<BatchReply> {
+    survey
+        .trace
+        .iter()
+        .map(|event| match event {
             Event::Query(q) => {
-                client.query(q).expect("query served");
+                let r = client.query(q).expect("query served");
+                BatchReply::Query {
+                    shards_touched: r.shards_touched,
+                    local_answers: r.local_answers,
+                    shipped: r.shipped,
+                }
             }
             Event::Update(u) => {
-                client.update(u).expect("update applied");
+                let r = client.update(u).expect("update applied");
+                BatchReply::Update {
+                    shard: r.shard,
+                    version: r.version,
+                }
             }
-        }
+        })
+        .collect()
+}
+
+/// The twin's per-event replies and final per-shard ledgers for a
+/// server started from `config`.
+fn twin_replay(
+    config: &ServerConfig,
+    survey: &SyntheticSurvey,
+) -> (Vec<BatchReply>, Vec<CostLedger>) {
+    let mut twin = Twin::new(config, &survey.catalog);
+    let replies = survey.trace.iter().map(|e| twin.apply(e)).collect();
+    (replies, twin.ledgers())
+}
+
+/// Every per-item reply equals the twin's, naming the first that does
+/// not.
+fn assert_replies_match(got: &[BatchReply], want: &[BatchReply], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: reply count");
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+        panic!(
+            "{what}: reply {i} is {:?}, the twin owes {:?}",
+            got[i], want[i]
+        );
     }
 }
 
@@ -80,15 +116,14 @@ fn sharded_server_matches_sharded_simulation_exactly() {
         let addr = server.local_addr();
 
         let mut client = DeltaClient::connect(addr).expect("connect");
-        replay(&mut client, &survey);
+        let replies = replay(&mut client, &survey);
         let stats = client.stats().expect("stats");
         client.shutdown().expect("shutdown");
         let final_stats = server.join();
 
         assert_eq!(stats.shards.len(), n_shards);
-        let expected = Twin::new(&config, &survey.catalog)
-            .apply_all(&survey.trace.events)
-            .ledgers();
+        let (want_replies, expected) = twin_replay(&config, &survey);
+        assert_replies_match(&replies, &want_replies, &format!("{policy:?} lockstep"));
         for (shard, want) in stats.shards.iter().zip(&expected) {
             assert_eq!(
                 &shard.metrics.ledger, want,
@@ -266,13 +301,13 @@ fn server_rejects_unknown_objects_and_keeps_serving() {
 
 /// Chunks `events` with cycling batch sizes and replays them through a
 /// pipelined connection with `window` frames in flight. Returns every
-/// `(object, version)` pair from update replies, for log-length checks.
+/// event's reply, in event order.
 fn replay_mixed(
     addr: std::net::SocketAddr,
     events: &[Event],
     batch_sizes: &[usize],
     window: usize,
-) -> Vec<(delta_storage::ObjectId, u64)> {
+) -> Vec<BatchReply> {
     let mut chunks: Vec<Vec<BatchItem>> = Vec::new();
     let mut i = 0usize;
     let mut size_i = 0usize;
@@ -297,40 +332,39 @@ fn replay_mixed(
         .expect("connect")
         .pipelined(window);
     let mut corr_to_chunk = std::collections::HashMap::new();
-    let mut versions = Vec::new();
-    let handle = |corr: u64,
-                  response: Response,
-                  corr_to_chunk: &std::collections::HashMap<u64, usize>,
-                  versions: &mut Vec<(delta_storage::ObjectId, u64)>,
-                  chunks: &[Vec<BatchItem>]| {
-        let chunk = &chunks[corr_to_chunk[&corr]];
-        match response {
-            Response::BatchOk(replies) => {
-                assert_eq!(replies.len(), chunk.len());
-                for (reply, item) in replies.iter().zip(chunk) {
-                    match (reply, item) {
-                        (BatchReply::Query { .. }, BatchItem::Query(_)) => {}
-                        (BatchReply::Update { version, .. }, BatchItem::Update(u)) => {
-                            versions.push((u.object, *version));
+    let mut answered: Vec<Option<Vec<BatchReply>>> = vec![None; chunks.len()];
+    let mut handle =
+        |corr: u64, response: Response, corr_to_chunk: &std::collections::HashMap<u64, usize>| {
+            let chunk_i = corr_to_chunk[&corr];
+            match response {
+                Response::BatchOk(replies) => {
+                    assert_eq!(replies.len(), chunks[chunk_i].len());
+                    for (reply, item) in replies.iter().zip(&chunks[chunk_i]) {
+                        match (reply, item) {
+                            (BatchReply::Query { .. }, BatchItem::Query(_))
+                            | (BatchReply::Update { .. }, BatchItem::Update(_)) => {}
+                            other => panic!("reply/item mismatch: {other:?}"),
                         }
-                        other => panic!("reply/item mismatch: {other:?}"),
                     }
+                    answered[chunk_i] = Some(replies);
                 }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
-        }
-    };
+        };
     for (chunk_i, chunk) in chunks.iter().enumerate() {
         let corr = pipe.submit(&Request::Batch(chunk.clone())).expect("submit");
         corr_to_chunk.insert(corr, chunk_i);
         for (corr, response) in pipe.completed() {
-            handle(corr, response, &corr_to_chunk, &mut versions, &chunks);
+            handle(corr, response, &corr_to_chunk);
         }
     }
     for (corr, response) in pipe.drain().expect("drain") {
-        handle(corr, response, &corr_to_chunk, &mut versions, &chunks);
+        handle(corr, response, &corr_to_chunk);
     }
-    versions
+    answered
+        .into_iter()
+        .flat_map(|replies| replies.expect("every chunk answered"))
+        .collect()
 }
 
 /// One connection, mixed batch sizes, deep pipeline: because per-shard
@@ -345,16 +379,15 @@ fn batched_pipelined_replay_matches_sharded_simulation_exactly() {
     let (server, config) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
     let addr = server.local_addr();
 
-    replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
+    let replies = replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
 
     let mut client = DeltaClient::connect(addr).expect("connect");
     let stats = client.stats().expect("stats");
     client.shutdown().expect("shutdown");
     server.join();
 
-    let expected = Twin::new(&config, &survey.catalog)
-        .apply_all(&survey.trace.events)
-        .ledgers();
+    let (want_replies, expected) = twin_replay(&config, &survey);
+    assert_replies_match(&replies, &want_replies, "batched+pipelined");
     for (shard, want) in stats.shards.iter().zip(&expected) {
         assert_eq!(
             &shard.metrics.ledger, want,
@@ -394,7 +427,16 @@ fn concurrent_mixed_batch_and_pipeline_preserve_invariants() {
                     .filter(|(i, _)| i % 4 == lane)
                     .map(|(_, e)| e.clone())
                     .collect();
-                let versions = replay_mixed(addr, &lane_events, batch_sizes, *window);
+                let replies = replay_mixed(addr, &lane_events, batch_sizes, *window);
+                let versions = lane_events
+                    .iter()
+                    .zip(replies)
+                    .filter_map(|pair| match pair {
+                        (Event::Update(u), BatchReply::Update { version, .. }) => {
+                            Some((u.object, version))
+                        }
+                        _ => None,
+                    });
                 all_versions.lock().unwrap().extend(versions);
             });
         }
