@@ -34,7 +34,6 @@
 //! executes*; the router's own node links transparently re-handshake and
 //! retry, which doubles as a liveness proof of the redirect path.
 
-use crate::client::DeltaClient;
 use crate::config::FrontDoor;
 use crate::connection::{
     buffered_frame_len, prepare_read_buffer, FrameHandler, LoopBackend, WireTelemetry, POLL,
@@ -47,8 +46,8 @@ use crate::mux::{
 };
 use crate::partition::{Partitioner, PartitionerKind};
 use crate::protocol::{
-    append_frame_with, encode_tagged_request_into, error_code, BatchItem, NodeInfo, NodeOp,
-    NodeRole, Request, Response, ShardStats, StatsSnapshot,
+    append_frame_with, encode_tagged_request_into, error_code, read_frame_into, BatchItem,
+    NodeInfo, NodeOp, NodeRole, Request, Response, ShardStats, StatsSnapshot, PROTOCOL_VERSION,
 };
 use crate::replication::jittered;
 use delta_query::{QueryCompiler, Schema};
@@ -84,7 +83,8 @@ pub struct RouterConfig {
     /// How long the data plane waits for a node's reply to one
     /// fanned-out sub-request before completing the waiting client
     /// requests with a typed `NODE_UNAVAILABLE` error and declaring the
-    /// link dead (`--node-timeout-ms`).
+    /// link dead (`--node-timeout-ms`); also the bound on each write
+    /// and read of an admin call.
     pub node_timeout: std::time::Duration,
 }
 
@@ -195,15 +195,17 @@ struct RouterShared {
     front: FrontDoor,
     /// Reap limit for stalled client connections.
     stall_limit: std::time::Duration,
-    /// Per-fanout node reply deadline on the data plane.
+    /// Per-fanout node reply deadline on the data plane, and the
+    /// write/read bound of every admin call.
     node_timeout: Duration,
     /// Node sub-requests currently parked in ANY event loop's link
     /// correlators. `Reshard` quiesces on this reaching zero before it
     /// detaches a shard, so no sub-request ever straddles an epoch
     /// boundary mid-flight.
     inflight_subs: AtomicUsize,
-    /// Per-node health, fed by the shared data-plane links and the
-    /// admin links, and read by the failure-detector thread.
+    /// Per-node health, fed by the shared data-plane links and by every
+    /// [`admin_call`] (a node it cannot reach earns a strike), and read
+    /// by the failure-detector thread.
     health: Vec<NodeHealth>,
 }
 
@@ -293,8 +295,15 @@ impl Router {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         let mut infos: Vec<NodeInfo> = Vec::with_capacity(config.nodes.len());
         for (i, addr) in config.nodes.iter().enumerate() {
-            let mut client = DeltaClient::connect(addr)?;
-            let info = client.hello(0)?;
+            let hello = Request::Hello {
+                version: PROTOCOL_VERSION,
+                epoch: 0,
+            };
+            let info = match node_call(addr, config.node_timeout, &hello) {
+                Ok(Response::HelloOk(info)) => info,
+                Ok(other) => return Err(invalid(format!("{addr} answered Hello with {other:?}"))),
+                Err(detail) => return Err(io::Error::other(format!("{addr}: {detail}"))),
+            };
             if info.role != NodeRole::ClusterNode {
                 return Err(invalid(format!(
                     "{addr} is not a cluster node (role {:?}); start it with --node-id/--nodes",
@@ -493,74 +502,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>, shutdown: Arc<A
     .run(listener);
 }
 
-/// Lockstep admin links: one lazily-opened blocking link per node, for
-/// the rare verbs that are not routed over the shared data-plane links —
-/// `Stats`, `Telemetry` and `Shutdown` fan-outs, reshard coordination and
-/// failover promotion. Each client connection's [`MuxHandler`] owns one
-/// set (a call blocks its event loop briefly), and the monitor thread
-/// owns another.
-struct ConnState {
-    links: Vec<Option<DeltaClient>>,
-    /// The epoch each link last declared via `Hello`, to know when a
-    /// link must re-handshake instead of reconnect.
-    link_epochs: Vec<u64>,
-}
-
-impl ConnState {
-    fn new(shared: &RouterShared) -> ConnState {
-        ConnState {
-            links: (0..shared.nodes.len()).map(|_| None).collect(),
-            link_epochs: vec![0; shared.nodes.len()],
-        }
-    }
-
-    /// Returns a link to `node` whose declared epoch is `epoch`,
-    /// connecting or re-handshaking as needed. Every failure — connect,
-    /// handshake, or a link slot emptied by an earlier failure path —
-    /// surfaces as a typed node-unavailable error, never a panic: a node
-    /// may die at any point between ensuring a link and using it.
-    fn link(
-        &mut self,
-        shared: &RouterShared,
-        node: usize,
-        epoch: u64,
-    ) -> io::Result<&mut DeltaClient> {
-        if self.links[node].is_none() {
-            let mut client = DeltaClient::connect(&shared.nodes[node]).map_err(|e| {
-                shared.note_strike(node);
-                node_unavailable(node, "connect", &e)
-            })?;
-            client.hello(epoch).map_err(|e| {
-                shared.note_strike(node);
-                node_unavailable(node, "handshake", &e)
-            })?;
-            self.links[node] = Some(client);
-            self.link_epochs[node] = epoch;
-        } else if self.link_epochs[node] != epoch {
-            let hello = match self.links[node].as_mut() {
-                Some(client) => client.hello(epoch),
-                None => return Err(node_lost(node)),
-            };
-            if let Err(e) = hello {
-                // A link that failed a handshake is dead; drop it so
-                // the next attempt reconnects from scratch.
-                self.links[node] = None;
-                shared.note_strike(node);
-                return Err(node_unavailable(node, "re-handshake", &e));
-            }
-            self.link_epochs[node] = epoch;
-        }
-        match self.links[node].as_mut() {
-            Some(client) => Ok(client),
-            None => Err(node_lost(node)),
-        }
-    }
-}
-
-/// The payload inside a node-unavailable `io::Error`: which node died,
-/// so the client handler can answer with a typed
-/// [`error_code::NODE_UNAVAILABLE`] frame instead of dropping the client
-/// connection.
+/// Why an admin call got no reply from a node: which node, and what
+/// failed. A client waiting on the call gets it as a typed
+/// [`error_code::NODE_UNAVAILABLE`] frame, and its connection stays
+/// open.
 #[derive(Debug)]
 struct NodeDown {
     node: usize,
@@ -573,48 +518,61 @@ impl std::fmt::Display for NodeDown {
     }
 }
 
-impl std::error::Error for NodeDown {}
-
-/// Wraps a node-facing failure as a typed node-unavailable error.
-fn node_unavailable(node: usize, stage: &str, e: &io::Error) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::NotConnected,
-        NodeDown {
-            node,
-            detail: format!("{stage}: {e}"),
-        },
-    )
-}
-
-/// The slot-was-empty variant: the link vanished between ensure and use.
-fn node_lost(node: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::NotConnected,
-        NodeDown {
-            node,
-            detail: "link lost between ensure and use".to_string(),
-        },
-    )
-}
-
-/// Recovers which node a typed node-unavailable error names.
-fn unavailable_node(e: &io::Error) -> Option<usize> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<NodeDown>())
-        .map(|d| d.node)
-}
-
-/// Maps an admin-link failure to the client's answer: a dead node is a
-/// typed [`error_code::NODE_UNAVAILABLE`] frame naming it (the client
-/// connection must outlive it); any other failure drops the connection.
-fn typed_node_loss(result: io::Result<Response>) -> io::Result<Response> {
-    result.or_else(|e| match unavailable_node(&e) {
-        Some(_) => Ok(Response::Error {
+impl From<NodeDown> for Response {
+    fn from(down: NodeDown) -> Response {
+        Response::Error {
             code: error_code::NODE_UNAVAILABLE,
-            message: e.to_string(),
-        }),
-        None => Err(e),
+            message: down.to_string(),
+        }
+    }
+}
+
+/// One request to the node at `addr` on a connection of its own:
+/// connect within [`CONNECT_TIMEOUT`], write one frame and read one
+/// frame, each within `timeout`, then close. The error names the stage
+/// that failed.
+fn node_call(addr: &str, timeout: Duration, request: &Request) -> Result<Response, String> {
+    let mut stream = connect_node(addr).map_err(|e| format!("connect: {e}"))?;
+    let round_trip = |stream: &mut TcpStream| -> io::Result<Response> {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        let mut wire = Vec::new();
+        append_frame_with(&mut wire, |buf| request.encode_into(buf))?;
+        stream.write_all(&wire)?;
+        let mut payload = Vec::new();
+        read_frame_into(stream, &mut payload)?;
+        Response::decode(&payload)
+    };
+    round_trip(&mut stream).map_err(|e| format!("round trip: {e}"))
+}
+
+/// The router's one admin call: every frame it sends a node outside
+/// the data-plane links (`Stats`, `Telemetry`, `Shutdown`, reshard and
+/// failover) is a [`node_call`] bounded by the node timeout, so a
+/// wedged node costs the caller at most that, never forever. The
+/// verbs are never fenced by epoch at the node, so no `Hello` goes
+/// first. A node the call cannot reach earns a strike. (The start-up
+/// `Hello` is a bare [`node_call`]: it runs before there is a router
+/// to strike against.)
+fn admin_call(shared: &RouterShared, node: usize, request: &Request) -> Result<Response, NodeDown> {
+    node_call(&shared.nodes[node], shared.node_timeout, request).map_err(|detail| {
+        shared.note_strike(node);
+        NodeDown { node, detail }
     })
+}
+
+/// A scrape's answer when `node` did not reply as asked: the typed
+/// `NODE_UNAVAILABLE` naming it.
+fn scrape_failure(node: usize, reply: Result<Response, NodeDown>) -> Response {
+    match reply {
+        Ok(other) => NodeDown {
+            node,
+            detail: format!("unexpected reply {other:?}"),
+        }
+        .into(),
+        Err(down) => down.into(),
+    }
 }
 
 /// How many times a sub-request is retried after a `WrongEpoch`
@@ -635,12 +593,12 @@ struct NodePlan {
 /// The version handshake: a router answers with its own shape, and a
 /// peer speaking another protocol version gets a typed `BAD_FRAME`.
 fn handle_hello(shared: &RouterShared, version: u8) -> Response {
-    if version != crate::protocol::PROTOCOL_VERSION {
+    if version != PROTOCOL_VERSION {
         return Response::Error {
             code: error_code::BAD_FRAME,
             message: format!(
                 "protocol version mismatch: peer speaks v{version}, this router speaks v{}",
-                crate::protocol::PROTOCOL_VERSION
+                PROTOCOL_VERSION
             ),
         };
     }
@@ -649,18 +607,15 @@ fn handle_hello(shared: &RouterShared, version: u8) -> Response {
 
 /// Shuts the whole cluster down: the router owns its nodes' lifecycle
 /// the way `delta-serverd` owns its shards'.
-fn handle_shutdown(shared: &RouterShared, conn: &mut ConnState) -> Response {
-    let route = shared.route.read().expect("route lock");
+fn handle_shutdown(shared: &RouterShared) -> Response {
+    let _route = shared.route.read().expect("route lock");
     for node in 0..shared.nodes.len() {
         if shared.is_down(node) {
             continue;
         }
-        match conn.link(shared, node, route.epoch) {
-            Ok(link) => {
-                if let Err(e) = link.shutdown() {
-                    eprintln!("delta-router: node {node} shutdown failed: {e}");
-                }
-            }
+        match admin_call(shared, node, &Request::Shutdown) {
+            Ok(Response::ShutdownOk) => {}
+            Ok(other) => eprintln!("delta-router: node {node} shutdown failed: {other:?}"),
             Err(e) => eprintln!("delta-router: node {node} unreachable for shutdown: {e}"),
         }
     }
@@ -668,8 +623,9 @@ fn handle_shutdown(shared: &RouterShared, conn: &mut ConnState) -> Response {
     Response::ShutdownOk
 }
 
-fn handle_stats(shared: &RouterShared, conn: &mut ConnState) -> io::Result<Response> {
-    let route = shared.route.read().expect("route lock");
+fn handle_stats(shared: &RouterShared) -> Response {
+    // Held so the scrape never straddles a reshard or a failover.
+    let _route = shared.route.read().expect("route lock");
     let mut shards: Vec<ShardStats> = Vec::new();
     for node in 0..shared.nodes.len() {
         // A failed-over node's shards answer from their promoted homes;
@@ -677,11 +633,13 @@ fn handle_stats(shared: &RouterShared, conn: &mut ConnState) -> io::Result<Respo
         if shared.is_down(node) {
             continue;
         }
-        let link = conn.link(shared, node, route.epoch)?;
-        shards.extend(link.stats()?.shards);
+        match admin_call(shared, node, &Request::Stats) {
+            Ok(Response::StatsOk(snapshot)) => shards.extend(snapshot.shards),
+            reply => return scrape_failure(node, reply),
+        }
     }
     shards.sort_by_key(|s| s.shard);
-    Ok(Response::StatsOk(StatsSnapshot { shards }))
+    Response::StatsOk(StatsSnapshot { shards })
 }
 
 /// The cluster-wide scrape: every node's snapshot folded into the
@@ -689,17 +647,19 @@ fn handle_stats(shared: &RouterShared, conn: &mut ConnState) -> io::Result<Respo
 /// bucket-wise — and the shared `conn.*` names mean the wire totals come
 /// out as cluster totals, while `shard.*`/`router.*` names stay
 /// per-tier by construction.
-fn handle_telemetry(shared: &RouterShared, conn: &mut ConnState) -> io::Result<Response> {
-    let route = shared.route.read().expect("route lock");
+fn handle_telemetry(shared: &RouterShared) -> Response {
+    let _route = shared.route.read().expect("route lock");
     let mut merged = shared.telemetry.snapshot();
     for node in 0..shared.nodes.len() {
         if shared.is_down(node) {
             continue;
         }
-        let link = conn.link(shared, node, route.epoch)?;
-        merged.merge(&link.telemetry()?);
+        match admin_call(shared, node, &Request::Telemetry) {
+            Ok(Response::TelemetryOk(snapshot)) => merged.merge(&snapshot),
+            reply => return scrape_failure(node, reply),
+        }
     }
-    Ok(Response::TelemetryOk(merged))
+    Response::TelemetryOk(merged)
 }
 
 fn router_info(shared: &RouterShared) -> NodeInfo {
@@ -717,17 +677,36 @@ fn router_info(shared: &RouterShared) -> NodeInfo {
     }
 }
 
-/// The live-resharding coordinator. Runs under the routing write lock,
-/// so no request splits against the old map. Right after taking the
-/// lock it drains the in-flight node sub-requests — which do NOT hold
-/// the read lock while suspended — through `backend`, the coordinating
-/// connection's own event loop, before any shard moves.
-fn do_reshard(
+/// Serves a client's `Reshard`: takes the routing write lock, so no
+/// request splits against the old map, drains the in-flight node
+/// sub-requests — which do NOT hold the read lock while suspended —
+/// through `backend`, the coordinating connection's own event loop,
+/// and hands the move to [`do_reshard`] with the bounded
+/// [`admin_call`]. Draining first costs nothing when nothing is in
+/// flight.
+fn handle_reshard(
     shared: &RouterShared,
-    conn: &mut ConnState,
     backend: &mut RouterBackend,
     shard: u16,
     to_node: u16,
+) -> Response {
+    let mut route = shared.route.write().expect("route lock");
+    backend.quiesce(route.epoch, &route.owner);
+    do_reshard(shared, &mut route, shard, to_node, |node, request| {
+        admin_call(shared, node, request)
+    })
+}
+
+/// The live-resharding coordinator: the sequence of admin calls that
+/// moves `shard` to `to_node` over `route`, which the caller holds
+/// under the routing write lock. It touches no socket; `call` sends
+/// one request to one node.
+fn do_reshard(
+    shared: &RouterShared,
+    route: &mut Route,
+    shard: u16,
+    to_node: u16,
+    mut call: impl FnMut(usize, &Request) -> Result<Response, NodeDown>,
 ) -> Response {
     let fail = |message: String| Response::Error {
         code: error_code::RESHARD_FAILED,
@@ -745,21 +724,14 @@ fn do_reshard(
             shared.nodes.len()
         ));
     }
-    let mut route = shared.route.write().expect("route lock");
     let from = route.owner[shard as usize];
     if from == to_node {
         // Nothing to move; the current epoch already describes it.
         return Response::ReshardOk { epoch: route.epoch };
     }
-    backend.quiesce(route.epoch, &route.owner);
-    // The admin verbs are deliberately exempt from epoch fencing, so the
-    // existing links work across the transition.
-    let admin = |conn: &mut ConnState, node: u16, req: &Request| -> io::Result<Response> {
-        conn.link(shared, node as usize, route.epoch)?.request(req)
-    };
     // Step 1: drain + snapshot at the old owner.
     let t_detach = Instant::now();
-    let state = match admin(conn, from, &Request::DetachShard { shard }) {
+    let state = match call(from as usize, &Request::DetachShard { shard }) {
         Ok(Response::ShardState { state, .. }) => state,
         Ok(other) => return fail(format!("detach at node {from}: unexpected {other:?}")),
         Err(e) => return fail(format!("detach at node {from}: {e}")),
@@ -768,26 +740,16 @@ fn do_reshard(
     // Step 2: restore at the new owner. On failure, try to put the shard
     // back where it was — the state blob must not evaporate.
     let t_attach = Instant::now();
-    match admin(
-        conn,
-        to_node,
-        &Request::AttachShard {
-            shard,
-            state: state.clone(),
-        },
-    ) {
+    let attach = Request::AttachShard {
+        shard,
+        state: state.clone(),
+    };
+    match call(to_node as usize, &attach) {
         Ok(Response::AttachOk { .. }) => {
             shared.rt.reshard_attach.record_duration(t_attach.elapsed());
         }
         outcome => {
-            let rollback = match admin(
-                conn,
-                from,
-                &Request::AttachShard {
-                    shard,
-                    state: state.clone(),
-                },
-            ) {
+            let rollback = match call(from as usize, &attach) {
                 Ok(Response::AttachOk { .. }) => format!("shard restored at node {from}"),
                 // The in-memory blob is now the ONLY copy of the
                 // shard's state (detach removed the node's snapshot
@@ -823,8 +785,8 @@ fn do_reshard(
     // SetEpoch failure is a hard error for the operator.
     let epoch = route.epoch + 1;
     let t_epoch = Instant::now();
-    for node in 0..shared.nodes.len() as u16 {
-        match admin(conn, node, &Request::SetEpoch { epoch }) {
+    for node in 0..shared.nodes.len() {
+        match call(node, &Request::SetEpoch { epoch }) {
             Ok(Response::EpochOk { .. }) => {}
             other => {
                 return fail(format!(
@@ -878,7 +840,6 @@ const FAILOVER_STRIKES: u32 = 2;
 /// self-driving: a primary that dies with no client traffic in flight
 /// is still declared dead within a few ticks of its first strike.
 fn monitor_loop(shared: Arc<RouterShared>) {
-    let mut conn = ConnState::new(&shared);
     let tick = (shared.node_timeout / 4).max(Duration::from_millis(25));
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
@@ -899,14 +860,17 @@ fn monitor_loop(shared: Arc<RouterShared>) {
                 }
             }
             if h.strikes.load(Ordering::Relaxed) >= FAILOVER_STRIKES {
-                do_failover(&shared, &mut conn, node);
+                let mut route = shared.route.write().expect("route lock");
+                do_failover(&shared, &mut route, node, |n, request| {
+                    admin_call(&shared, n, request)
+                });
             }
         }
     }
 }
 
-/// The failover coordinator, the router's half of the tentpole: under
-/// the routing write lock it asks every survivor which backups it holds
+/// The failover coordinator: over `route`, which the caller holds under
+/// the routing write lock, it asks every survivor which backups it holds
 /// and how caught up they are (`ReplicaStatus`), promotes the
 /// most-caught-up backup of every orphaned shard (`Promote`), and bumps
 /// the routing epoch at the survivors so stale links get a typed
@@ -919,9 +883,14 @@ fn monitor_loop(shared: Arc<RouterShared>) {
 /// The unavailability window a client sees is bounded by detection
 /// (strike + one monitor tick ≤ ~1.5× node-timeout in the worst case)
 /// plus this function's promotion round trips — well under 2× the
-/// node timeout against live survivors.
-fn do_failover(shared: &RouterShared, conn: &mut ConnState, dead: usize) {
-    let mut route = shared.route.write().expect("route lock");
+/// node timeout against live survivors. It touches no socket; `call`
+/// sends one request to one node.
+fn do_failover(
+    shared: &RouterShared,
+    route: &mut Route,
+    dead: usize,
+    mut call: impl FnMut(usize, &Request) -> Result<Response, NodeDown>,
+) {
     // A cluster being shut down sheds nodes on purpose; that is not a
     // failure to react to.
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -946,16 +915,12 @@ fn do_failover(shared: &RouterShared, conn: &mut ConnState, dead: usize) {
         return;
     }
     // Which survivor holds the most-caught-up backup of each shard?
-    let epoch = route.epoch;
     let mut holders: HashMap<u16, (usize, u64)> = HashMap::new();
     for node in 0..shared.nodes.len() {
         if node == dead || shared.is_down(node) {
             continue;
         }
-        let reply = conn
-            .link(shared, node, epoch)
-            .and_then(|link| link.request(&Request::ReplicaStatus));
-        let Ok(Response::ReplicaStatusOk(backups)) = reply else {
+        let Ok(Response::ReplicaStatusOk(backups)) = call(node, &Request::ReplicaStatus) else {
             continue; // an unreachable survivor just contributes nothing
         };
         for (shard, offset) in backups {
@@ -971,10 +936,7 @@ fn do_failover(shared: &RouterShared, conn: &mut ConnState, dead: usize) {
             eprintln!("delta-router: shard {shard} has no live backup; it stays OFFLINE");
             continue;
         };
-        let reply = conn
-            .link(shared, node, epoch)
-            .and_then(|link| link.request(&Request::Promote { shard }));
-        match reply {
+        match call(node, &Request::Promote { shard }) {
             Ok(Response::PromoteOk { offset, .. }) => {
                 route.owner[shard as usize] = node as u16;
                 promoted += 1;
@@ -993,15 +955,12 @@ fn do_failover(shared: &RouterShared, conn: &mut ConnState, dead: usize) {
         // round for nothing.
         return;
     }
-    let next = epoch + 1;
+    let next = route.epoch + 1;
     for node in 0..shared.nodes.len() {
         if node == dead || shared.is_down(node) {
             continue;
         }
-        let reply = conn
-            .link(shared, node, epoch)
-            .and_then(|link| link.request(&Request::SetEpoch { epoch: next }));
-        match reply {
+        match call(node, &Request::SetEpoch { epoch: next }) {
             Ok(Response::EpochOk { .. }) => {}
             // A survivor that cannot take the bump is likely dying too:
             // its ops fence WrongEpoch until its own strikes fail it over.
@@ -1068,13 +1027,11 @@ enum Slot {
 
 /// The router's per-connection frame handler: splits routed requests
 /// into fan-outs on the loop's [`RouterBackend`], answers admin verbs
-/// over its own lockstep links, and keeps responses in arrival order
-/// across suspensions.
+/// with [`admin_call`]s (which block the loop for at most the node
+/// timeout each), and keeps responses in arrival order across
+/// suspensions.
 struct MuxHandler {
     shared: Arc<RouterShared>,
-    /// Admin links for `Stats`, `Telemetry`, `Shutdown` and reshard
-    /// coordination, which block the loop briefly.
-    admin: ConnState,
     /// This connection's SQL compiler clone (compilation is CPU-bound,
     /// so connections never contend on it); `None` without a frontend.
     compiler: Option<QueryCompiler>,
@@ -1086,7 +1043,6 @@ struct MuxHandler {
 impl MuxHandler {
     fn new(shared: Arc<RouterShared>) -> MuxHandler {
         MuxHandler {
-            admin: ConnState::new(&shared),
             compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
             slots: VecDeque::new(),
             shared,
@@ -1242,13 +1198,8 @@ impl FrameHandler for MuxHandler {
             Request::Batch(items) => self.begin_routed(key, corr, ReplyKind::Batch, items, backend),
             Request::Sql { seq, sql } => self.begin_sql(key, corr, seq, &sql, backend),
             Request::Reshard { shard, to_node } => {
-                let response = do_reshard(
-                    &self.shared,
-                    &mut self.admin,
-                    router_backend(backend),
-                    shard,
-                    to_node,
-                );
+                let response =
+                    handle_reshard(&self.shared, router_backend(backend), shard, to_node);
                 self.answer(corr, Ok(response));
             }
             Request::Hello { version, .. } => {
@@ -1256,15 +1207,15 @@ impl FrameHandler for MuxHandler {
                 self.answer(corr, Ok(response));
             }
             Request::Stats => {
-                let result = handle_stats(&self.shared, &mut self.admin);
-                self.answer(corr, typed_node_loss(result));
+                let response = handle_stats(&self.shared);
+                self.answer(corr, Ok(response));
             }
             Request::Telemetry => {
-                let result = handle_telemetry(&self.shared, &mut self.admin);
-                self.answer(corr, typed_node_loss(result));
+                let response = handle_telemetry(&self.shared);
+                self.answer(corr, Ok(response));
             }
             Request::Shutdown => {
-                let response = handle_shutdown(&self.shared, &mut self.admin);
+                let response = handle_shutdown(&self.shared);
                 self.answer(corr, Ok(response));
             }
             Request::NodeOps(_)
@@ -1621,7 +1572,7 @@ impl RouterBackend {
             };
             let corr = link.pending.next_id();
             let req = Request::Hello {
-                version: crate::protocol::PROTOCOL_VERSION,
+                version: PROTOCOL_VERSION,
                 epoch,
             };
             if let Err(e) = append_frame_with(&mut io.wbuf, |buf| {
@@ -1997,5 +1948,357 @@ impl LoopBackend for RouterBackend {
         for timer in self.table.conn_closed(key) {
             self.wheel.cancel(timer);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A router over `nodes` nodes with no socket behind it, and the
+    /// route a coordinator runs over: shard `s` at node `owner[s]`,
+    /// epoch `epoch`.
+    fn router(nodes: usize, owner: &[u16], epoch: u64) -> (RouterShared, Route) {
+        let telemetry = Arc::new(Telemetry::new());
+        let shared = RouterShared {
+            map: PartitionerKind::RoundRobin.build(owner.len(), 16),
+            catalog: ObjectCatalog::from_sizes(&[100; 16]),
+            nodes: (0..nodes).map(|n| format!("node{n}.invalid:1")).collect(),
+            route: RwLock::new(Route {
+                epoch,
+                owner: owner.to_vec(),
+            }),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            frontend: None,
+            rt: RouterTelemetry::register(&telemetry, nodes),
+            wire: WireTelemetry::register(&telemetry),
+            telemetry,
+            front: FrontDoor::default(),
+            stall_limit: Duration::from_secs(1),
+            node_timeout: Duration::from_millis(100),
+            inflight_subs: AtomicUsize::new(0),
+            health: (0..nodes).map(|_| NodeHealth::default()).collect(),
+        };
+        let route = Route {
+            epoch,
+            owner: owner.to_vec(),
+        };
+        (shared, route)
+    }
+
+    /// A node that cannot be reached.
+    fn down(node: usize) -> Result<Response, NodeDown> {
+        Err(NodeDown {
+            node,
+            detail: "scripted".to_string(),
+        })
+    }
+
+    /// What a healthy node answers each reshard step.
+    fn healthy(request: &Request) -> Result<Response, NodeDown> {
+        Ok(match request {
+            Request::DetachShard { shard } => Response::ShardState {
+                shard: *shard,
+                state: b"engine blob".to_vec(),
+            },
+            Request::AttachShard { shard, .. } => Response::AttachOk { shard: *shard },
+            Request::SetEpoch { epoch } => Response::EpochOk { epoch: *epoch },
+            other => panic!("no scripted answer to {other:?}"),
+        })
+    }
+
+    /// A scripted admin call: logs every `(node, request)` and answers
+    /// with `answer`.
+    fn scripted<'a>(
+        log: &'a mut Vec<(usize, Request)>,
+        mut answer: impl FnMut(usize, &Request) -> Result<Response, NodeDown> + 'a,
+    ) -> impl FnMut(usize, &Request) -> Result<Response, NodeDown> + 'a {
+        move |node, request| {
+            log.push((node, request.clone()));
+            answer(node, request)
+        }
+    }
+
+    fn reshard_error(response: Response) -> String {
+        match response {
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::RESHARD_FAILED, "{message}");
+                message
+            }
+            other => panic!("expected a reshard failure, got {other:?}"),
+        }
+    }
+
+    fn attach(shard: u16) -> Request {
+        Request::AttachShard {
+            shard,
+            state: b"engine blob".to_vec(),
+        }
+    }
+
+    #[test]
+    fn reshard_refuses_out_of_range_shard_and_node_without_a_call() {
+        let (shared, mut route) = router(2, &[0, 1, 0, 1], 0);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            4,
+            0,
+            scripted(&mut log, |_, r| healthy(r)),
+        ));
+        assert_eq!(message, "shard 4 out of range 0..4");
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            0,
+            2,
+            scripted(&mut log, |_, r| healthy(r)),
+        ));
+        assert_eq!(message, "node 2 out of range 0..2");
+        assert!(log.is_empty(), "{log:?}");
+    }
+
+    #[test]
+    fn reshard_to_the_current_owner_makes_no_call() {
+        let (shared, mut route) = router(2, &[0, 1, 0, 1], 5);
+        let mut log = Vec::new();
+        let response = do_reshard(
+            &shared,
+            &mut route,
+            1,
+            1,
+            scripted(&mut log, |_, r| healthy(r)),
+        );
+        assert_eq!(response, Response::ReshardOk { epoch: 5 });
+        assert!(log.is_empty(), "{log:?}");
+        assert_eq!((route.epoch, route.owner), (5, vec![0, 1, 0, 1]));
+    }
+
+    #[test]
+    fn reshard_runs_detach_attach_and_epoch_bump_in_order() {
+        let (shared, mut route) = router(3, &[0, 1, 2, 0], 2);
+        let mut log = Vec::new();
+        let response = do_reshard(
+            &shared,
+            &mut route,
+            3,
+            2,
+            scripted(&mut log, |_, r| healthy(r)),
+        );
+        assert_eq!(response, Response::ReshardOk { epoch: 3 });
+        assert_eq!(
+            log,
+            vec![
+                (0, Request::DetachShard { shard: 3 }),
+                (2, attach(3)),
+                (0, Request::SetEpoch { epoch: 3 }),
+                (1, Request::SetEpoch { epoch: 3 }),
+                (2, Request::SetEpoch { epoch: 3 }),
+            ]
+        );
+        assert_eq!((route.epoch, route.owner), (3, vec![0, 1, 2, 2]));
+        assert_eq!(shared.telemetry.gauge("router.epoch").get(), 3);
+    }
+
+    #[test]
+    fn reshard_whose_detach_fails_moves_nothing() {
+        let (shared, mut route) = router(2, &[0, 1], 0);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            0,
+            1,
+            scripted(&mut log, |node, _| down(node)),
+        ));
+        assert_eq!(message, "detach at node 0: node 0 unavailable: scripted");
+        assert_eq!(log, vec![(0, Request::DetachShard { shard: 0 })]);
+        assert_eq!((route.epoch, route.owner), (0, vec![0, 1]));
+    }
+
+    #[test]
+    fn reshard_whose_attach_fails_rolls_the_shard_back() {
+        let (shared, mut route) = router(2, &[0, 1], 4);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            0,
+            1,
+            scripted(&mut log, |node, r| match (node, r) {
+                (1, Request::AttachShard { .. }) => down(1),
+                _ => healthy(r),
+            }),
+        ));
+        assert!(
+            message.starts_with("attach at node 1 failed (")
+                && message.ends_with("); shard restored at node 0"),
+            "{message}"
+        );
+        assert_eq!(
+            log,
+            vec![
+                (0, Request::DetachShard { shard: 0 }),
+                (1, attach(0)),
+                (0, attach(0)),
+            ]
+        );
+        assert_eq!((route.epoch, route.owner), (4, vec![0, 1]));
+    }
+
+    #[test]
+    fn reshard_whose_rollback_fails_spills_the_state_blob() {
+        // An epoch no other run uses, so the spill path is this test's.
+        let epoch = 1_000_000 + u64::from(std::process::id());
+        let spill = std::env::temp_dir().join(format!("delta-orphan-shard-1-epoch{epoch}.jsonl"));
+        let (shared, mut route) = router(2, &[0, 1], epoch);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            1,
+            0,
+            scripted(&mut log, |node, r| match r {
+                Request::AttachShard { .. } => down(node),
+                _ => healthy(r),
+            }),
+        ));
+        let saved = std::fs::read(&spill).expect("spill file written");
+        let _ = std::fs::remove_file(&spill);
+        assert_eq!(saved, b"engine blob");
+        assert!(
+            !spill.with_extension("jsonl.tmp").exists(),
+            "the rename must consume the temporary"
+        );
+        assert!(message.contains("ROLLBACK FAILED"), "{message}");
+        assert!(
+            message.contains(&spill.display().to_string()),
+            "the message must name the spill path: {message}"
+        );
+        assert_eq!(log.len(), 3, "{log:?}");
+        assert_eq!((route.epoch, route.owner), (epoch, vec![0, 1]));
+    }
+
+    #[test]
+    fn reshard_whose_epoch_bump_fails_keeps_the_old_map() {
+        let (shared, mut route) = router(2, &[0, 1], 0);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            0,
+            1,
+            scripted(&mut log, |node, r| match (node, r) {
+                (1, Request::SetEpoch { .. }) => down(1),
+                _ => healthy(r),
+            }),
+        ));
+        assert!(
+            message.starts_with("SetEpoch(1) at node 1 failed ("),
+            "{message}"
+        );
+        assert_eq!(log.len(), 4, "{log:?}");
+        assert_eq!((route.epoch, route.owner), (0, vec![0, 1]));
+    }
+
+    /// Failover answers: each node's `ReplicaStatus` from `backups`,
+    /// every `Promote` at its current offset, every `SetEpoch` adopted.
+    fn survivor(
+        backups: &[Vec<(u16, u64)>],
+        node: usize,
+        request: &Request,
+    ) -> Result<Response, NodeDown> {
+        Ok(match request {
+            Request::ReplicaStatus => Response::ReplicaStatusOk(backups[node].clone()),
+            Request::Promote { shard } => Response::PromoteOk {
+                shard: *shard,
+                offset: backups[node]
+                    .iter()
+                    .find(|(s, _)| s == shard)
+                    .expect("promoted where a backup lives")
+                    .1,
+            },
+            Request::SetEpoch { epoch } => Response::EpochOk { epoch: *epoch },
+            other => panic!("no scripted answer to {other:?}"),
+        })
+    }
+
+    #[test]
+    fn failover_promotes_the_most_caught_up_holder() {
+        // Node 2 dies holding shards 2 and 3. Node 0, asked first,
+        // holds the staler backup of shard 2.
+        let (shared, mut route) = router(3, &[0, 1, 2, 2], 7);
+        let backups = [vec![(2, 5), (3, 9)], vec![(2, 8)], vec![]];
+        let mut log = Vec::new();
+        do_failover(
+            &shared,
+            &mut route,
+            2,
+            scripted(&mut log, |node, r| survivor(&backups, node, r)),
+        );
+        assert_eq!(
+            log,
+            vec![
+                (0, Request::ReplicaStatus),
+                (1, Request::ReplicaStatus),
+                (1, Request::Promote { shard: 2 }),
+                (0, Request::Promote { shard: 3 }),
+                (0, Request::SetEpoch { epoch: 8 }),
+                (1, Request::SetEpoch { epoch: 8 }),
+            ],
+            "SetEpoch goes to the survivors only"
+        );
+        assert_eq!((route.epoch, route.owner), (8, vec![0, 1, 1, 0]));
+        assert!(shared.is_down(2));
+        let t = shared.telemetry.snapshot();
+        assert_eq!(t.counter("router.promotions"), 2);
+        assert_eq!(t.counter("router.failovers"), 1);
+    }
+
+    #[test]
+    fn failover_with_no_holder_sends_no_epoch_bump() {
+        let (shared, mut route) = router(2, &[0, 1], 3);
+        let backups = [vec![], vec![]];
+        let mut log = Vec::new();
+        do_failover(
+            &shared,
+            &mut route,
+            1,
+            scripted(&mut log, |node, r| survivor(&backups, node, r)),
+        );
+        assert_eq!(log, vec![(0, Request::ReplicaStatus)]);
+        assert_eq!((route.epoch, route.owner), (3, vec![0, 1]));
+        assert!(shared.is_down(1));
+        assert_eq!(shared.telemetry.snapshot().counter("router.promotions"), 0);
+    }
+
+    #[test]
+    fn failover_skips_an_unreachable_survivor() {
+        // Node 1 would hold the better backup, but cannot be reached:
+        // it contributes nothing, and node 0's copy is promoted.
+        let (shared, mut route) = router(3, &[0, 1, 2], 0);
+        let backups = [vec![(2, 4)], vec![(2, 9)], vec![]];
+        let mut log = Vec::new();
+        do_failover(
+            &shared,
+            &mut route,
+            2,
+            scripted(&mut log, |node, r| match (node, r) {
+                (1, Request::ReplicaStatus) => down(1),
+                _ => survivor(&backups, node, r),
+            }),
+        );
+        assert_eq!(
+            log,
+            vec![
+                (0, Request::ReplicaStatus),
+                (1, Request::ReplicaStatus),
+                (0, Request::Promote { shard: 2 }),
+                (0, Request::SetEpoch { epoch: 1 }),
+                (1, Request::SetEpoch { epoch: 1 }),
+            ]
+        );
+        assert_eq!((route.epoch, route.owner), (1, vec![0, 1, 0]));
     }
 }

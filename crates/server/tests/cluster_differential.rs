@@ -268,6 +268,20 @@ fn killed_node_mid_trace_fails_typed() {
 
     let cluster = start_cluster(PolicyKind::VCover, partitioner, cache_bytes, &s.catalog);
     let mut client = DeltaClient::connect(cluster.router_addr).expect("connect");
+    // A query at `seq` scoped entirely to the live node.
+    let live_obj = (0..s.catalog.len() as u32)
+        .map(ObjectId)
+        .find(|&o| node_of(o) != dead_node)
+        .expect("live object");
+    let live_query = |seq: u64| {
+        Request::Query(QueryEvent {
+            seq,
+            objects: vec![live_obj],
+            result_bytes: 64,
+            tolerance: 0,
+            kind: QueryKind::Selection,
+        })
+    };
 
     // Warm the links with a mixed prefix, then kill node 1 abruptly
     // (direct shutdown — the router only notices when its link dies
@@ -277,6 +291,32 @@ fn killed_node_mid_trace_fails_typed() {
         .expect("connect dead node")
         .shutdown()
         .expect("node shutdown");
+
+    // The admin fan-outs reach the dead node before the failure
+    // detector has declared it (that takes a strike plus a monitor
+    // tick): each answers a typed NODE_UNAVAILABLE naming it, and the
+    // same client connection then still serves the live node.
+    for verb in [Request::Stats, Request::Telemetry] {
+        match client.request(&verb).expect("admin verb answered") {
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::NODE_UNAVAILABLE, "{verb:?}: {message}");
+                assert!(
+                    message.starts_with(&format!("node {dead_node} unavailable")),
+                    "{verb:?} must name node {dead_node}: {message}"
+                );
+            }
+            other => panic!("{verb:?} with node {dead_node} down: {other:?}"),
+        }
+    }
+    assert!(
+        matches!(
+            client
+                .request(&live_query(s.trace.events[499].seq()))
+                .expect("query"),
+            Response::QueryOk { .. }
+        ),
+        "the connection must keep serving the live node after a typed admin failure"
+    );
 
     // Fan-outs now straddle a live and a dead node. Drive batches:
     // every request touching the dead node must come back as a
@@ -356,19 +396,11 @@ fn killed_node_mid_trace_fails_typed() {
     assert!(live_ok > 0, "no live-node batch ever ran");
 
     // A request scoped entirely to the live node still round-trips.
-    let live_obj = (0..s.catalog.len() as u32)
-        .map(ObjectId)
-        .find(|&o| node_of(o) != dead_node)
-        .expect("live object");
-    let q = Request::Query(QueryEvent {
-        seq: u64::MAX,
-        objects: vec![live_obj],
-        result_bytes: 64,
-        tolerance: 0,
-        kind: QueryKind::Selection,
-    });
     assert!(
-        matches!(client.request(&q).expect("query"), Response::QueryOk { .. }),
+        matches!(
+            client.request(&live_query(u64::MAX)).expect("query"),
+            Response::QueryOk { .. }
+        ),
         "live-node queries must keep working after the death"
     );
     cluster.stop();

@@ -23,6 +23,7 @@
 //! surviving node has no fence for a retried sub-item it already
 //! applied), which is exactly the caveat DESIGN.md documents.
 
+use delta_server::protocol::{read_frame, write_frame};
 use delta_server::{
     error_code, BatchItem, BatchReply, ClusterConfig, DeltaClient, FrontDoor, NodeOp, NodeRole,
     PartitionerKind, PolicyKind, Request, Response, Router, RouterConfig, Server, ServerConfig,
@@ -30,7 +31,7 @@ use delta_server::{
 };
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_workload::{Event, QueryEvent, QueryKind, Trace, UpdateEvent};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -91,11 +92,13 @@ fn free_addr() -> SocketAddr {
     addr
 }
 
-/// Spawns one `delta-serverd` cluster node as a real OS process.
+/// Spawns one `delta-serverd` cluster node as a real OS process, with
+/// `replicas` backups per hosted shard.
 fn spawn_node(
     bin: &str,
     addr: SocketAddr,
     node: usize,
+    replicas: u16,
     peers: &str,
     trace_path: &std::path::Path,
     recipe: &ServerConfig,
@@ -121,7 +124,7 @@ fn spawn_node(
             "--nodes",
             &NODES.to_string(),
             "--replicas",
-            "1",
+            &replicas.to_string(),
             "--peers",
             peers,
         ])
@@ -183,7 +186,7 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     let peers = format!("{},{}", addrs[0], addrs[1]);
     let bin = env!("CARGO_BIN_EXE_delta-serverd");
     let mut children: Vec<Child> = (0..NODES)
-        .map(|node| spawn_node(bin, addrs[node], node, &peers, &trace_path, &recipe))
+        .map(|node| spawn_node(bin, addrs[node], node, 1, &peers, &trace_path, &recipe))
         .collect();
     for &addr in &addrs {
         await_node(addr);
@@ -379,6 +382,155 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     for mut child in children {
         let _ = child.wait();
     }
+    let _ = std::fs::remove_file(&trace_path);
+}
+
+/// Sends `signal` (`STOP`, `CONT`) to a child process.
+fn signal(child: &Child, signal: &str) {
+    let status = Command::new("kill")
+        .args([&format!("-{signal}"), &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{signal} {}", child.id());
+}
+
+/// Resumes and reaps the node processes however the test ends, so a
+/// failed assertion never leaves a stopped `delta-serverd` behind.
+struct Reaper(Vec<Child>);
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = Command::new("kill")
+                .args(["-CONT", &child.id().to_string()])
+                .status();
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// A wedged node — SIGSTOPped, so its kernel still accepts connections
+/// but nothing answers — costs each router admin call at most the node
+/// timeout: `Stats` and `Telemetry` come back as a typed
+/// `NODE_UNAVAILABLE` naming it, and another client's query for the
+/// healthy node, queued on the same (single) event loop behind the
+/// admin call, is answered within the same bound.
+#[test]
+fn stopped_node_bounds_admin_calls_and_spares_other_clients() {
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    let bound = 3 * TIMEOUT;
+    let (catalog, _) = workload();
+    let recipe = ServerConfig {
+        n_shards: SHARDS,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes: (catalog.total_bytes() as f64 * 0.3) as u64,
+        policy: PolicyKind::NoCache,
+        seed: SEED,
+        ..ServerConfig::default()
+    };
+    let trace_path =
+        std::env::temp_dir().join(format!("delta-wedged-{}.jsonl", std::process::id()));
+    delta_workload::write_jsonl(
+        &trace_path,
+        &catalog,
+        &Trace::new(Vec::new()),
+        "catalog only",
+    )
+    .expect("write trace file");
+    let addrs: Vec<SocketAddr> = (0..NODES).map(|_| free_addr()).collect();
+    let peers = format!("{},{}", addrs[0], addrs[1]);
+    let bin = env!("CARGO_BIN_EXE_delta-serverd");
+    let nodes = Reaper(
+        (0..NODES)
+            .map(|node| spawn_node(bin, addrs[node], node, 0, &peers, &trace_path, &recipe))
+            .collect(),
+    );
+    for &addr in &addrs {
+        await_node(addr);
+    }
+    let router = Router::start(
+        RouterConfig {
+            bind: "127.0.0.1:0".to_string(),
+            nodes: addrs.iter().map(|a| a.to_string()).collect(),
+            frontend: None,
+            front: FrontDoor { threads: 1 },
+            stall_limit: delta_server::connection::STALL_LIMIT,
+            node_timeout: TIMEOUT,
+        },
+        catalog.clone(),
+    )
+    .expect("router starts");
+    let router_addr = router.local_addr();
+
+    // A query for an object whose shard node 0 hosts, answered once
+    // before the wedge so the data link to node 0 is up.
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    let object = (0..catalog.len() as u32)
+        .map(ObjectId)
+        .find(|&o| map.shard_of(o) % NODES == 0)
+        .expect("node 0 owns an object");
+    let query = |seq: u64| {
+        Request::Query(QueryEvent {
+            seq,
+            objects: vec![object],
+            result_bytes: 64,
+            tolerance: 0,
+            kind: QueryKind::Selection,
+        })
+    };
+    // Read timeouts well past the bound turn a stall into a failure
+    // instead of a hung test. The admin verb goes out as a raw frame so
+    // the query can follow it without waiting for its reply.
+    let mut admin = TcpStream::connect(router_addr).expect("connect router");
+    admin.set_read_timeout(Some(4 * bound)).expect("timeout");
+    let mut other = connect_router(router_addr);
+    other.set_io_timeout(Some(4 * bound)).expect("timeout");
+    assert!(matches!(
+        other.request(&query(1)).expect("warm-up query"),
+        Response::QueryOk { .. }
+    ));
+
+    signal(&nodes.0[1], "STOP");
+    for (seq, verb) in [(2, Request::Stats), (3, Request::Telemetry)] {
+        // The router's one event loop takes the verb up and holds it
+        // for the admin call to node 1; the query, sent after it, is
+        // served on that same loop.
+        let t0 = Instant::now();
+        write_frame(&mut admin, &verb.encode()).expect("send admin verb");
+        let query_reply = other.request(&query(seq));
+        let query_took = t0.elapsed();
+        let admin_reply = read_frame(&mut admin).and_then(|payload| Response::decode(&payload));
+        let admin_took = t0.elapsed();
+        match admin_reply {
+            Ok(Response::Error { code, message }) => {
+                assert_eq!(code, error_code::NODE_UNAVAILABLE, "{verb:?}: {message}");
+                assert!(
+                    message.starts_with("node 1 unavailable"),
+                    "{verb:?} must name node 1: {message}"
+                );
+            }
+            other => panic!("{verb:?} with node 1 stopped: {other:?}"),
+        }
+        assert!(
+            admin_took < bound,
+            "{verb:?} took {admin_took:?}, bound is {bound:?}"
+        );
+        assert!(
+            matches!(query_reply, Ok(Response::QueryOk { .. })),
+            "node-0 query behind {verb:?}: {query_reply:?}"
+        );
+        assert!(
+            query_took < bound,
+            "node-0 query behind {verb:?} took {query_took:?}, bound is {bound:?}"
+        );
+    }
+
+    // Resume the node, then shut the cluster down through the router.
+    signal(&nodes.0[1], "CONT");
+    other.shutdown().expect("cluster shutdown");
+    router.join();
+    drop(nodes);
     let _ = std::fs::remove_file(&trace_path);
 }
 

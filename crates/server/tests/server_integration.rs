@@ -375,25 +375,30 @@ fn replay_mixed(
 #[test]
 fn batched_pipelined_replay_matches_sharded_simulation_exactly() {
     let n_shards = shard_count();
-    let survey = small_survey(300);
-    let (server, config) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
-    let addr = server.local_addr();
+    // The longer trace runs warm caches, so local and shipped query
+    // replies share frames and a reply credited to the wrong item shows.
+    for n in [300, 3_000] {
+        let survey = small_survey(n);
+        let (server, config) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
+        let addr = server.local_addr();
 
-    let replies = replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
+        let replies = replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
 
-    let mut client = DeltaClient::connect(addr).expect("connect");
-    let stats = client.stats().expect("stats");
-    client.shutdown().expect("shutdown");
-    server.join();
+        let mut client = DeltaClient::connect(addr).expect("connect");
+        let stats = client.stats().expect("stats");
+        client.shutdown().expect("shutdown");
+        server.join();
 
-    let (want_replies, expected) = twin_replay(&config, &survey);
-    assert_replies_match(&replies, &want_replies, "batched+pipelined");
-    for (shard, want) in stats.shards.iter().zip(&expected) {
-        assert_eq!(
-            &shard.metrics.ledger, want,
-            "shard {} ledger diverged under batching+pipelining",
-            shard.shard
-        );
+        let (want_replies, expected) = twin_replay(&config, &survey);
+        let what = format!("batched+pipelined, {n} queries");
+        assert_replies_match(&replies, &want_replies, &what);
+        for (shard, want) in stats.shards.iter().zip(&expected) {
+            assert_eq!(
+                &shard.metrics.ledger, want,
+                "{what}: shard {} ledger diverged",
+                shard.shard
+            );
+        }
     }
 }
 
