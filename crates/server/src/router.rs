@@ -527,15 +527,31 @@ impl From<NodeDown> for Response {
     }
 }
 
+/// Whether `request` hands a shard over: a `DetachShard` reply carries
+/// the only copy of the shard's state, and an `AttachShard` or
+/// `Promote` reply is the router's only word that a node now serves the
+/// shard. The node acts on such a frame whether or not anyone still
+/// reads its reply, so giving up on the reply could lose the shard or
+/// leave it served but unrouted.
+fn hands_over_shard(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::DetachShard { .. } | Request::AttachShard { .. } | Request::Promote { .. }
+    )
+}
+
 /// One request to the node at `addr` on a connection of its own:
-/// connect within [`CONNECT_TIMEOUT`], write one frame and read one
-/// frame, each within `timeout`, then close. The error names the stage
-/// that failed.
+/// connect within [`CONNECT_TIMEOUT`], write one frame within
+/// `timeout`, read one frame, then close. The read is bounded by
+/// `timeout` too, except for a frame that [`hands_over_shard`]: that
+/// reply is waited for, so a reshard or failover against a wedged node
+/// stalls until the node resumes instead of losing the shard. The error
+/// names the stage that failed.
 fn node_call(addr: &str, timeout: Duration, request: &Request) -> Result<Response, String> {
     let mut stream = connect_node(addr).map_err(|e| format!("connect: {e}"))?;
     let round_trip = |stream: &mut TcpStream| -> io::Result<Response> {
         stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(timeout))?;
+        stream.set_read_timeout((!hands_over_shard(request)).then_some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let mut wire = Vec::new();
         append_frame_with(&mut wire, |buf| request.encode_into(buf))?;
@@ -550,7 +566,8 @@ fn node_call(addr: &str, timeout: Duration, request: &Request) -> Result<Respons
 /// The router's one admin call: every frame it sends a node outside
 /// the data-plane links (`Stats`, `Telemetry`, `Shutdown`, reshard and
 /// failover) is a [`node_call`] bounded by the node timeout, so a
-/// wedged node costs the caller at most that, never forever. The
+/// wedged node costs the caller at most that, never forever — save the
+/// shard hand-over frames, whose replies are waited for. The
 /// verbs are never fenced by epoch at the node, so no `Hello` goes
 /// first. A node the call cannot reach earns a strike. (The start-up
 /// `Hello` is a bare [`node_call`]: it runs before there is a router
@@ -2101,6 +2118,8 @@ mod tests {
         assert_eq!(shared.telemetry.gauge("router.epoch").get(), 3);
     }
 
+    /// A detach the old owner never got (it could not be reached)
+    /// moves nothing.
     #[test]
     fn reshard_whose_detach_fails_moves_nothing() {
         let (shared, mut route) = router(2, &[0, 1], 0);
@@ -2300,5 +2319,86 @@ mod tests {
             ]
         );
         assert_eq!((route.epoch, route.owner), (1, vec![0, 1, 0]));
+    }
+
+    /// What a fake node on a socket answers: survivor `0` of a failover
+    /// holds a backup of shard 1, and a reshard step is [`healthy`].
+    fn fake_answer(request: &Request) -> Response {
+        match request {
+            Request::ReplicaStatus => Response::ReplicaStatusOk(vec![(1, 42)]),
+            Request::Promote { shard } => Response::PromoteOk {
+                shard: *shard,
+                offset: 42,
+            },
+            Request::Stats => Response::StatsOk(StatsSnapshot { shards: vec![] }),
+            other => healthy(other).expect("scripted"),
+        }
+    }
+
+    /// A node on a loopback socket that serves `calls` admin
+    /// connections, one frame each, with [`fake_answer`] — a frame for
+    /// which `late` holds only after three node timeouts, like a node
+    /// that was stopped and resumed. Returns its address.
+    fn fake_node(calls: usize, late: fn(&Request) -> bool) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().take(calls) {
+                let mut stream = stream.expect("accept");
+                let mut payload = Vec::new();
+                read_frame_into(&mut stream, &mut payload).expect("one frame");
+                let request = Request::decode(&payload).expect("a request");
+                if late(&request) {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                let mut wire = Vec::new();
+                append_frame_with(&mut wire, |buf| fake_answer(&request).encode_into(buf))
+                    .expect("encode");
+                // The caller may have given up on this reply.
+                let _ = stream.write_all(&wire);
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_late_stats_reply_is_given_up_on_and_strikes_the_node() {
+        let (mut shared, _) = router(1, &[0], 0);
+        shared.nodes = vec![fake_node(1, |r| matches!(r, Request::Stats))];
+        let started = Instant::now();
+        let reply = admin_call(&shared, 0, &Request::Stats);
+        assert!(reply.is_err(), "{reply:?}");
+        assert!(started.elapsed() < Duration::from_millis(250));
+        assert_eq!(shared.health[0].strikes.load(Ordering::Relaxed), 1);
+    }
+
+    /// The detach reply carries the only copy of the shard's state: a
+    /// reply that comes after the node timeout is still taken, and the
+    /// shard moves.
+    #[test]
+    fn a_detach_answered_after_the_node_timeout_still_moves_the_shard() {
+        let (mut shared, mut route) = router(2, &[0, 1], 0);
+        shared.nodes = vec![
+            fake_node(2, |r| matches!(r, Request::DetachShard { .. })),
+            fake_node(2, |_| false),
+        ];
+        let response = do_reshard(&shared, &mut route, 0, 1, |node, request| {
+            admin_call(&shared, node, request)
+        });
+        assert_eq!(response, Response::ReshardOk { epoch: 1 });
+        assert_eq!((route.epoch, route.owner), (1, vec![1, 1]));
+    }
+
+    /// A node that promoted its backup serves the shard: a promote reply
+    /// that comes after the node timeout still routes the shard there.
+    #[test]
+    fn a_promote_answered_after_the_node_timeout_still_routes_the_shard() {
+        let (mut shared, mut route) = router(2, &[0, 1], 3);
+        shared.nodes[0] = fake_node(3, |r| matches!(r, Request::Promote { .. }));
+        do_failover(&shared, &mut route, 1, |node, request| {
+            admin_call(&shared, node, request)
+        });
+        assert_eq!((route.epoch, route.owner), (4, vec![0, 0]));
+        assert_eq!(shared.telemetry.snapshot().counter("router.promotions"), 1);
     }
 }
