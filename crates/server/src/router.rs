@@ -25,7 +25,8 @@
 //!    slot (waiting out in-flight ops), snapshots the engine and stops
 //!    hosting it,
 //! 3. `AttachShard` at the new owner — the node validates the snapshot
-//!    against its own sub-catalog/policy/budget and restores the engine,
+//!    against its own sub-catalog/policy/budget, restores the engine and
+//!    answers once its reachable backups hold it (replicating nodes),
 //! 4. `SetEpoch` everywhere, bump the local map, reply `ReshardOk`.
 //!
 //! Any connection still declaring the old epoch — another router
@@ -122,7 +123,7 @@ struct RouterTelemetry {
     node_queue: Vec<Arc<Gauge>>,
     /// Reshard phase durations: drain + snapshot at the old owner,
     reshard_detach: Arc<Histogram>,
-    /// restore at the new owner,
+    /// restore at the new owner and its backups' bootstrap,
     reshard_attach: Arc<Histogram>,
     /// and the cluster-wide epoch bump.
     reshard_epoch: Arc<Histogram>,
@@ -851,8 +852,8 @@ fn sweep_stale_spills() {
 const FAILOVER_STRIKES: u32 = 2;
 
 /// The failure-detector thread: wakes every quarter node-timeout, and
-/// for any node with strikes against it either clears them (a probe
-/// connect succeeds — the node is alive, the strikes were transient) or
+/// for any node with strikes against it either clears them (the node
+/// answers a probe — it is alive, the strikes were transient) or
 /// escalates toward [`do_failover`]. Active probing makes detection
 /// self-driving: a primary that dies with no client traffic in flight
 /// is still declared dead within a few ticks of its first strike.
@@ -868,13 +869,12 @@ fn monitor_loop(shared: Arc<RouterShared>) {
             if h.down.load(Ordering::SeqCst) || h.strikes.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            // Suspicion confirmed or cleared by a bounded connect probe,
-            // not by waiting for more client traffic to fail.
-            match connect_node(&shared.nodes[node]) {
-                Ok(_) => h.strikes.store(0, Ordering::Relaxed),
-                Err(_) => {
-                    shared.note_strike(node);
-                }
+            // Suspicion confirmed or cleared by a bounded probe, not by
+            // waiting for more client traffic to fail.
+            if probe(&shared, node) {
+                h.strikes.store(0, Ordering::Relaxed);
+            } else {
+                shared.note_strike(node);
             }
             if h.strikes.load(Ordering::Relaxed) >= FAILOVER_STRIKES {
                 let mut route = shared.route.write().expect("route lock");
@@ -884,6 +884,20 @@ fn monitor_loop(shared: Arc<RouterShared>) {
             }
         }
     }
+}
+
+/// Whether `node` answers a `Hello` with `HelloOk` within the node
+/// timeout. An answer, not a connect: a stopped process's kernel still
+/// completes the TCP handshake.
+fn probe(shared: &RouterShared, node: usize) -> bool {
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+        epoch: 0,
+    };
+    matches!(
+        node_call(&shared.nodes[node], shared.node_timeout, &hello),
+        Ok(Response::HelloOk(_))
+    )
 }
 
 /// The failover coordinator: over `route`, which the caller holds under
@@ -2331,6 +2345,17 @@ mod tests {
                 offset: 42,
             },
             Request::Stats => Response::StatsOk(StatsSnapshot { shards: vec![] }),
+            Request::Hello { epoch, .. } => Response::HelloOk(NodeInfo {
+                role: NodeRole::ClusterNode,
+                node: 0,
+                nodes: 1,
+                epoch: *epoch,
+                cluster_shards: 1,
+                partitioner: PartitionerKind::RoundRobin.to_string(),
+                catalog_objects: 16,
+                catalog_bytes: 1_600,
+                hosted: vec![0],
+            }),
             other => healthy(other).expect("scripted"),
         }
     }
@@ -2370,6 +2395,28 @@ mod tests {
         assert!(reply.is_err(), "{reply:?}");
         assert!(started.elapsed() < Duration::from_millis(250));
         assert_eq!(shared.health[0].strikes.load(Ordering::Relaxed), 1);
+    }
+
+    /// The failure detector's probe needs an answer in time: a node that
+    /// answers `Hello` passes it, and one that answers late or never —
+    /// like a stopped process, whose kernel still accepts the
+    /// connection — fails it within the node timeout.
+    #[test]
+    fn a_probe_needs_a_hello_answer_within_the_node_timeout() {
+        let (mut shared, _) = router(3, &[0], 0);
+        // Bound but never accepted: the handshake completes all the same.
+        let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+        shared.nodes = vec![
+            fake_node(1, |_| false),
+            fake_node(1, |r| matches!(r, Request::Hello { .. })),
+            silent.local_addr().expect("local addr").to_string(),
+        ];
+        assert!(probe(&shared, 0), "a node that answers is alive");
+        for node in [1, 2] {
+            let started = Instant::now();
+            assert!(!probe(&shared, node), "node {node} did not answer in time");
+            assert!(started.elapsed() < Duration::from_millis(250));
+        }
     }
 
     /// The detach reply carries the only copy of the shard's state: a

@@ -136,11 +136,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        // Warm restart: read and validate any per-shard snapshots before
-        // spawning anything, so a bad snapshot refuses startup cleanly
-        // instead of panicking a worker thread.
-        let mut restores: Vec<Option<EngineSnapshot>> = Vec::new();
-        restores.resize_with(config.n_shards, || None);
         if let Some(dir) = &config.snapshot_dir {
             std::fs::create_dir_all(dir)?;
             // Sweep debris from interrupted atomic writes: snapshots are
@@ -152,21 +147,6 @@ impl Server {
                 let path = entry?.path();
                 if path.extension().is_some_and(|e| e == "tmp") {
                     let _ = std::fs::remove_file(&path);
-                }
-            }
-            for &s in &hosted {
-                let s = s as usize;
-                let sub = map.shard_catalog(s, &catalog);
-                let path = dir.join(format!("shard-{s}.jsonl"));
-                if path.exists() {
-                    let snap = read_snapshot(&path)?;
-                    validate_restore(&snap, &sub, &config, caches[s], s).map_err(|msg| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("snapshot {}: {msg}", path.display()),
-                        )
-                    })?;
-                    restores[s] = Some(snap);
                 }
             }
         }
@@ -188,9 +168,6 @@ impl Server {
         slots.resize_with(config.n_shards, || RwLock::new(None));
         let mut backups: Vec<RwLock<Option<ShardCore>>> = Vec::with_capacity(config.n_shards);
         backups.resize_with(config.n_shards, || RwLock::new(None));
-        telemetry
-            .gauge("node.shards_hosted")
-            .set(hosted.len() as u64);
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let meter = Arc::new(TrafficMeter::new());
@@ -210,21 +187,27 @@ impl Server {
             wire,
             repl,
         });
+        // Warm restart: a hosted shard with a snapshot resumes from it.
+        // Nothing is spawned yet, so a bad snapshot refuses startup
+        // cleanly instead of panicking a worker thread.
         for &s in &hosted {
             let s = s as usize;
-            let mut core = shared.shard_core(s, restores[s].take(), shared.snapshot_path(s));
-            if let Some(rt) = &shared.repl {
-                // A warm-restored primary starts its log at the restored
-                // event count: earlier history is not replayable, so
-                // targets bootstrap from a snapshot instead of the log.
-                core.set_repl(Arc::new(ReplState::new(
-                    s as u16,
-                    core.events(),
-                    rt.replicas as usize,
-                    Arc::clone(&rt.notifier),
-                )));
-            }
-            *shared.slots[s].write().expect("fresh slot") = Some(core);
+            let path = shared.snapshot_path(s);
+            let restore = match &path {
+                Some(path) if path.exists() => {
+                    let snap = read_snapshot(path)?;
+                    shared.validate_restore(s, &snap).map_err(|msg| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!("snapshot {}: {msg}", path.display()),
+                        )
+                    })?;
+                    Some(snap)
+                }
+                _ => None,
+            };
+            let core = shared.shard_core(s, restore, path);
+            shared.install_primary(s, core).expect("fresh slot");
         }
 
         // One pump thread per successor rank: the pump at rank `r` ships
@@ -300,34 +283,6 @@ impl Server {
     }
 }
 
-/// The restore validation both cold-start and `AttachShard` run: the
-/// snapshot must fit this shard's sub-catalog, policy and cache budget.
-fn validate_restore(
-    snap: &EngineSnapshot,
-    sub: &ObjectCatalog,
-    config: &ServerConfig,
-    cache: u64,
-    shard: usize,
-) -> Result<(), String> {
-    snap.validate(sub, config.policy.policy_name())
-        .map_err(|e| e.to_string())?;
-    // A restored engine keeps the snapshot's cache capacity, so a
-    // changed cache budget must refuse loudly rather than be ignored
-    // invisibly.
-    let configured = config
-        .policy
-        .build(cache, config.shard_seed(shard))
-        .preferred_capacity(sub, cache);
-    if snap.capacity != configured {
-        return Err(format!(
-            "was taken with cache capacity {} but this configuration yields {}; \
-             restart with the original cache budget or clear the snapshot directory",
-            snap.capacity, configured
-        ));
-    }
-    Ok(())
-}
-
 struct Shared {
     map: Box<dyn Partitioner>,
     catalog: ObjectCatalog,
@@ -337,7 +292,9 @@ struct Shared {
     slots: Vec<RwLock<Option<ShardCore>>>,
     /// Backup twins of shards other nodes serve as primaries, seeded by
     /// `ReplicaBootstrap`, advanced by `Replicate` and drained by
-    /// `Promote`. Parallel to `slots`; a shard is never in both at once.
+    /// `Promote`. Parallel to `slots`; a shard is never in both at once
+    /// ([`Shared::install_primary`] drops the backup, and a bootstrap
+    /// refuses a served shard under its slot lock).
     backups: Vec<RwLock<Option<ShardCore>>>,
     /// Per-shard cache budgets (cluster-wide apportioning), kept so an
     /// attached shard is rebuilt with the same budget everywhere.
@@ -392,21 +349,76 @@ impl Shared {
         })
     }
 
+    /// The one way this node starts serving shard `s` as a primary
+    /// (start, `AttachShard`, `Promote`). Under the slot write lock it
+    /// refuses a shard served here and drops this node's backup of `s`
+    /// (slot before backup, the lock order everywhere). A replicating
+    /// node gives the core a log starting at its event count, where
+    /// every successor bootstraps, and gets that log end back as the
+    /// wait a hand-over reply parks on (`None` at `--replicas 0`).
+    fn install_primary(&self, s: usize, mut core: ShardCore) -> Result<Option<Wait>, String> {
+        let mut slot = self.slots[s].write().expect("slot");
+        if slot.is_some() {
+            return Err(format!("this node already serves shard {s}"));
+        }
+        *self.backups[s].write().expect("backup slot") = None;
+        let wait = self.repl.as_ref().map(|rt| {
+            let end = core.events();
+            let repl = Arc::new(ReplState::new(
+                s as u16,
+                end,
+                rt.replicas as usize,
+                Arc::clone(&rt.notifier),
+            ));
+            core.set_repl(Arc::clone(&repl));
+            (repl, end)
+        });
+        *slot = Some(core);
+        drop(slot);
+        self.telemetry
+            .gauge("node.shards_hosted")
+            .set(self.hosted().len() as u64);
+        Ok(wait)
+    }
+
     /// Where a primary of shard `s` persists its snapshot, if anywhere.
     fn snapshot_path(&self, s: usize) -> Option<PathBuf> {
         let dir = self.config.snapshot_dir.as_ref()?;
         Some(dir.join(format!("shard-{s}.jsonl")))
     }
 
-    /// Decodes a shard state blob and validates it against shard `s`'s
-    /// sub-catalog, policy and budget.
+    /// The restore validation warm start, `AttachShard` and a snapshot
+    /// bootstrap run: the snapshot must fit shard `s`'s sub-catalog,
+    /// policy and cache budget.
+    fn validate_restore(&self, s: usize, snap: &EngineSnapshot) -> Result<(), String> {
+        let sub = self.map.shard_catalog(s, &self.catalog);
+        let config = &self.config;
+        snap.validate(&sub, config.policy.policy_name())
+            .map_err(|e| e.to_string())?;
+        // A restored engine keeps the snapshot's cache capacity, so a
+        // changed cache budget must refuse loudly rather than be ignored
+        // invisibly.
+        let configured = config
+            .policy
+            .build(self.caches[s], config.shard_seed(s))
+            .preferred_capacity(&sub, self.caches[s]);
+        if snap.capacity != configured {
+            return Err(format!(
+                "was taken with cache capacity {} but this configuration yields {}; \
+                 restart with the original cache budget or clear the snapshot directory",
+                snap.capacity, configured
+            ));
+        }
+        Ok(())
+    }
+
+    /// Decodes a shard state blob and validates it for shard `s`.
     fn restore_blob(&self, s: usize, state: &[u8]) -> Result<EngineSnapshot, String> {
         let snap = std::str::from_utf8(state)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
             .and_then(snapshot_from_str)
             .map_err(|e| format!("bad state blob: {e}"))?;
-        let sub = self.map.shard_catalog(s, &self.catalog);
-        validate_restore(&snap, &sub, &self.config, self.caches[s], s)?;
+        self.validate_restore(s, &snap)?;
         Ok(snap)
     }
 
@@ -769,8 +781,10 @@ fn handle_request(
             conn.epoch = epoch;
             Response::HelloOk(shared.node_info())
         }
-        Request::DetachShard { shard } => handle_detach(shared, shard),
-        Request::AttachShard { shard, state } => handle_attach(shared, shard, &state),
+        Request::DetachShard { shard } => handle_detach(shared, shard).unwrap_or_else(|r| r),
+        Request::AttachShard { shard, state } => {
+            handle_attach(shared, shard, &state, waits).unwrap_or_else(|r| r)
+        }
         Request::SetEpoch { epoch } => {
             if shared.config.cluster.is_none() {
                 return not_clustered("SetEpoch");
@@ -793,12 +807,12 @@ fn handle_request(
             shard,
             from_offset,
             items,
-        } => handle_replicate(shared, shard, from_offset, items),
+        } => handle_replicate(shared, shard, from_offset, items).unwrap_or_else(|r| r),
         Request::ReplicaBootstrap { shard, state } => {
-            handle_replica_bootstrap(shared, shard, &state)
+            handle_replica_bootstrap(shared, shard, &state).unwrap_or_else(|r| r)
         }
         Request::ReplicaStatus => handle_replica_status(shared),
-        Request::Promote { shard } => handle_promote(shared, shard),
+        Request::Promote { shard } => handle_promote(shared, shard, waits).unwrap_or_else(|r| r),
         // Nested tags are rejected by the decoder; a bare Tagged here
         // means the caller bypassed `serve_frame`'s unwrapping.
         Request::Tagged { inner, .. } => handle_request(shared, *inner, conn, waits),
@@ -974,29 +988,21 @@ fn run_ops(
 
 /// Resharding step 1 at the losing node: stop hosting the shard and hand
 /// its serialized engine state back.
-fn handle_detach(shared: &Shared, shard: u16) -> Response {
-    if shared.config.cluster.is_none() {
-        return not_clustered("DetachShard");
-    }
-    if shard as usize >= shared.slots.len() {
-        return Response::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("shard {shard} out of range"),
-        };
-    }
+fn handle_detach(shared: &Shared, shard: u16) -> Result<Response, Response> {
+    let s = admin_shard(shared, "DetachShard", shard)?;
     // The write lock waits out every in-flight op on this shard, so the
     // snapshot is taken at a quiescent point.
-    let mut slot = shared.slots[shard as usize].write().expect("slot");
+    let mut slot = shared.slots[s].write().expect("slot");
     let Some(core) = slot.as_ref() else {
         drop(slot);
-        return wrong_node(shared, shard as usize);
+        return Err(wrong_node(shared, s));
     };
     // Serialize and size-check BEFORE committing to the detach: a
     // snapshot that cannot ride a frame must leave the shard hosted and
     // intact, not destroy the only copy of its state.
     let state = snapshot_to_string(&core.snapshot());
     if state.len() + 16 > crate::protocol::MAX_FRAME_BYTES as usize {
-        return Response::Error {
+        return Err(Response::Error {
             code: error_code::RESHARD_FAILED,
             message: format!(
                 "shard {shard}'s snapshot is {} bytes — too large for a \
@@ -1004,7 +1010,7 @@ fn handle_detach(shared: &Shared, shard: u16) -> Response {
                 state.len(),
                 crate::protocol::MAX_FRAME_BYTES
             ),
-        };
+        });
     }
     slot.take().expect("checked above").discard();
     drop(slot);
@@ -1012,44 +1018,33 @@ fn handle_detach(shared: &Shared, shard: u16) -> Response {
         .telemetry
         .gauge("node.shards_hosted")
         .set(shared.hosted().len() as u64);
-    Response::ShardState {
+    Ok(Response::ShardState {
         shard,
         state: state.into_bytes(),
-    }
+    })
 }
 
 /// Resharding step 2 at the gaining node: rebuild the shard engine from
-/// the old owner's state and start serving it.
-fn handle_attach(shared: &Shared, shard: u16, state: &[u8]) -> Response {
-    if shared.config.cluster.is_none() {
-        return not_clustered("AttachShard");
-    }
-    if shard as usize >= shared.slots.len() {
-        return Response::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("shard {shard} out of range"),
-        };
-    }
-    let s = shard as usize;
-    let reshard_failed = |message: String| Response::Error {
-        code: error_code::RESHARD_FAILED,
-        message,
-    };
-    let snap = match shared.restore_blob(s, state) {
-        Ok(snap) => snap,
-        Err(msg) => return reshard_failed(format!("attach shard {shard}: {msg}")),
-    };
-    let mut slot = shared.slots[s].write().expect("slot");
-    if slot.is_some() {
-        return reshard_failed(format!("this node already hosts shard {shard}"));
-    }
-    *slot = Some(shared.shard_core(s, Some(snap), shared.snapshot_path(s)));
-    drop(slot);
-    shared
-        .telemetry
-        .gauge("node.shards_hosted")
-        .set(shared.hosted().len() as u64);
-    Response::AttachOk { shard }
+/// the old owner's state and install it. The `AttachOk` parks until
+/// every reachable successor bootstrapped at the hand-over offset, so
+/// the new owner's backups hold the shard before any new write lands.
+fn handle_attach(
+    shared: &Shared,
+    shard: u16,
+    state: &[u8],
+    waits: &mut Vec<Wait>,
+) -> Result<Response, Response> {
+    let s = admin_shard(shared, "AttachShard", shard)?;
+    let wait = shared
+        .restore_blob(s, state)
+        .map(|snap| shared.shard_core(s, Some(snap), shared.snapshot_path(s)))
+        .and_then(|core| shared.install_primary(s, core))
+        .map_err(|msg| Response::Error {
+            code: error_code::RESHARD_FAILED,
+            message: format!("attach shard {shard}: {msg}"),
+        })?;
+    waits.extend(wait);
+    Ok(Response::AttachOk { shard })
 }
 
 /// Promotion fences: an item the old primary applied before failover
@@ -1092,31 +1087,23 @@ fn handle_replicate(
     shard: u16,
     from_offset: u64,
     items: Vec<BatchItem>,
-) -> Response {
-    if shared.config.cluster.is_none() {
-        return not_clustered("Replicate");
-    }
-    if shard as usize >= shared.backups.len() {
-        return Response::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("shard {shard} out of range"),
-        };
-    }
-    let guard = shared.backups[shard as usize].read().expect("backup slot");
+) -> Result<Response, Response> {
+    let s = admin_shard(shared, "Replicate", shard)?;
+    let guard = shared.backups[s].read().expect("backup slot");
     let Some(core) = guard.as_ref() else {
-        return Response::Error {
+        return Err(Response::Error {
             code: error_code::NOT_REPLICA,
             message: format!("no backup of shard {shard} here; bootstrap first"),
-        };
+        });
     };
     let at = core.events();
     if at != from_offset {
-        return Response::Error {
+        return Err(Response::Error {
             code: error_code::NOT_REPLICA,
             message: format!(
                 "backup of shard {shard} stands at offset {at}, not {from_offset}; re-bootstrap"
             ),
-        };
+        });
     }
     let n = items.len() as u64;
     let ops = items
@@ -1127,7 +1114,7 @@ fn handle_replicate(
     let offset = core.events();
     drop(guard);
     shared.telemetry.counter("replica.applied_events").add(n);
-    Response::ReplicaOk { shard, offset }
+    Ok(Response::ReplicaOk { shard, offset })
 }
 
 /// Seeds (or re-seeds) a backup twin of `shard`. An empty state blob
@@ -1136,17 +1123,12 @@ fn handle_replicate(
 /// a non-empty blob is an engine snapshot for late catch-up after log
 /// truncation (a deterministic twin, the same lineage as a migrated
 /// shard). Re-bootstrapping over an existing backup is allowed.
-fn handle_replica_bootstrap(shared: &Shared, shard: u16, state: &[u8]) -> Response {
-    if shared.config.cluster.is_none() {
-        return not_clustered("ReplicaBootstrap");
-    }
-    if shard as usize >= shared.backups.len() {
-        return Response::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("shard {shard} out of range"),
-        };
-    }
-    let s = shard as usize;
+fn handle_replica_bootstrap(
+    shared: &Shared,
+    shard: u16,
+    state: &[u8],
+) -> Result<Response, Response> {
+    let s = admin_shard(shared, "ReplicaBootstrap", shard)?;
     if let Some(allow) = shared
         .config
         .replication
@@ -1154,40 +1136,41 @@ fn handle_replica_bootstrap(shared: &Shared, shard: u16, state: &[u8]) -> Respon
         .and_then(|r| r.backup_of.as_ref())
     {
         if !allow.contains(&shard) {
-            return Response::Error {
+            return Err(Response::Error {
                 code: error_code::NOT_REPLICA,
                 message: format!("this node does not back up shard {shard} (--backup-of)"),
-            };
+            });
         }
     }
-    let primary_here = shared.slots[s].read().expect("slot").is_some();
-    if primary_here {
-        return Response::Error {
-            code: error_code::NOT_REPLICA,
-            message: format!("shard {shard} is served as a primary here"),
-        };
-    }
-    let restore = if state.is_empty() {
-        None
-    } else {
-        match shared.restore_blob(s, state) {
-            Ok(snap) => Some(snap),
-            Err(msg) => {
-                return Response::Error {
+    let restore = match state {
+        [] => None,
+        state => Some(
+            shared
+                .restore_blob(s, state)
+                .map_err(|msg| Response::Error {
                     code: error_code::NOT_REPLICA,
                     message: format!("bootstrap shard {shard}: {msg}"),
-                }
-            }
-        }
+                })?,
+        ),
     };
     // Backups never persist: the primary re-seeds them on demand, and a
     // backup snapshot on disk could resurrect stale state as a primary
     // after a cold restart.
     let core = shared.shard_core(s, restore, None);
     let offset = core.events();
+    // Slot before backup, as in `install_primary`: a shard served here
+    // never gets a backup here too.
+    let slot = shared.slots[s].read().expect("slot");
+    if slot.is_some() {
+        return Err(Response::Error {
+            code: error_code::NOT_REPLICA,
+            message: format!("shard {shard} is served as a primary here"),
+        });
+    }
     *shared.backups[s].write().expect("backup slot") = Some(core);
+    drop(slot);
     shared.telemetry.counter("replica.bootstraps").inc();
-    Response::ReplicaOk { shard, offset }
+    Ok(Response::ReplicaOk { shard, offset })
 }
 
 /// Reports every backup twin this node holds and the applied-event
@@ -1210,51 +1193,29 @@ fn handle_replica_status(shared: &Shared) -> Response {
 /// the serving primary. The promoted core fences every sequence number
 /// the old primary applied (a retried event gets the typed
 /// `ALREADY_APPLIED`, never a double apply), adopts this node's
-/// snapshot directory, and starts replicating to its own successors.
-fn handle_promote(shared: &Shared, shard: u16) -> Response {
-    if shared.config.cluster.is_none() {
-        return not_clustered("Promote");
-    }
-    if shard as usize >= shared.backups.len() {
-        return Response::Error {
-            code: error_code::BAD_FRAME,
-            message: format!("shard {shard} out of range"),
-        };
-    }
-    let s = shard as usize;
-    let Some(backup) = shared.backups[s].write().expect("backup slot").take() else {
-        return Response::Error {
-            code: error_code::NOT_REPLICA,
-            message: format!("no backup of shard {shard} to promote here"),
-        };
+/// snapshot directory, and is installed like an attached shard: the
+/// `PromoteOk` parks until every reachable successor bootstrapped.
+fn handle_promote(
+    shared: &Shared,
+    shard: u16,
+    waits: &mut Vec<Wait>,
+) -> Result<Response, Response> {
+    let s = admin_shard(shared, "Promote", shard)?;
+    let not_replica = |message: String| Response::Error {
+        code: error_code::NOT_REPLICA,
+        message,
     };
-    let mut slot = shared.slots[s].write().expect("slot");
-    if slot.is_some() {
-        // Serving both roles at once would double-apply; put the twin
-        // back untouched.
-        *shared.backups[s].write().expect("backup slot") = Some(backup);
-        return Response::Error {
-            code: error_code::NOT_REPLICA,
-            message: format!("shard {shard} is already served as a primary here"),
-        };
-    }
-    let repl = shared.repl.as_ref().map(|rt| {
-        Arc::new(ReplState::new(
-            shard,
-            backup.events(),
-            rt.replicas as usize,
-            Arc::clone(&rt.notifier),
-        ))
-    });
-    let (core, offset) = backup.into_primary(shared.snapshot_path(s), repl);
-    *slot = Some(core);
-    drop(slot);
-    shared
-        .telemetry
-        .gauge("node.shards_hosted")
-        .set(shared.hosted().len() as u64);
+    // A shard served here has no backup here, so a backup to take means
+    // the shard is not served here yet.
+    let Some(backup) = shared.backups[s].write().expect("backup slot").take() else {
+        return Err(not_replica(format!(
+            "no backup of shard {shard} to promote here"
+        )));
+    };
+    let (core, offset) = backup.into_primary(shared.snapshot_path(s));
+    waits.extend(shared.install_primary(s, core).map_err(not_replica)?);
     shared.telemetry.counter("node.promotions").inc();
-    Response::PromoteOk { shard, offset }
+    Ok(Response::PromoteOk { shard, offset })
 }
 
 /// Socket timeout for pump round trips: a peer slower than this is
@@ -1413,6 +1374,21 @@ fn wrong_node(shared: &Shared, shard: usize) -> Response {
             shared.epoch.load(Ordering::SeqCst)
         ),
     }
+}
+
+/// The shard a shard-level admin frame names, or the reply refusing
+/// it: every such verb needs cluster mode and a shard in range.
+fn admin_shard(shared: &Shared, what: &str, shard: u16) -> Result<usize, Response> {
+    if shared.config.cluster.is_none() {
+        return Err(not_clustered(what));
+    }
+    if shard as usize >= shared.slots.len() {
+        return Err(Response::Error {
+            code: error_code::BAD_FRAME,
+            message: format!("shard {shard} out of range"),
+        });
+    }
+    Ok(shard as usize)
 }
 
 fn not_clustered(what: &str) -> Response {

@@ -336,17 +336,14 @@ impl ShardCore {
         }
     }
 
-    /// Turns a caught-up backup core into a serving primary: fences
-    /// every sequence number the old primary already applied (so a
-    /// client retrying through the failover gets the typed
-    /// `ALREADY_APPLIED` instead of a double-apply), adopts this
-    /// node's snapshot destination, and starts its own replication
-    /// log. Returns the rebuilt core and the offset it serves from.
-    pub fn into_primary(
-        self,
-        snapshot_path: Option<PathBuf>,
-        repl: Option<Arc<ReplState>>,
-    ) -> (ShardCore, u64) {
+    /// Turns a caught-up backup core into a primary: fences every
+    /// sequence number the old primary already applied (so a client
+    /// retrying through the failover gets the typed `ALREADY_APPLIED`
+    /// instead of a double-apply) and adopts this node's snapshot
+    /// destination. The server installs it like any primary, which
+    /// gives it its replication log. Returns the rebuilt core and the
+    /// offset it serves from.
+    pub fn into_primary(self, snapshot_path: Option<PathBuf>) -> (ShardCore, u64) {
         let (fence, offset) = {
             let engine = self.lock();
             (engine.clock(), engine.events())
@@ -354,7 +351,6 @@ impl ShardCore {
         (
             ShardCore {
                 snapshot_path,
-                repl,
                 fence,
                 ..self
             },
@@ -471,16 +467,6 @@ impl ShardCore {
         if let Some(path) = &self.snapshot_path {
             let _ = std::fs::remove_file(path);
         }
-    }
-
-    /// Consumes the core for migration to another node: returns the
-    /// engine snapshot and removes any on-disk snapshot file. Prefer
-    /// [`ShardCore::snapshot`] + [`ShardCore::discard`] when the caller
-    /// must validate the snapshot before committing to the detach.
-    pub fn detach(self) -> EngineSnapshot {
-        let snap = self.snapshot();
-        self.discard();
-        snap
     }
 
     /// Persists the engine snapshot (when configured) and reports final
@@ -758,10 +744,11 @@ mod tests {
         });
         first.serve_query(query(2, vec![0], 55)).unwrap();
         let want = first.stats();
-        let snap = first.detach();
+        let snap = first.snapshot();
+        first.discard();
         assert!(
             !path.exists(),
-            "detach must remove the snapshot file so a cold restart cannot resurrect the shard"
+            "discard must remove the snapshot file so a cold restart cannot resurrect the shard"
         );
         // The new owner restores an identical engine.
         let resumed = ShardCore::new(ShardSpec {

@@ -1,15 +1,18 @@
-//! The failover acceptance pin: SIGKILL a primary mid-trace in a
-//! 2-node cluster running `--replicas 1` and assert the whole
-//! robustness contract at once —
+//! The failover acceptance pins: SIGKILL (or SIGSTOP) a primary
+//! mid-trace in a cluster running `--replicas 1`, with or without a
+//! live reshard first, and assert the whole robustness contract at
+//! once —
 //!
 //! * **zero wrong answers**: every event either succeeds, fails with a
 //!   typed error, or is fenced as `ALREADY_APPLIED` on a retry — never
-//!   a silent drop and never a fabricated result;
+//!   a silent drop and never a fabricated result, and no object's
+//!   acknowledged update version ever repeats;
 //! * **bounded unavailability**: the first success on an orphaned shard
 //!   lands within 2× the router's `node_timeout` of the kill;
 //! * **determinism across the failover**: the final per-shard ledgers
 //!   (served by the promoted backups) are byte-identical to the
-//!   offline `Twin` (`sim::simulate` per shard);
+//!   offline `Twin` (`sim::simulate` per shard, with one `migrate` per
+//!   reshard);
 //! * **live counters**: `router.promotions`/`router.failovers` and the
 //!   `replica.*` scrape plane all moved.
 //!
@@ -31,7 +34,9 @@ use delta_server::{
 };
 use delta_storage::{ObjectCatalog, ObjectId};
 use delta_workload::{Event, QueryEvent, QueryKind, Trace, UpdateEvent};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -92,8 +97,21 @@ fn free_addr() -> SocketAddr {
     addr
 }
 
+/// The recipe every node of a cluster test is started with and its
+/// twin is built from.
+fn recipe(catalog: &ObjectCatalog, policy: PolicyKind) -> ServerConfig {
+    ServerConfig {
+        n_shards: SHARDS,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes: (catalog.total_bytes() as f64 * 0.3) as u64,
+        policy,
+        seed: SEED,
+        ..ServerConfig::default()
+    }
+}
+
 /// Spawns one `delta-serverd` cluster node as a real OS process, with
-/// `replicas` backups per hosted shard.
+/// `replicas` backups per hosted shard; `peers` lists every node.
 fn spawn_node(
     bin: &str,
     addr: SocketAddr,
@@ -122,7 +140,7 @@ fn spawn_node(
             "--node-id",
             &node.to_string(),
             "--nodes",
-            &NODES.to_string(),
+            &peers.split(',').count().to_string(),
             "--replicas",
             &replicas.to_string(),
             "--peers",
@@ -162,82 +180,163 @@ fn connect_router(addr: SocketAddr) -> DeltaClient {
     }
 }
 
-#[test]
-fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
-    let (catalog, trace) = workload();
-    // The recipe both nodes are started with and the twin is built from.
-    let recipe = ServerConfig {
-        n_shards: SHARDS,
-        partitioner: PartitionerKind::RoundRobin,
-        cache_bytes: (catalog.total_bytes() as f64 * 0.3) as u64,
-        policy: PolicyKind::VCover,
-        seed: SEED,
-        ..ServerConfig::default()
-    };
-    let trace_path =
-        std::env::temp_dir().join(format!("delta-failover-{}.jsonl", std::process::id()));
-    delta_workload::write_jsonl(&trace_path, &catalog, &trace, "failover chaos trace")
-        .expect("write trace file");
+/// Sends `signal` (`STOP`, `CONT`) to a child process.
+fn signal(child: &Child, signal: &str) {
+    let status = Command::new("kill")
+        .args([&format!("-{signal}"), &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{signal} {}", child.id());
+}
 
-    // Two real node processes: node 0 hosts shards {0, 2}, node 1 hosts
-    // {1, 3}; with --replicas 1 each node backs up its successor, so
-    // node 0 carries backups of {1, 3} — the shards we orphan.
-    let addrs: Vec<SocketAddr> = (0..NODES).map(|_| free_addr()).collect();
-    let peers = format!("{},{}", addrs[0], addrs[1]);
-    let bin = env!("CARGO_BIN_EXE_delta-serverd");
-    let mut children: Vec<Child> = (0..NODES)
-        .map(|node| spawn_node(bin, addrs[node], node, 1, &peers, &trace_path, &recipe))
-        .collect();
-    for &addr in &addrs {
-        await_node(addr);
+/// Resumes and reaps the node processes however the test ends, so a
+/// failed assertion never leaves a stopped `delta-serverd` behind.
+struct Reaper(Vec<Child>);
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = Command::new("kill")
+                .args(["-CONT", &child.id().to_string()])
+                .status();
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Real `delta-serverd` processes (a SIGKILL or SIGSTOP must take a
+/// whole process, not a thread) sharing the catalog through a trace
+/// file, behind an in-process router so the test keeps a tight
+/// `node_timeout`.
+struct Cluster {
+    addrs: Vec<SocketAddr>,
+    nodes: Reaper,
+    router: Router,
+    trace_path: PathBuf,
+}
+
+impl Cluster {
+    /// Starts `n` nodes at `--replicas replicas` over `catalog`, then the
+    /// router with `threads` event loops.
+    fn start(
+        name: &str,
+        n: usize,
+        replicas: u16,
+        recipe: &ServerConfig,
+        catalog: &ObjectCatalog,
+        threads: usize,
+        node_timeout: Duration,
+    ) -> Cluster {
+        let trace_path =
+            std::env::temp_dir().join(format!("delta-{name}-{}.jsonl", std::process::id()));
+        delta_workload::write_jsonl(
+            &trace_path,
+            catalog,
+            &Trace::new(Vec::new()),
+            "catalog only",
+        )
+        .expect("write trace file");
+        let addrs: Vec<SocketAddr> = (0..n).map(|_| free_addr()).collect();
+        let peers: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+        let bin = env!("CARGO_BIN_EXE_delta-serverd");
+        let nodes = Reaper(
+            (0..n)
+                .map(|node| {
+                    spawn_node(
+                        bin,
+                        addrs[node],
+                        node,
+                        replicas,
+                        &peers.join(","),
+                        &trace_path,
+                        recipe,
+                    )
+                })
+                .collect(),
+        );
+        for &addr in &addrs {
+            await_node(addr);
+        }
+        let router = Router::start(
+            RouterConfig {
+                bind: "127.0.0.1:0".to_string(),
+                nodes: peers,
+                frontend: None,
+                front: FrontDoor { threads },
+                stall_limit: delta_server::connection::STALL_LIMIT,
+                node_timeout,
+            },
+            catalog.clone(),
+        )
+        .expect("router starts");
+        Cluster {
+            addrs,
+            nodes,
+            router,
+            trace_path,
+        }
     }
 
-    let router = Router::start(
-        RouterConfig {
-            bind: "127.0.0.1:0".to_string(),
-            nodes: addrs.iter().map(|a| a.to_string()).collect(),
-            frontend: None,
-            front: FrontDoor { threads: 2 },
-            stall_limit: delta_server::connection::STALL_LIMIT,
-            node_timeout: NODE_TIMEOUT,
-        },
-        catalog.clone(),
-    )
-    .expect("router starts");
-    let router_addr = router.local_addr();
+    /// Shuts the cluster down through `admin` (the router skips dead
+    /// nodes) and reaps every node.
+    fn shutdown(self, admin: &mut DeltaClient) {
+        admin.shutdown().expect("cluster shutdown");
+        self.router.join();
+        drop(self.nodes);
+        let _ = std::fs::remove_file(&self.trace_path);
+    }
+}
 
-    let map = recipe.partitioner.build(SHARDS, catalog.len());
-    let dead_node = 1usize;
-    let orphaned = |e: &Event| {
-        let o = match e {
-            Event::Query(q) => q.objects[0],
-            Event::Update(u) => u.object,
-        };
-        map.shard_of(o) % NODES == dead_node
-    };
+/// The one object a trace event names.
+fn object(e: &Event) -> ObjectId {
+    match e {
+        Event::Query(q) => q.objects[0],
+        Event::Update(u) => u.object,
+    }
+}
 
-    let kill_at = N_EVENTS / 2;
-    let mut client = connect_router(router_addr);
-    let mut t_kill: Option<Instant> = None;
-    let mut recovered: Option<Duration> = None;
-    let mut fenced = 0u64;
-    let mut retries = 0u64;
+/// What a retrying replay saw.
+#[derive(Default)]
+struct Replay {
+    /// When the fault was injected.
+    fault: Option<Instant>,
+    /// From the fault to the first `NODE_UNAVAILABLE` answer.
+    unavailable: Option<Duration>,
+    /// From the fault to the first answer on an orphaned shard.
+    recovered: Option<Duration>,
+    /// Retries fenced as `ALREADY_APPLIED`.
+    fenced: u64,
+    /// `NODE_UNAVAILABLE` answers, each retried.
+    retries: u64,
+}
 
-    for (i, e) in trace.events.iter().enumerate() {
-        if i == kill_at {
-            // The healthy phase acknowledged every write at R: no reply
-            // left on its deadline with a backup still missing it.
-            let healthy = connect_router(router_addr)
-                .telemetry()
-                .expect("healthy-phase telemetry");
-            assert!(
-                healthy.counter("replica.shipped_events") > 0,
-                "the scrape must cover the nodes' replication counters"
-            );
-            assert_eq!(healthy.counter("replica.acked_below_r"), 0);
-            children[dead_node].kill().expect("SIGKILL node 1");
-            t_kill = Some(Instant::now());
+/// Replays `events` through the router at `addr` as a client that
+/// retries, asserting zero wrong answers: every event either succeeds,
+/// fails typed and is retried, or is fenced as `ALREADY_APPLIED` on a
+/// retry — never a silent drop and never a fabricated result. `step(i,
+/// seen)` runs before event `i`; when it returns `true` it injected the
+/// fault, from which `NODE_UNAVAILABLE` is legal and the window until an
+/// `orphaned` event is answered again is timed. No acknowledged update
+/// is lost either: each object's `UpdateOk` versions strictly increase.
+fn replay(
+    addr: SocketAddr,
+    events: &[Event],
+    orphaned: impl Fn(&Event) -> bool,
+    mut step: impl FnMut(usize, &Replay) -> bool,
+) -> Replay {
+    let mut client = connect_router(addr);
+    let mut seen = Replay::default();
+    let mut versions: HashMap<ObjectId, u64> = HashMap::new();
+    for (i, e) in events.iter().enumerate() {
+        if step(i, &seen) {
+            seen.fault = Some(Instant::now());
         }
+        let answered = |seen: &mut Replay| {
+            if let (Some(t0), true, None) = (seen.fault, orphaned(e), seen.recovered) {
+                seen.recovered = Some(t0.elapsed());
+            }
+        };
         let req = match e {
             Event::Query(q) => Request::Query(q.clone()),
             Event::Update(u) => Request::Update(*u),
@@ -250,33 +349,44 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
                 "event {i} ({e:?}) never settled: failover is stuck"
             );
             match client.request(&req) {
-                Ok(Response::QueryOk { .. }) | Ok(Response::UpdateOk { .. }) => {
-                    if let (Some(t0), true, None) = (t_kill, orphaned(e), recovered) {
-                        recovered = Some(t0.elapsed());
+                Ok(Response::QueryOk { .. }) => {
+                    answered(&mut seen);
+                    break;
+                }
+                Ok(Response::UpdateOk { version, .. }) => {
+                    if let Some(last) = versions.insert(object(e), version) {
+                        assert!(
+                            version > last,
+                            "event {i}: object {:?} answered version {version} after {last}: \
+                             an acknowledged update was lost",
+                            object(e)
+                        );
                     }
+                    answered(&mut seen);
                     break;
                 }
                 // A retried event the promoted backup already holds: the
                 // fence answers typed and the client counts it done.
-                // Only legal on a retry, only after the kill.
+                // Only legal on a retry, only after the fault.
                 Ok(Response::Error { code, message }) if code == error_code::ALREADY_APPLIED => {
                     assert!(
-                        attempt > 0 && t_kill.is_some(),
+                        attempt > 0 && seen.fault.is_some(),
                         "event {i}: spurious ALREADY_APPLIED: {message}"
                     );
-                    if let (Some(t0), true, None) = (t_kill, orphaned(e), recovered) {
-                        recovered = Some(t0.elapsed());
-                    }
-                    fenced += 1;
+                    answered(&mut seen);
+                    seen.fenced += 1;
                     break;
                 }
                 // The unavailability window: typed, bounded, retried.
                 Ok(Response::Error { code, message }) if code == error_code::NODE_UNAVAILABLE => {
                     assert!(
-                        t_kill.is_some(),
-                        "event {i}: NODE_UNAVAILABLE before the kill: {message}"
+                        seen.fault.is_some(),
+                        "event {i}: NODE_UNAVAILABLE before the fault: {message}"
                     );
-                    retries += 1;
+                    if let (Some(t0), None) = (seen.fault, seen.unavailable) {
+                        seen.unavailable = Some(t0.elapsed());
+                    }
+                    seen.retries += 1;
                     attempt += 1;
                     std::thread::sleep(Duration::from_millis(20));
                 }
@@ -288,22 +398,92 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
                 Ok(other) => panic!("event {i}: wrong answer: {other:?}"),
                 Err(_) => {
                     attempt += 1;
-                    client = connect_router(router_addr);
+                    client = connect_router(addr);
                 }
             }
         }
     }
+    seen
+}
+
+/// The healthy phase acknowledged every write at R: no reply left on
+/// its deadline with a backup still missing it.
+fn assert_acked_at_r(router: SocketAddr) {
+    let healthy = connect_router(router)
+        .telemetry()
+        .expect("healthy-phase telemetry");
+    assert!(
+        healthy.counter("replica.shipped_events") > 0,
+        "the scrape must cover the nodes' replication counters"
+    );
+    assert_eq!(healthy.counter("replica.acked_below_r"), 0);
+}
+
+/// Asserts the node at `addr` hosts every shard at `epoch`.
+fn assert_hosts_all(addr: SocketAddr, epoch: u64) {
+    let mut node = DeltaClient::connect(addr).expect("connect node");
+    let hosted = node.hello(epoch).expect("hello").hosted;
+    for shard in 0..SHARDS as u16 {
+        assert!(
+            hosted.contains(&shard),
+            "node {addr} must host shard {shard} after the failover (hosts {hosted:?})"
+        );
+    }
+}
+
+/// Asserts every shard's ledger, scraped through the router, equals the
+/// twin's byte for byte.
+fn assert_twin(admin: &mut DeltaClient, twin: &Twin, context: &str) {
+    let stats = admin.stats().expect("stats");
+    assert_eq!(stats.shards.len(), SHARDS);
+    let want = twin.ledgers();
+    for shard in &stats.shards {
+        assert_eq!(
+            &shard.metrics.ledger, &want[shard.shard as usize],
+            "shard {} diverged from its simulation twin {context}",
+            shard.shard
+        );
+    }
+}
+
+#[test]
+fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
+    let (catalog, trace) = workload();
+    let recipe = recipe(&catalog, PolicyKind::VCover);
+    // Two real node processes: node 0 hosts shards {0, 2}, node 1 hosts
+    // {1, 3}; with --replicas 1 each node backs up its successor, so
+    // node 0 carries backups of {1, 3} — the shards we orphan.
+    let mut cluster = Cluster::start("failover", NODES, 1, &recipe, &catalog, 2, NODE_TIMEOUT);
+    let router_addr = cluster.router.local_addr();
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    let dead_node = 1usize;
+    let kill_at = N_EVENTS / 2;
+    let seen = replay(
+        router_addr,
+        &trace.events,
+        |e| map.shard_of(object(e)) % NODES == dead_node,
+        |i, _| {
+            if i != kill_at {
+                return false;
+            }
+            assert_acked_at_r(router_addr);
+            cluster.nodes.0[dead_node].kill().expect("SIGKILL node 1");
+            true
+        },
+    );
 
     // Bounded unavailability: the orphaned shards answered again within
     // 2× node_timeout of the SIGKILL.
-    let recovered = recovered.expect("no post-kill event touched an orphaned shard");
+    let recovered = seen
+        .recovered
+        .expect("no post-kill event touched an orphaned shard");
     assert!(
         recovered < 2 * NODE_TIMEOUT,
         "promotion took {recovered:?}, bound is {:?}",
         2 * NODE_TIMEOUT
     );
     assert!(
-        retries > 0,
+        seen.retries > 0,
         "the kill was never observed as NODE_UNAVAILABLE"
     );
 
@@ -313,31 +493,21 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
     let info = admin.hello(0).expect("hello");
     assert_eq!(info.role, NodeRole::Router);
     assert_eq!(info.epoch, 1, "exactly one failover bumps the epoch once");
-    let mut node0 = DeltaClient::connect(addrs[0]).expect("connect node 0");
-    let hosted = node0.hello(info.epoch).expect("hello").hosted;
-    for shard in 0..SHARDS as u16 {
-        assert!(
-            hosted.contains(&shard),
-            "node 0 must host shard {shard} after the failover (hosts {hosted:?})"
-        );
-    }
+    assert_hosts_all(cluster.addrs[0], info.epoch);
 
     // Determinism across the failover: per-shard ledgers equal the
     // offline simulation twin byte for byte — including the two shards
     // that lived through bootstrap, replication, and promotion.
-    let stats = admin.stats().expect("stats");
-    assert_eq!(stats.shards.len(), SHARDS);
-    let want = Twin::new(&recipe, &catalog)
-        .apply_all(&trace.events)
-        .ledgers();
-    for shard in &stats.shards {
-        assert_eq!(
-            &shard.metrics.ledger, &want[shard.shard as usize],
-            "shard {} diverged from its simulation twin across the failover \
-             (fenced={fenced} retries={retries})",
-            shard.shard
-        );
-    }
+    let mut twin = Twin::new(&recipe, &catalog);
+    twin.apply_all(&trace.events);
+    assert_twin(
+        &mut admin,
+        &twin,
+        &format!(
+            "across the failover (fenced={} retries={})",
+            seen.fenced, seen.retries
+        ),
+    );
 
     // The scrape plane saw it all: promotions on both sides of the
     // wire, a failover, and a replication stream that actually moved.
@@ -377,37 +547,228 @@ fn sigkilled_primary_fails_over_with_zero_wrong_answers() {
 
     // Graceful teardown: the router shuts the surviving node down
     // (skipping the dead one) and both children get reaped.
-    admin.shutdown().expect("cluster shutdown");
-    router.join();
-    for mut child in children {
-        let _ = child.wait();
-    }
-    let _ = std::fs::remove_file(&trace_path);
+    cluster.shutdown(&mut admin);
 }
 
-/// Sends `signal` (`STOP`, `CONT`) to a child process.
-fn signal(child: &Child, signal: &str) {
-    let status = Command::new("kill")
-        .args([&format!("-{signal}"), &child.id().to_string()])
-        .status()
-        .expect("run kill");
-    assert!(status.success(), "kill -{signal} {}", child.id());
+/// The SIGKILL pin with a SIGSTOP: a stopped node's kernel still
+/// completes TCP handshakes, so only a probe that needs an answer — a
+/// `Hello` answered `HelloOk` within the node timeout — confirms the
+/// suspicion. The orphaned shards fail over, the ledgers stay the
+/// twin's, and once the node resumes the router sends it nothing.
+#[test]
+fn sigstopped_primary_fails_over_with_zero_wrong_answers() {
+    let (catalog, trace) = workload();
+    let recipe = recipe(&catalog, PolicyKind::VCover);
+    let cluster = Cluster::start("sigstop", NODES, 1, &recipe, &catalog, 2, NODE_TIMEOUT);
+    let router_addr = cluster.router.local_addr();
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    let dead_node = 1usize;
+    let stop_at = N_EVENTS / 2;
+    let fanouts = |router: &Router| {
+        router
+            .telemetry()
+            .histogram(&format!("router.fanout_ns.node{dead_node}"))
+            .map_or(0, |h| h.count)
+    };
+    let mut fanouts_at_resume = None;
+    let seen = replay(
+        router_addr,
+        &trace.events,
+        |e| map.shard_of(object(e)) % NODES == dead_node,
+        |i, seen| {
+            if i == stop_at {
+                assert_acked_at_r(router_addr);
+                signal(&cluster.nodes.0[dead_node], "STOP");
+                return true;
+            }
+            if seen.recovered.is_some() && fanouts_at_resume.is_none() {
+                signal(&cluster.nodes.0[dead_node], "CONT");
+                fanouts_at_resume = Some(fanouts(&cluster.router));
+            }
+            false
+        },
+    );
+
+    // A stopped node is silent, not refused: nobody can suspect it
+    // before a fan-out to it misses its deadline, one node timeout after
+    // the stop (a SIGKILL's refused connect is seen at once). So the
+    // window is timed from the client's first typed failure, and the
+    // bound is the SIGKILL one plus one node timeout, for the same
+    // reason: the retried event's fan-out, re-sent to the stopped node
+    // while the probe confirms the suspicion, waits out its own deadline
+    // after the failover. The survivor's pump still holds a session with
+    // the stopped node, so each `PromoteOk`, and the first reply on a
+    // promoted shard, parks until that session's 250 ms round-trip
+    // timeout; those waits overlap the fan-out's deadline.
+    let recovered = seen
+        .recovered
+        .expect("no post-stop event touched an orphaned shard");
+    let unavailable = seen
+        .unavailable
+        .expect("the stop was never observed as NODE_UNAVAILABLE");
+    let bound = 3 * NODE_TIMEOUT;
+    assert!(
+        recovered - unavailable < bound,
+        "promotion took {:?} after the first failure ({recovered:?} after the stop), \
+         bound is {bound:?}",
+        recovered - unavailable
+    );
+
+    let mut admin = connect_router(router_addr);
+    let info = admin.hello(0).expect("hello");
+    assert_eq!(info.epoch, 1, "exactly one failover bumps the epoch once");
+    assert_hosts_all(cluster.addrs[0], info.epoch);
+    let mut twin = Twin::new(&recipe, &catalog);
+    twin.apply_all(&trace.events);
+    assert_twin(
+        &mut admin,
+        &twin,
+        &format!(
+            "across the failover (fenced={} retries={})",
+            seen.fenced, seen.retries
+        ),
+    );
+    assert_eq!(
+        admin
+            .telemetry()
+            .expect("telemetry")
+            .counter("router.promotions"),
+        2,
+        "one promotion per orphaned shard"
+    );
+    assert_eq!(
+        fanouts(&cluster.router),
+        fanouts_at_resume.expect("node 1 resumed"),
+        "the router sent the resumed node work"
+    );
+    cluster.shutdown(&mut admin);
 }
 
-/// Resumes and reaps the node processes however the test ends, so a
-/// failed assertion never leaves a stopped `delta-serverd` behind.
-struct Reaper(Vec<Child>);
+/// A reshard on a replicated cluster keeps every acknowledged write.
+/// Shard 0 moves from node 0 to node 2 mid-trace, and node 2 is
+/// SIGKILLed later. Node 2's `AttachOk` leaves only once its successor,
+/// node 0, bootstrapped at the move offset, so node 0's backup of the
+/// new lineage is the most caught up at the failover; node 1 still
+/// holds the old owner's backup, stale at the move offset.
+#[test]
+fn resharded_shard_survives_the_death_of_its_new_owner() {
+    let (catalog, trace) = workload();
+    let recipe = recipe(&catalog, PolicyKind::VCover);
+    let mut cluster = Cluster::start("reshard-kill", 3, 1, &recipe, &catalog, 2, NODE_TIMEOUT);
+    let router_addr = cluster.router.local_addr();
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    let (reshard_at, kill_at) = (N_EVENTS / 3, 2 * N_EVENTS / 3);
+    // Node 2 serves shard 2 and, from the reshard on, shard 0.
+    let seen = replay(
+        router_addr,
+        &trace.events,
+        |e| matches!(map.shard_of(object(e)), 0 | 2),
+        |i, _| {
+            if i == reshard_at {
+                let epoch = connect_router(router_addr)
+                    .reshard(0, 2)
+                    .expect("reshard shard 0 to node 2");
+                assert_eq!(epoch, 1);
+            }
+            if i != kill_at {
+                return false;
+            }
+            assert_acked_at_r(router_addr);
+            cluster.nodes.0[2].kill().expect("SIGKILL node 2");
+            true
+        },
+    );
+    assert!(
+        seen.recovered.is_some(),
+        "the orphaned shards never answered"
+    );
 
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        for child in &mut self.0 {
-            let _ = Command::new("kill")
-                .args(["-CONT", &child.id().to_string()])
-                .status();
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
+    let mut admin = connect_router(router_addr);
+    let info = admin.hello(0).expect("hello");
+    assert_eq!(info.epoch, 2, "one reshard and one failover");
+    let hosted = DeltaClient::connect(cluster.addrs[0])
+        .expect("connect node 0")
+        .hello(info.epoch)
+        .expect("hello")
+        .hosted;
+    assert_eq!(hosted, vec![0, 2, 3], "node 0 promoted shards 0 and 2");
+    let mut twin = Twin::new(&recipe, &catalog);
+    twin.apply_all(&trace.events[..reshard_at]).migrate(0);
+    twin.apply_all(&trace.events[reshard_at..]);
+    assert_twin(
+        &mut admin,
+        &twin,
+        &format!(
+            "across the reshard and the failover (fenced={} retries={})",
+            seen.fenced, seen.retries
+        ),
+    );
+    assert_eq!(
+        admin
+            .telemetry()
+            .expect("telemetry")
+            .counter("router.promotions"),
+        2,
+        "one promotion per orphaned shard"
+    );
+    cluster.shutdown(&mut admin);
+}
+
+/// The two-node form: shard 0 moves onto node 1, which held its
+/// backup, and node 1 is SIGKILLed. Installing the moved shard drops
+/// node 1's own backup of it, and the `AttachOk` leaves once node 0
+/// bootstrapped at the move offset, so shard 0 fails back to node 0
+/// within the SIGKILL bound instead of staying offline.
+#[test]
+fn shard_moved_onto_its_backup_fails_back_within_the_bound() {
+    let (catalog, trace) = workload();
+    let recipe = recipe(&catalog, PolicyKind::VCover);
+    let mut cluster = Cluster::start("reshard-back", NODES, 1, &recipe, &catalog, 2, NODE_TIMEOUT);
+    let router_addr = cluster.router.local_addr();
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    let (reshard_at, kill_at) = (N_EVENTS / 3, 2 * N_EVENTS / 3);
+    let seen = replay(
+        router_addr,
+        &trace.events,
+        |e| map.shard_of(object(e)) == 0,
+        |i, _| {
+            if i == reshard_at {
+                let epoch = connect_router(router_addr)
+                    .reshard(0, 1)
+                    .expect("reshard shard 0 to node 1");
+                assert_eq!(epoch, 1);
+            }
+            if i != kill_at {
+                return false;
+            }
+            assert_acked_at_r(router_addr);
+            cluster.nodes.0[1].kill().expect("SIGKILL node 1");
+            true
+        },
+    );
+    let recovered = seen.recovered.expect("no post-kill event touched shard 0");
+    assert!(
+        recovered < 2 * NODE_TIMEOUT,
+        "shard 0 answered again after {recovered:?}, bound is {:?}",
+        2 * NODE_TIMEOUT
+    );
+
+    let mut admin = connect_router(router_addr);
+    let info = admin.hello(0).expect("hello");
+    assert_eq!(info.epoch, 2, "one reshard and one failover");
+    assert_hosts_all(cluster.addrs[0], info.epoch);
+    let mut twin = Twin::new(&recipe, &catalog);
+    twin.apply_all(&trace.events[..reshard_at]).migrate(0);
+    twin.apply_all(&trace.events[reshard_at..]);
+    assert_twin(
+        &mut admin,
+        &twin,
+        &format!(
+            "across the reshard and the failover (fenced={} retries={})",
+            seen.fenced, seen.retries
+        ),
+    );
+    cluster.shutdown(&mut admin);
 }
 
 /// A wedged node — SIGSTOPped, so its kernel still accepts connections

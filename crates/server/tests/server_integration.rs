@@ -10,7 +10,8 @@ use delta_core::{sim, CostLedger};
 use delta_server::{
     BatchItem, BatchReply, DeltaClient, PolicyKind, Request, Response, Server, ServerConfig, Twin,
 };
-use delta_workload::{Event, SyntheticSurvey, WorkloadConfig};
+use delta_storage::ObjectCatalog;
+use delta_workload::{Event, QueryEvent, SyntheticSurvey, WorkloadConfig};
 
 /// Shard count for the parameterized tests; the CI matrix overrides it
 /// (1, 4, 8) so partition edge cases run on every push.
@@ -73,14 +74,15 @@ fn replay(client: &mut DeltaClient, survey: &SyntheticSurvey) -> Vec<BatchReply>
         .collect()
 }
 
-/// The twin's per-event replies and final per-shard ledgers for a
-/// server started from `config`.
+/// The twin's per-event replies and final per-shard ledgers for
+/// `events` on a server started from `config` over `catalog`.
 fn twin_replay(
     config: &ServerConfig,
-    survey: &SyntheticSurvey,
+    catalog: &ObjectCatalog,
+    events: &[Event],
 ) -> (Vec<BatchReply>, Vec<CostLedger>) {
-    let mut twin = Twin::new(config, &survey.catalog);
-    let replies = survey.trace.iter().map(|e| twin.apply(e)).collect();
+    let mut twin = Twin::new(config, catalog);
+    let replies = events.iter().map(|e| twin.apply(e)).collect();
     (replies, twin.ledgers())
 }
 
@@ -122,7 +124,7 @@ fn sharded_server_matches_sharded_simulation_exactly() {
         let final_stats = server.join();
 
         assert_eq!(stats.shards.len(), n_shards);
-        let (want_replies, expected) = twin_replay(&config, &survey);
+        let (want_replies, expected) = twin_replay(&config, &survey.catalog, &survey.trace.events);
         assert_replies_match(&replies, &want_replies, &format!("{policy:?} lockstep"));
         for (shard, want) in stats.shards.iter().zip(&expected) {
             assert_eq!(
@@ -367,6 +369,42 @@ fn replay_mixed(
         .collect()
 }
 
+/// `events` followed by their queries once more, re-sequenced after
+/// them: a warm cache answering queries back to back, where the trace
+/// itself alternates queries and updates.
+fn with_warm_queries(events: &[Event]) -> Vec<Event> {
+    let mut seq = events.last().map_or(0, Event::seq);
+    let again: Vec<Event> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Query(q) => {
+                seq += 1;
+                Some(Event::Query(QueryEvent { seq, ..q.clone() }))
+            }
+            Event::Update(_) => None,
+        })
+        .collect();
+    events.iter().cloned().chain(again).collect()
+}
+
+/// Frame sizes that cut a replay wherever the twin answers two queries
+/// in a row differently, so each such pair opens a frame: a node that
+/// credits a frame's first two query replies to each other's items then
+/// fails even when every query touches one shard.
+fn frames_opening_on_mixed_pairs(replies: &[BatchReply]) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut start = 0;
+    for i in 1..replies.len().saturating_sub(1) {
+        let (a, b) = (&replies[i], &replies[i + 1]);
+        if matches!((a, b), (BatchReply::Query { .. }, BatchReply::Query { .. })) && a != b {
+            sizes.push(i - start);
+            start = i;
+        }
+    }
+    sizes.push(replies.len() - start);
+    sizes
+}
+
 /// One connection, mixed batch sizes, deep pipeline: because per-shard
 /// sub-event order still equals trace order, the per-shard ledgers must
 /// stay byte-identical to the offline simulation twin —
@@ -377,20 +415,34 @@ fn batched_pipelined_replay_matches_sharded_simulation_exactly() {
     let n_shards = shard_count();
     // The longer trace runs warm caches, so local and shipped query
     // replies share frames and a reply credited to the wrong item shows.
-    for n in [300, 3_000] {
+    // At one shard a frame's per-op replies follow the trace, which never
+    // puts two queries in a row; so the last input adds the trace's
+    // queries back to back and opens a frame on each pair the twin
+    // answers differently.
+    for (n, warm_queries) in [(300, false), (3_000, false), (3_000, true)] {
         let survey = small_survey(n);
         let (server, config) = start_server(&survey, n_shards, PolicyKind::VCover, 0.3);
         let addr = server.local_addr();
+        let events = if warm_queries {
+            with_warm_queries(&survey.trace.events)
+        } else {
+            survey.trace.events.clone()
+        };
+        let (want_replies, expected) = twin_replay(&config, &survey.catalog, &events);
+        let sizes = if warm_queries {
+            frames_opening_on_mixed_pairs(&want_replies)
+        } else {
+            vec![1, 3, 64, 7, 128, 2]
+        };
 
-        let replies = replay_mixed(addr, &survey.trace.events, &[1, 3, 64, 7, 128, 2], 8);
+        let replies = replay_mixed(addr, &events, &sizes, 8);
 
         let mut client = DeltaClient::connect(addr).expect("connect");
         let stats = client.stats().expect("stats");
         client.shutdown().expect("shutdown");
         server.join();
 
-        let (want_replies, expected) = twin_replay(&config, &survey);
-        let what = format!("batched+pipelined, {n} queries");
+        let what = format!("batched+pipelined, {n} queries, warm queries after: {warm_queries}");
         assert_replies_match(&replies, &want_replies, &what);
         for (shard, want) in stats.shards.iter().zip(&expected) {
             assert_eq!(
