@@ -255,8 +255,9 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The seed shard `shard`'s policy runs with: `seed + shard`. Every
-    /// engine built for the shard — at start-up, on attach, as a backup
-    /// or in the offline [`crate::twin::Twin`] — uses it.
+    /// engine built for the shard — at start-up, as a backup (a moved
+    /// shard's included) or in the offline [`crate::twin::Twin`] — uses
+    /// it.
     pub fn shard_seed(&self, shard: usize) -> u64 {
         self.seed + shard as u64
     }

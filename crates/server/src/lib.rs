@@ -33,8 +33,8 @@
 //!   applied-event log a primary ships to its backups, acknowledged
 //!   offsets, and the settle notification that makes an acknowledged
 //!   write survive the primary's death; the router promotes the
-//!   most-caught-up backup via the same detach/attach/epoch machinery
-//!   resharding uses.
+//!   most-caught-up backup with the same `Promote` and epoch bump a
+//!   reshard ends in.
 //! * [`parked`] — a node's reply queue and per-loop ack backend: a
 //!   reply waits for its backups parked, never on a blocked event
 //!   loop, and leaves in arrival order.

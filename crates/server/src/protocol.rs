@@ -39,7 +39,7 @@ use std::io::{self, Read, Write};
 /// frame this module encodes is part of the contract, and
 /// `tests/golden_frames.rs` pins their bytes; a change to any frame's
 /// layout bumps this number.
-pub const PROTOCOL_VERSION: u8 = 6;
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Upper bound on a frame payload, to fail fast on corrupt length words.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
@@ -53,7 +53,7 @@ const OP_BATCH: u8 = 0x06;
 const OP_HELLO: u8 = 0x07;
 const OP_NODE_OPS: u8 = 0x08;
 const OP_DETACH_SHARD: u8 = 0x09;
-const OP_ATTACH_SHARD: u8 = 0x0A;
+// 0x0A and 0x8A are unassigned: the retired shard-attach pair.
 const OP_SET_EPOCH: u8 = 0x0B;
 const OP_RESHARD: u8 = 0x0C;
 const OP_TELEMETRY: u8 = 0x0D;
@@ -71,7 +71,6 @@ const OP_SQL_REJECTED: u8 = 0x86;
 const OP_BATCH_OK: u8 = 0x87;
 const OP_HELLO_OK: u8 = 0x88;
 const OP_SHARD_STATE: u8 = 0x89;
-const OP_ATTACH_OK: u8 = 0x8A;
 const OP_EPOCH_OK: u8 = 0x8B;
 const OP_RESHARD_OK: u8 = 0x8C;
 const OP_TELEMETRY_OK: u8 = 0x8D;
@@ -131,22 +130,19 @@ pub enum Request {
     /// [`BatchReply`] per op, in op order (queries report
     /// `shards_touched == 1`).
     NodeOps(Vec<NodeOp>),
-    /// Resharding step 1: stop hosting `shard` and return its engine
-    /// state as a [`Response::ShardState`] blob.
+    /// Resharding step 1: stop serving `shard` and return its engine
+    /// state as a [`Response::ShardState`] blob. The node holds the
+    /// detached core, neither served nor a backup, until a
+    /// [`Request::Promote`] takes it back or the next
+    /// [`Request::SetEpoch`] drops it.
     DetachShard {
         /// Global shard id to detach.
         shard: u16,
     },
-    /// Resharding step 2: start hosting `shard`, restoring the engine
-    /// from a [`Response::ShardState`] blob taken at the old owner.
-    AttachShard {
-        /// Global shard id to attach.
-        shard: u16,
-        /// The serialized engine snapshot (JSONL bytes).
-        state: Vec<u8>,
-    },
-    /// Resharding step 3: adopt `epoch` as the current routing epoch,
-    /// fencing every connection still declaring an older one.
+    /// Adopt `epoch` as the current routing epoch, fencing every
+    /// connection still declaring an older one, and drop any core a
+    /// [`Request::DetachShard`] left held: the move it belonged to
+    /// committed.
     SetEpoch {
         /// The new routing epoch.
         epoch: u64,
@@ -179,8 +175,9 @@ pub enum Request {
     /// (Re)seed a backup copy of `shard`. An empty `state` asks the
     /// peer to build a fresh shard twin (policy init and all) and
     /// replay the log from offset zero — the byte-identical lineage.
-    /// A non-empty `state` is snapshot JSONL (the same blob resharding
-    /// ships) for catch-up when the primary has truncated its log.
+    /// A non-empty `state` is snapshot JSONL: a pump's catch-up when
+    /// the primary has truncated its log, or a reshard's
+    /// [`Response::ShardState`] blob on its way to the new owner.
     ReplicaBootstrap {
         /// Global shard id to host a backup of.
         shard: u16,
@@ -191,13 +188,19 @@ pub enum Request {
     /// Ask a node which backup shards it holds and how caught-up each
     /// is — the router's input to the promotion decision.
     ReplicaStatus,
-    /// Promote this node's backup copy of `shard` into a serving
-    /// primary. The promoted shard fences every sequence number it has
-    /// already applied (`ALREADY_APPLIED`), so a client retrying
-    /// through a failover can never double-apply an event.
+    /// Promote this node's copy of `shard` into a serving primary: the
+    /// core a [`Request::DetachShard`] left held here, or else its
+    /// backup. The one verb that turns a copy into a primary, for a
+    /// failover, a move and a move's rollback alike.
     Promote {
         /// Global shard id to promote.
         shard: u16,
+        /// Fence every sequence number at or below the copy's clock
+        /// (`ALREADY_APPLIED`), so a client retrying through a failover
+        /// can never double-apply an event. A move sends `false`: the
+        /// copy keeps its own fence, and a late, out-of-order sequence
+        /// number is still served.
+        fence: bool,
     },
     /// Fetch the per-shard and aggregate statistics snapshot.
     Stats,
@@ -475,12 +478,6 @@ pub enum Response {
         /// The serialized engine snapshot (JSONL bytes).
         state: Vec<u8>,
     },
-    /// The shard was attached and is being served, answering
-    /// [`Request::AttachShard`].
-    AttachOk {
-        /// The attached shard.
-        shard: u16,
-    },
     /// The routing epoch was adopted, answering [`Request::SetEpoch`].
     EpochOk {
         /// The epoch now in force.
@@ -512,9 +509,9 @@ pub enum Response {
     /// The node's backup shards and their applied-event offsets,
     /// answering [`Request::ReplicaStatus`] (in shard order).
     ReplicaStatusOk(Vec<(u16, u64)>),
-    /// The backup was promoted to a serving primary, answering
+    /// The copy was promoted to a serving primary, answering
     /// [`Request::Promote`]; `offset` is the event count it serves
-    /// from (every sequence number at or below its clock is fenced).
+    /// from.
     PromoteOk {
         /// The promoted shard.
         shard: u16,
@@ -556,8 +553,9 @@ pub mod error_code {
     /// shard→node map is wrong or the request was mis-addressed).
     /// Nothing was executed.
     pub const WRONG_NODE: u16 = 6;
-    /// A cluster-only request (`NodeOps`, `DetachShard`, `AttachShard`,
-    /// `SetEpoch`, `Reshard`) reached a peer not running in that role.
+    /// A cluster-only request (`NodeOps`, `DetachShard`, `SetEpoch`,
+    /// `Reshard`, a replication verb) reached a peer not running in
+    /// that role.
     pub const NOT_CLUSTERED: u16 = 7;
     /// A reshard could not be completed; the reply message says which
     /// step failed and where the shard ended up.
@@ -572,7 +570,7 @@ pub mod error_code {
     /// Nothing was executed at that node; the client may retry.
     pub const NODE_UNAVAILABLE: u16 = 10;
     /// A replication verb (`Replicate`, `Promote`) addressed a shard
-    /// this node holds no backup of, or a `Replicate` frame's
+    /// this node holds no copy of, or a `Replicate` frame's
     /// `from_offset` does not match the backup's applied-event count.
     /// Nothing was applied; the primary re-bootstraps the backup.
     pub const NOT_REPLICA: u16 = 11;
@@ -766,6 +764,32 @@ fn dec_update_event(d: &mut Dec<'_>) -> io::Result<UpdateEvent> {
     Ok(UpdateEvent { seq, object, bytes })
 }
 
+/// One [`BatchItem`] as every item-carrying frame (`Batch`, `NodeOps`,
+/// `Replicate`) writes it: a tag byte, then the event.
+#[inline]
+fn enc_item(e: &mut Enc<'_>, item: &BatchItem) {
+    match item {
+        BatchItem::Query(q) => {
+            e.u8(0);
+            enc_query_event(e, q);
+        }
+        BatchItem::Update(u) => {
+            e.u8(1);
+            enc_update_event(e, u);
+        }
+    }
+}
+
+/// Inverse of [`enc_item`].
+#[inline]
+fn dec_item(d: &mut Dec<'_>) -> io::Result<BatchItem> {
+    match d.u8()? {
+        0 => Ok(BatchItem::Query(dec_query_event(d)?)),
+        1 => Ok(BatchItem::Update(dec_update_event(d)?)),
+        _ => Err(bad("unknown batch item tag")),
+    }
+}
+
 fn enc_ledger(e: &mut Enc<'_>, l: &CostLedger) {
     e.u64(l.breakdown.query_ship.bytes());
     e.u64(l.breakdown.update_ship.bytes());
@@ -954,16 +978,7 @@ impl Request {
                 let mut e = Enc::new(buf, OP_BATCH);
                 e.u32(u32::try_from(items.len()).expect("batch exceeds u32::MAX items"));
                 for item in items {
-                    match item {
-                        BatchItem::Query(q) => {
-                            e.u8(0);
-                            enc_query_event(&mut e, q);
-                        }
-                        BatchItem::Update(u) => {
-                            e.u8(1);
-                            enc_update_event(&mut e, u);
-                        }
-                    }
+                    enc_item(&mut e, item);
                 }
             }
             Request::Tagged { corr, inner } => {
@@ -985,26 +1000,12 @@ impl Request {
                 e.u32(u32::try_from(ops.len()).expect("node-ops exceeds u32::MAX items"));
                 for op in ops {
                     e.u16(op.shard);
-                    match &op.item {
-                        BatchItem::Query(q) => {
-                            e.u8(0);
-                            enc_query_event(&mut e, q);
-                        }
-                        BatchItem::Update(u) => {
-                            e.u8(1);
-                            enc_update_event(&mut e, u);
-                        }
-                    }
+                    enc_item(&mut e, &op.item);
                 }
             }
             Request::DetachShard { shard } => {
                 let mut e = Enc::new(buf, OP_DETACH_SHARD);
                 e.u16(*shard);
-            }
-            Request::AttachShard { shard, state } => {
-                let mut e = Enc::new(buf, OP_ATTACH_SHARD);
-                e.u16(*shard);
-                e.blob(state);
             }
             Request::SetEpoch { epoch } => {
                 let mut e = Enc::new(buf, OP_SET_EPOCH);
@@ -1025,16 +1026,7 @@ impl Request {
                 e.u64(*from_offset);
                 e.u32(u32::try_from(items.len()).expect("replicate exceeds u32::MAX items"));
                 for item in items {
-                    match item {
-                        BatchItem::Query(q) => {
-                            e.u8(0);
-                            enc_query_event(&mut e, q);
-                        }
-                        BatchItem::Update(u) => {
-                            e.u8(1);
-                            enc_update_event(&mut e, u);
-                        }
-                    }
+                    enc_item(&mut e, item);
                 }
             }
             Request::ReplicaBootstrap { shard, state } => {
@@ -1045,9 +1037,10 @@ impl Request {
             Request::ReplicaStatus => {
                 Enc::new(buf, OP_REPLICA_STATUS);
             }
-            Request::Promote { shard } => {
+            Request::Promote { shard, fence } => {
                 let mut e = Enc::new(buf, OP_PROMOTE);
                 e.u16(*shard);
+                e.u8(u8::from(*fence));
             }
             Request::Stats => {
                 Enc::new(buf, OP_STATS);
@@ -1087,11 +1080,7 @@ impl Request {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(match d.u8()? {
-                        0 => BatchItem::Query(dec_query_event(d)?),
-                        1 => BatchItem::Update(dec_update_event(d)?),
-                        _ => return Err(bad("unknown batch item tag")),
-                    });
+                    items.push(dec_item(d)?);
                 }
                 Request::Batch(items)
             }
@@ -1117,20 +1106,12 @@ impl Request {
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
                     let shard = d.u16()?;
-                    let item = match d.u8()? {
-                        0 => BatchItem::Query(dec_query_event(d)?),
-                        1 => BatchItem::Update(dec_update_event(d)?),
-                        _ => return Err(bad("unknown node-op tag")),
-                    };
+                    let item = dec_item(d)?;
                     ops.push(NodeOp { shard, item });
                 }
                 Request::NodeOps(ops)
             }
             OP_DETACH_SHARD => Request::DetachShard { shard: d.u16()? },
-            OP_ATTACH_SHARD => Request::AttachShard {
-                shard: d.u16()?,
-                state: d.blob()?,
-            },
             OP_SET_EPOCH => Request::SetEpoch { epoch: d.u64()? },
             OP_RESHARD => Request::Reshard {
                 shard: d.u16()?,
@@ -1147,11 +1128,7 @@ impl Request {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(match d.u8()? {
-                        0 => BatchItem::Query(dec_query_event(d)?),
-                        1 => BatchItem::Update(dec_update_event(d)?),
-                        _ => return Err(bad("unknown replicate item tag")),
-                    });
+                    items.push(dec_item(d)?);
                 }
                 Request::Replicate {
                     shard,
@@ -1164,7 +1141,14 @@ impl Request {
                 state: d.blob()?,
             },
             OP_REPLICA_STATUS => Request::ReplicaStatus,
-            OP_PROMOTE => Request::Promote { shard: d.u16()? },
+            OP_PROMOTE => Request::Promote {
+                shard: d.u16()?,
+                fence: match d.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(bad("unknown promote fence flag")),
+                },
+            },
             OP_STATS => Request::Stats,
             OP_TELEMETRY => Request::Telemetry,
             OP_SHUTDOWN => Request::Shutdown,
@@ -1314,10 +1298,6 @@ impl Response {
                 let mut e = Enc::new(buf, OP_SHARD_STATE);
                 e.u16(*shard);
                 e.blob(state);
-            }
-            Response::AttachOk { shard } => {
-                let mut e = Enc::new(buf, OP_ATTACH_OK);
-                e.u16(*shard);
             }
             Response::EpochOk { epoch } => {
                 let mut e = Enc::new(buf, OP_EPOCH_OK);
@@ -1488,7 +1468,6 @@ impl Response {
                 shard: d.u16()?,
                 state: d.blob()?,
             },
-            OP_ATTACH_OK => Response::AttachOk { shard: d.u16()? },
             OP_EPOCH_OK => Response::EpochOk { epoch: d.u64()? },
             OP_RESHARD_OK => Response::ReshardOk { epoch: d.u64()? },
             OP_WRONG_EPOCH => Response::WrongEpoch { epoch: d.u64()? },
@@ -1764,14 +1743,6 @@ mod tests {
             },
         ]));
         round_trip_request(Request::DetachShard { shard: 2 });
-        round_trip_request(Request::AttachShard {
-            shard: 2,
-            state: b"{\"format\":1}\n".to_vec(),
-        });
-        round_trip_request(Request::AttachShard {
-            shard: 0,
-            state: Vec::new(),
-        });
         round_trip_request(Request::SetEpoch { epoch: u64::MAX });
         round_trip_request(Request::Reshard {
             shard: 5,
@@ -1807,7 +1778,6 @@ mod tests {
             shard: 7,
             state: vec![1, 2, 3, 255],
         });
-        round_trip_response(Response::AttachOk { shard: 7 });
         round_trip_response(Response::EpochOk { epoch: 9 });
         round_trip_response(Response::ReshardOk { epoch: 10 });
         round_trip_response(Response::WrongEpoch { epoch: 11 });
@@ -1847,7 +1817,14 @@ mod tests {
             state: b"{\"format\":1}\n".to_vec(),
         });
         round_trip_request(Request::ReplicaStatus);
-        round_trip_request(Request::Promote { shard: 7 });
+        round_trip_request(Request::Promote {
+            shard: 7,
+            fence: true,
+        });
+        round_trip_request(Request::Promote {
+            shard: 0,
+            fence: false,
+        });
     }
 
     #[test]
@@ -1895,7 +1872,7 @@ mod tests {
 
     #[test]
     fn hostile_shard_state_length_rejected_without_allocation() {
-        let mut payload = vec![OP_ATTACH_SHARD];
+        let mut payload = vec![OP_REPLICA_BOOTSTRAP];
         payload.extend_from_slice(&3u16.to_be_bytes()); // shard
         payload.extend_from_slice(&u32::MAX.to_be_bytes()); // blob length
         payload.extend_from_slice(b"tiny");

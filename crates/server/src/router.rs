@@ -22,12 +22,17 @@
 //!    map from here on) and drain every node sub-request still in
 //!    flight on the shared links,
 //! 2. `DetachShard` at the old owner — the node write-locks the shard
-//!    slot (waiting out in-flight ops), snapshots the engine and stops
-//!    hosting it,
-//! 3. `AttachShard` at the new owner — the node validates the snapshot
-//!    against its own sub-catalog/policy/budget, restores the engine and
-//!    answers once its reachable backups hold it (replicating nodes),
-//! 4. `SetEpoch` everywhere, bump the local map, reply `ReshardOk`.
+//!    slot (waiting out in-flight ops), snapshots the engine, stops
+//!    serving it and holds the core,
+//! 3. `ReplicaBootstrap` with that snapshot, then `Promote` without a
+//!    fence, at the new owner — the verbs a pump and a failover use: the
+//!    node validates the snapshot against its own sub-catalog, policy,
+//!    budget and `--backup-of` list, restores the engine as a backup,
+//!    then serves it and answers once its reachable backups hold it
+//!    (replicating nodes). If either fails, a `Promote` at the old owner
+//!    serves its held core again, policy state intact,
+//! 4. `SetEpoch` everywhere (the old owner drops its held core), bump
+//!    the local map, reply `ReshardOk`.
 //!
 //! Any connection still declaring the old epoch — another router
 //! replica, a direct-to-node client with a cached map — gets a typed
@@ -123,7 +128,8 @@ struct RouterTelemetry {
     node_queue: Vec<Arc<Gauge>>,
     /// Reshard phase durations: drain + snapshot at the old owner,
     reshard_detach: Arc<Histogram>,
-    /// restore at the new owner and its backups' bootstrap,
+    /// bootstrap and promote at the new owner, its backups' bootstrap
+    /// included,
     reshard_attach: Arc<Histogram>,
     /// and the cluster-wide epoch bump.
     reshard_epoch: Arc<Histogram>,
@@ -413,11 +419,6 @@ impl Router {
             health: (0..n_nodes_total).map(|_| NodeHealth::default()).collect(),
         });
 
-        // A crashed rollback spill leaves a half-written `.tmp` behind;
-        // the rename is the commit point, so anything still named `.tmp`
-        // is garbage by definition. Sweep it before serving.
-        sweep_stale_spills();
-
         let monitor_shared = Arc::clone(&shared);
         let monitor_thread = std::thread::Builder::new()
             .name("delta-router-monitor".to_string())
@@ -528,16 +529,16 @@ impl From<NodeDown> for Response {
     }
 }
 
-/// Whether `request` hands a shard over: a `DetachShard` reply carries
-/// the only copy of the shard's state, and an `AttachShard` or
-/// `Promote` reply is the router's only word that a node now serves the
-/// shard. The node acts on such a frame whether or not anyone still
-/// reads its reply, so giving up on the reply could lose the shard or
-/// leave it served but unrouted.
+/// Whether `request` hands a shard over: a `DetachShard` reply is the
+/// router's only word that the old owner stopped serving the shard, and
+/// a `Promote` reply its only word that a node now serves it. The node
+/// acts on such a frame whether or not anyone still reads its reply, so
+/// giving up on the reply could leave the shard served but unrouted, or
+/// routed but unserved.
 fn hands_over_shard(request: &Request) -> bool {
     matches!(
         request,
-        Request::DetachShard { .. } | Request::AttachShard { .. } | Request::Promote { .. }
+        Request::DetachShard { .. } | Request::Promote { .. }
     )
 }
 
@@ -747,57 +748,42 @@ fn do_reshard(
         // Nothing to move; the current epoch already describes it.
         return Response::ReshardOk { epoch: route.epoch };
     }
-    // Step 1: drain + snapshot at the old owner.
+    let (from, to) = (from as usize, to_node as usize);
+    // Step 1: drain + snapshot at the old owner, which holds the core.
     let t_detach = Instant::now();
-    let state = match call(from as usize, &Request::DetachShard { shard }) {
+    let state = match call(from, &Request::DetachShard { shard }) {
         Ok(Response::ShardState { state, .. }) => state,
         Ok(other) => return fail(format!("detach at node {from}: unexpected {other:?}")),
         Err(e) => return fail(format!("detach at node {from}: {e}")),
     };
     shared.rt.reshard_detach.record_duration(t_detach.elapsed());
-    // Step 2: restore at the new owner. On failure, try to put the shard
-    // back where it was — the state blob must not evaporate.
-    let t_attach = Instant::now();
-    let attach = Request::AttachShard {
+    // Step 2: bootstrap and promote at the new owner, the verbs a pump
+    // and a failover use. A move keeps the copy's own fence.
+    let t_move = Instant::now();
+    let promote = Request::Promote {
         shard,
-        state: state.clone(),
+        fence: false,
     };
-    match call(to_node as usize, &attach) {
-        Ok(Response::AttachOk { .. }) => {
-            shared.rt.reshard_attach.record_duration(t_attach.elapsed());
-        }
-        outcome => {
-            let rollback = match call(from as usize, &attach) {
-                Ok(Response::AttachOk { .. }) => format!("shard restored at node {from}"),
-                // The in-memory blob is now the ONLY copy of the
-                // shard's state (detach removed the node's snapshot
-                // file); spill it to the router's disk so the operator
-                // can re-attach it by hand.
-                other => {
-                    let spill = std::env::temp_dir().join(format!(
-                        "delta-orphan-shard-{shard}-epoch{}.jsonl",
-                        route.epoch
-                    ));
-                    match write_spill(&spill, &state) {
-                        Ok(()) => format!(
-                            "ROLLBACK FAILED ({other:?}) — shard {shard} is OFFLINE; its \
-                             engine state was saved to {} on the router host; re-attach it \
-                             with an AttachShard frame once a node is reachable",
-                            spill.display()
-                        ),
-                        Err(e) => format!(
-                            "ROLLBACK FAILED ({other:?}) AND the state spill to {} failed \
-                             ({e}) — shard {shard} is OFFLINE and its state is lost",
-                            spill.display()
-                        ),
-                    }
-                }
-            };
-            return fail(format!(
-                "attach at node {to_node} failed ({outcome:?}); {rollback}"
-            ));
-        }
+    let moved = match call(to, &Request::ReplicaBootstrap { shard, state }) {
+        Ok(Response::ReplicaOk { .. }) => match call(to, &promote) {
+            Ok(Response::PromoteOk { .. }) => Ok(()),
+            outcome => Err(format!("promote at node {to} failed ({outcome:?})")),
+        },
+        outcome => Err(format!("bootstrap at node {to} failed ({outcome:?})")),
+    };
+    if let Err(failure) = moved {
+        // Roll back: the old owner serves its held core again, policy
+        // state intact. No copy of the state stays in the router.
+        let rollback = match call(from, &promote) {
+            Ok(Response::PromoteOk { .. }) => format!("shard {shard} restored at node {from}"),
+            outcome => format!(
+                "ROLLBACK FAILED ({outcome:?}) — shard {shard} is OFFLINE; node {from} \
+                 holds it, and a Promote of shard {shard} there serves it again"
+            ),
+        };
+        return fail(format!("{failure}; {rollback}"));
     }
+    shared.rt.reshard_attach.record_duration(t_move.elapsed());
     // Step 3: new epoch everywhere, then adopt the new map. A node that
     // misses the bump would fence the router's next ops forever, so a
     // SetEpoch failure is a hard error for the operator.
@@ -819,31 +805,6 @@ fn do_reshard(
     route.epoch = epoch;
     shared.telemetry.gauge("router.epoch").set(epoch);
     Response::ReshardOk { epoch }
-}
-
-/// Writes an orphaned shard's state blob with tmp+rename discipline: a
-/// crash mid-write leaves a `.tmp` the startup sweep removes, never a
-/// truncated `.jsonl` an operator might re-attach as if it were whole.
-fn write_spill(spill: &std::path::Path, state: &[u8]) -> io::Result<()> {
-    let tmp = spill.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, state)?;
-    std::fs::rename(&tmp, spill)
-}
-
-/// Removes half-written spill temporaries left by a crash: the rename
-/// in [`write_spill`] is the commit point, so any surviving
-/// `delta-orphan-shard-*.tmp` is garbage by definition.
-fn sweep_stale_spills() {
-    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("delta-orphan-shard-") && name.ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
 }
 
 /// Strikes before the failure detector declares a node dead and fails
@@ -967,7 +928,7 @@ fn do_failover(
             eprintln!("delta-router: shard {shard} has no live backup; it stays OFFLINE");
             continue;
         };
-        match call(node, &Request::Promote { shard }) {
+        match call(node, &Request::Promote { shard, fence: true }) {
             Ok(Response::PromoteOk { offset, .. }) => {
                 route.owner[shard as usize] = node as u16;
                 promoted += 1;
@@ -1251,7 +1212,6 @@ impl FrameHandler for MuxHandler {
             }
             Request::NodeOps(_)
             | Request::DetachShard { .. }
-            | Request::AttachShard { .. }
             | Request::SetEpoch { .. }
             | Request::Replicate { .. }
             | Request::ReplicaBootstrap { .. }
@@ -1353,6 +1313,9 @@ struct NodeLink {
     /// Frames appended since the last flush, for the coalescing
     /// histogram.
     frames_since_flush: u64,
+    /// Set once this loop has seen the node declared dead and killed
+    /// the link (see [`RouterBackend::fail_dead_links`]).
+    dead_seen: bool,
 }
 
 impl NodeLink {
@@ -1369,6 +1332,7 @@ impl NodeLink {
             // never data.
             jitter: 0x9e37_79b9_7f4a_7c15u64 ^ seed,
             frames_since_flush: 0,
+            dead_seen: false,
         }
     }
 
@@ -1909,6 +1873,23 @@ impl RouterBackend {
         self.expired = expired;
     }
 
+    /// Kills, once, this loop's link to each node the failure detector
+    /// declared dead: the fan-outs the link owes complete as a typed
+    /// `NODE_UNAVAILABLE` at the failover, so their clients retry
+    /// against the promoted shards instead of waiting out the node
+    /// timeout.
+    fn fail_dead_links(&mut self, now: Instant) {
+        for node in 0..self.links.len() {
+            if self.links[node].dead_seen || !self.shared.is_down(node) {
+                continue;
+            }
+            self.links[node].dead_seen = true;
+            if matches!(self.links[node].state, LinkState::Up(_)) {
+                self.kill_link(node, "declared dead by the failure detector", now);
+            }
+        }
+    }
+
     /// Drains every in-flight sub-request before a reshard moves a
     /// shard, pumping this loop's own links inline (the routing write
     /// lock is already held, which is also why `route_hint` carries the
@@ -1953,6 +1934,7 @@ impl LoopBackend for RouterBackend {
 
     fn tick(&mut self, now: Instant) {
         self.fire_deadlines(now);
+        self.fail_dead_links(now);
     }
 
     fn take_resumable(&mut self) -> Vec<usize> {
@@ -2032,7 +2014,14 @@ mod tests {
                 shard: *shard,
                 state: b"engine blob".to_vec(),
             },
-            Request::AttachShard { shard, .. } => Response::AttachOk { shard: *shard },
+            Request::ReplicaBootstrap { shard, .. } => Response::ReplicaOk {
+                shard: *shard,
+                offset: 9,
+            },
+            Request::Promote { shard, .. } => Response::PromoteOk {
+                shard: *shard,
+                offset: 9,
+            },
             Request::SetEpoch { epoch } => Response::EpochOk { epoch: *epoch },
             other => panic!("no scripted answer to {other:?}"),
         })
@@ -2060,10 +2049,19 @@ mod tests {
         }
     }
 
-    fn attach(shard: u16) -> Request {
-        Request::AttachShard {
+    /// The detached state on its way to the new owner.
+    fn bootstrap(shard: u16) -> Request {
+        Request::ReplicaBootstrap {
             shard,
             state: b"engine blob".to_vec(),
+        }
+    }
+
+    /// The promote a move and its rollback send: no fence.
+    fn promote(shard: u16) -> Request {
+        Request::Promote {
+            shard,
+            fence: false,
         }
     }
 
@@ -2107,7 +2105,7 @@ mod tests {
     }
 
     #[test]
-    fn reshard_runs_detach_attach_and_epoch_bump_in_order() {
+    fn reshard_runs_detach_bootstrap_promote_and_epoch_bump_in_order() {
         let (shared, mut route) = router(3, &[0, 1, 2, 0], 2);
         let mut log = Vec::new();
         let response = do_reshard(
@@ -2122,7 +2120,8 @@ mod tests {
             log,
             vec![
                 (0, Request::DetachShard { shard: 3 }),
-                (2, attach(3)),
+                (2, bootstrap(3)),
+                (2, promote(3)),
                 (0, Request::SetEpoch { epoch: 3 }),
                 (1, Request::SetEpoch { epoch: 3 }),
                 (2, Request::SetEpoch { epoch: 3 }),
@@ -2151,7 +2150,7 @@ mod tests {
     }
 
     #[test]
-    fn reshard_whose_attach_fails_rolls_the_shard_back() {
+    fn reshard_whose_bootstrap_fails_rolls_the_shard_back() {
         let (shared, mut route) = router(2, &[0, 1], 4);
         let mut log = Vec::new();
         let message = reshard_error(do_reshard(
@@ -2160,29 +2159,69 @@ mod tests {
             0,
             1,
             scripted(&mut log, |node, r| match (node, r) {
-                (1, Request::AttachShard { .. }) => down(1),
+                (1, Request::ReplicaBootstrap { .. }) => down(1),
                 _ => healthy(r),
             }),
         ));
         assert!(
-            message.starts_with("attach at node 1 failed (")
-                && message.ends_with("); shard restored at node 0"),
+            message.starts_with("bootstrap at node 1 failed (")
+                && message.ends_with("); shard 0 restored at node 0"),
             "{message}"
         );
         assert_eq!(
             log,
             vec![
                 (0, Request::DetachShard { shard: 0 }),
-                (1, attach(0)),
-                (0, attach(0)),
+                (1, bootstrap(0)),
+                (0, promote(0)),
             ]
         );
         assert_eq!((route.epoch, route.owner), (4, vec![0, 1]));
     }
 
+    /// A promote the new owner refuses (here: typed, as a node that is
+    /// not the shard's backup answers) rolls back the same way.
     #[test]
-    fn reshard_whose_rollback_fails_spills_the_state_blob() {
-        // An epoch no other run uses, so the spill path is this test's.
+    fn reshard_whose_promote_fails_rolls_the_shard_back() {
+        let (shared, mut route) = router(2, &[1, 1], 0);
+        let mut log = Vec::new();
+        let message = reshard_error(do_reshard(
+            &shared,
+            &mut route,
+            0,
+            0,
+            scripted(&mut log, |node, r| match (node, r) {
+                (0, Request::Promote { .. }) => Ok(Response::Error {
+                    code: error_code::NOT_REPLICA,
+                    message: "scripted".to_string(),
+                }),
+                _ => healthy(r),
+            }),
+        ));
+        assert!(
+            message.starts_with("promote at node 0 failed (")
+                && message.ends_with("); shard 0 restored at node 1"),
+            "{message}"
+        );
+        assert_eq!(
+            log,
+            vec![
+                (1, Request::DetachShard { shard: 0 }),
+                (0, bootstrap(0)),
+                (0, promote(0)),
+                (1, promote(0)),
+            ]
+        );
+        assert_eq!((route.epoch, route.owner), (0, vec![1, 1]));
+    }
+
+    /// A rollback that fails too leaves the state where it is, held at
+    /// the old owner: the error names that node and the verb that serves
+    /// the shard there again, and the router writes nothing to disk.
+    #[test]
+    fn reshard_whose_rollback_fails_names_the_node_and_writes_no_file() {
+        // An epoch no other run uses, so the file name this run would
+        // once have spilled to is this test's.
         let epoch = 1_000_000 + u64::from(std::process::id());
         let spill = std::env::temp_dir().join(format!("delta-orphan-shard-1-epoch{epoch}.jsonl"));
         let (shared, mut route) = router(2, &[0, 1], epoch);
@@ -2193,23 +2232,30 @@ mod tests {
             1,
             0,
             scripted(&mut log, |node, r| match r {
-                Request::AttachShard { .. } => down(node),
+                Request::ReplicaBootstrap { .. } | Request::Promote { .. } => down(node),
                 _ => healthy(r),
             }),
         ));
-        let saved = std::fs::read(&spill).expect("spill file written");
-        let _ = std::fs::remove_file(&spill);
-        assert_eq!(saved, b"engine blob");
         assert!(
-            !spill.with_extension("jsonl.tmp").exists(),
-            "the rename must consume the temporary"
+            message.starts_with("bootstrap at node 0 failed ("),
+            "{message}"
         );
-        assert!(message.contains("ROLLBACK FAILED"), "{message}");
         assert!(
-            message.contains(&spill.display().to_string()),
-            "the message must name the spill path: {message}"
+            message.ends_with(
+                "ROLLBACK FAILED (Err(NodeDown { node: 1, detail: \"scripted\" })) — shard 1 \
+                 is OFFLINE; node 1 holds it, and a Promote of shard 1 there serves it again"
+            ),
+            "{message}"
         );
-        assert_eq!(log.len(), 3, "{log:?}");
+        assert_eq!(
+            log,
+            vec![
+                (1, Request::DetachShard { shard: 1 }),
+                (0, bootstrap(1)),
+                (1, promote(1)),
+            ]
+        );
+        assert!(!spill.exists(), "the router must not spill the state");
         assert_eq!((route.epoch, route.owner), (epoch, vec![0, 1]));
     }
 
@@ -2231,7 +2277,7 @@ mod tests {
             message.starts_with("SetEpoch(1) at node 1 failed ("),
             "{message}"
         );
-        assert_eq!(log.len(), 4, "{log:?}");
+        assert_eq!(log.len(), 5, "{log:?}");
         assert_eq!((route.epoch, route.owner), (0, vec![0, 1]));
     }
 
@@ -2244,7 +2290,7 @@ mod tests {
     ) -> Result<Response, NodeDown> {
         Ok(match request {
             Request::ReplicaStatus => Response::ReplicaStatusOk(backups[node].clone()),
-            Request::Promote { shard } => Response::PromoteOk {
+            Request::Promote { shard, .. } => Response::PromoteOk {
                 shard: *shard,
                 offset: backups[node]
                     .iter()
@@ -2275,8 +2321,20 @@ mod tests {
             vec![
                 (0, Request::ReplicaStatus),
                 (1, Request::ReplicaStatus),
-                (1, Request::Promote { shard: 2 }),
-                (0, Request::Promote { shard: 3 }),
+                (
+                    1,
+                    Request::Promote {
+                        shard: 2,
+                        fence: true
+                    }
+                ),
+                (
+                    0,
+                    Request::Promote {
+                        shard: 3,
+                        fence: true
+                    }
+                ),
                 (0, Request::SetEpoch { epoch: 8 }),
                 (1, Request::SetEpoch { epoch: 8 }),
             ],
@@ -2327,7 +2385,13 @@ mod tests {
             vec![
                 (0, Request::ReplicaStatus),
                 (1, Request::ReplicaStatus),
-                (0, Request::Promote { shard: 2 }),
+                (
+                    0,
+                    Request::Promote {
+                        shard: 2,
+                        fence: true
+                    }
+                ),
                 (0, Request::SetEpoch { epoch: 1 }),
                 (1, Request::SetEpoch { epoch: 1 }),
             ]
@@ -2340,7 +2404,7 @@ mod tests {
     fn fake_answer(request: &Request) -> Response {
         match request {
             Request::ReplicaStatus => Response::ReplicaStatusOk(vec![(1, 42)]),
-            Request::Promote { shard } => Response::PromoteOk {
+            Request::Promote { shard, .. } => Response::PromoteOk {
                 shard: *shard,
                 offset: 42,
             },
@@ -2419,15 +2483,65 @@ mod tests {
         }
     }
 
-    /// The detach reply carries the only copy of the shard's state: a
-    /// reply that comes after the node timeout is still taken, and the
-    /// shard moves.
+    /// A fan-out in flight to a node the failure detector declares dead
+    /// fails typed on the loop's next tick, not at its deadline: here
+    /// the node accepts (its kernel completes the handshake) and never
+    /// answers, and the deadline is a minute away.
+    #[test]
+    fn a_tick_fails_the_fan_outs_a_dead_nodes_link_owes() {
+        let (mut shared, _) = router(1, &[0], 0);
+        let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+        shared.nodes = vec![silent.local_addr().expect("local addr").to_string()];
+        shared.node_timeout = Duration::from_secs(60);
+        let shared = Arc::new(shared);
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let mut backend = RouterBackend::new(Arc::clone(&shared), poller);
+        let update = BatchItem::Update(delta_workload::UpdateEvent {
+            seq: 1,
+            object: delta_storage::ObjectId(0),
+            bytes: 1,
+        });
+        let mut merge = MergeState::new(1);
+        let mut plan = NodePlan::default();
+        split_items(
+            &*shared.map,
+            &shared.catalog,
+            vec![update],
+            &mut merge,
+            |s, i, sub| {
+                plan.ops.push(NodeOp {
+                    shard: s as u16,
+                    item: sub,
+                });
+                plan.items.push(i);
+            },
+        );
+        backend.begin_fanout(7, None, ReplyKind::Single, merge, vec![plan], 0);
+        backend.tick(Instant::now());
+        assert!(
+            backend.take_done(7).is_empty(),
+            "a live node's fan-out waits"
+        );
+
+        shared.health[0].down.store(true, Ordering::SeqCst);
+        backend.tick(Instant::now());
+        match backend.take_done(7).as_slice() {
+            [(_, Ok(Response::Error { code, message }))] => {
+                assert_eq!(*code, error_code::NODE_UNAVAILABLE, "{message}")
+            }
+            other => panic!("the dead node's fan-out: {other:?}"),
+        }
+    }
+
+    /// The detach reply is the router's only word that the old owner
+    /// stopped serving the shard: a reply that comes after the node
+    /// timeout is still taken, and the shard moves.
     #[test]
     fn a_detach_answered_after_the_node_timeout_still_moves_the_shard() {
         let (mut shared, mut route) = router(2, &[0, 1], 0);
         shared.nodes = vec![
             fake_node(2, |r| matches!(r, Request::DetachShard { .. })),
-            fake_node(2, |_| false),
+            fake_node(3, |_| false),
         ];
         let response = do_reshard(&shared, &mut route, 0, 1, |node, request| {
             admin_call(&shared, node, request)

@@ -23,7 +23,7 @@
 //! ignores routing epochs. Started with [`ServerConfig::cluster`], the
 //! same process becomes one node of a routed cluster instead: it hosts a
 //! *subset* of the global shards in per-slot `RwLock`s (so shards can be
-//! attached and detached at runtime), executes the pre-split
+//! promoted and detached at runtime), executes the pre-split
 //! [`Request::NodeOps`] frames the router sends, and fences every
 //! event-carrying request behind the **routing epoch**: a connection
 //! whose declared epoch (from its [`Request::Hello`] handshake) is stale
@@ -55,7 +55,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 /// A running delta-server instance.
@@ -168,6 +168,8 @@ impl Server {
         slots.resize_with(config.n_shards, || RwLock::new(None));
         let mut backups: Vec<RwLock<Option<ShardCore>>> = Vec::with_capacity(config.n_shards);
         backups.resize_with(config.n_shards, || RwLock::new(None));
+        let mut held: Vec<Mutex<Option<ShardCore>>> = Vec::with_capacity(config.n_shards);
+        held.resize_with(config.n_shards, || Mutex::new(None));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let meter = Arc::new(TrafficMeter::new());
@@ -177,6 +179,7 @@ impl Server {
             catalog,
             slots,
             backups,
+            held,
             caches,
             config: config.clone(),
             epoch: AtomicU64::new(0),
@@ -296,8 +299,14 @@ struct Shared {
     /// ([`Shared::install_primary`] drops the backup, and a bootstrap
     /// refuses a served shard under its slot lock).
     backups: Vec<RwLock<Option<ShardCore>>>,
-    /// Per-shard cache budgets (cluster-wide apportioning), kept so an
-    /// attached shard is rebuilt with the same budget everywhere.
+    /// Cores `DetachShard` took out of their slots while a move is in
+    /// flight: neither served nor a backup, and never reported by
+    /// `ReplicaStatus`. A `Promote` takes one back with its policy state
+    /// intact (the move's rollback); `SetEpoch` drops them all (the move
+    /// committed). Parallel to `slots`.
+    held: Vec<Mutex<Option<ShardCore>>>,
+    /// Per-shard cache budgets (cluster-wide apportioning), kept so a
+    /// moved shard is rebuilt with the same budget everywhere.
     caches: Vec<u64>,
     config: ServerConfig,
     /// The routing epoch (cluster mode; stays 0 standalone).
@@ -350,7 +359,7 @@ impl Shared {
     }
 
     /// The one way this node starts serving shard `s` as a primary
-    /// (start, `AttachShard`, `Promote`). Under the slot write lock it
+    /// (start, `Promote`). Under the slot write lock it
     /// refuses a shard served here and drops this node's backup of `s`
     /// (slot before backup, the lock order everywhere). A replicating
     /// node gives the core a log starting at its event count, where
@@ -387,8 +396,8 @@ impl Shared {
         Some(dir.join(format!("shard-{s}.jsonl")))
     }
 
-    /// The restore validation warm start, `AttachShard` and a snapshot
-    /// bootstrap run: the snapshot must fit shard `s`'s sub-catalog,
+    /// The restore validation warm start and a snapshot bootstrap run:
+    /// the snapshot must fit shard `s`'s sub-catalog,
     /// policy and cache budget.
     fn validate_restore(&self, s: usize, snap: &EngineSnapshot) -> Result<(), String> {
         let sub = self.map.shard_catalog(s, &self.catalog);
@@ -661,7 +670,6 @@ fn meter_request(shared: &Shared, request: &Request, wire_bytes: u64) {
         | Request::Shutdown
         | Request::Hello { .. }
         | Request::DetachShard { .. }
-        | Request::AttachShard { .. }
         | Request::SetEpoch { .. }
         | Request::Reshard { .. }
         | Request::Replicate { .. }
@@ -782,12 +790,13 @@ fn handle_request(
             Response::HelloOk(shared.node_info())
         }
         Request::DetachShard { shard } => handle_detach(shared, shard).unwrap_or_else(|r| r),
-        Request::AttachShard { shard, state } => {
-            handle_attach(shared, shard, &state, waits).unwrap_or_else(|r| r)
-        }
         Request::SetEpoch { epoch } => {
             if shared.config.cluster.is_none() {
                 return not_clustered("SetEpoch");
+            }
+            // A new epoch commits the move a held core belonged to.
+            for held in &shared.held {
+                *held.lock().expect("held slot") = None;
             }
             shared.epoch.store(epoch, Ordering::SeqCst);
             shared.telemetry.gauge("node.epoch").set(epoch);
@@ -812,7 +821,9 @@ fn handle_request(
             handle_replica_bootstrap(shared, shard, &state).unwrap_or_else(|r| r)
         }
         Request::ReplicaStatus => handle_replica_status(shared),
-        Request::Promote { shard } => handle_promote(shared, shard, waits).unwrap_or_else(|r| r),
+        Request::Promote { shard, fence } => {
+            handle_promote(shared, shard, fence, waits).unwrap_or_else(|r| r)
+        }
         // Nested tags are rejected by the decoder; a bare Tagged here
         // means the caller bypassed `serve_frame`'s unwrapping.
         Request::Tagged { inner, .. } => handle_request(shared, *inner, conn, waits),
@@ -986,8 +997,10 @@ fn run_ops(
     shape_response(&kind, merge)
 }
 
-/// Resharding step 1 at the losing node: stop hosting the shard and hand
-/// its serialized engine state back.
+/// Resharding step 1 at the losing node: stop serving the shard, hold
+/// its core, and hand a snapshot of its state back. A `Promote` takes
+/// the held core back if the move fails; the `SetEpoch` that commits
+/// the move drops it.
 fn handle_detach(shared: &Shared, shard: u16) -> Result<Response, Response> {
     let s = admin_shard(shared, "DetachShard", shard)?;
     // The write lock waits out every in-flight op on this shard, so the
@@ -998,8 +1011,7 @@ fn handle_detach(shared: &Shared, shard: u16) -> Result<Response, Response> {
         return Err(wrong_node(shared, s));
     };
     // Serialize and size-check BEFORE committing to the detach: a
-    // snapshot that cannot ride a frame must leave the shard hosted and
-    // intact, not destroy the only copy of its state.
+    // snapshot that cannot ride a frame leaves the shard served.
     let state = snapshot_to_string(&core.snapshot());
     if state.len() + 16 > crate::protocol::MAX_FRAME_BYTES as usize {
         return Err(Response::Error {
@@ -1012,7 +1024,9 @@ fn handle_detach(shared: &Shared, shard: u16) -> Result<Response, Response> {
             ),
         });
     }
-    slot.take().expect("checked above").discard();
+    let mut core = slot.take().expect("checked above");
+    core.forget_snapshot_file();
+    *shared.held[s].lock().expect("held slot") = Some(core);
     drop(slot);
     shared
         .telemetry
@@ -1022,29 +1036,6 @@ fn handle_detach(shared: &Shared, shard: u16) -> Result<Response, Response> {
         shard,
         state: state.into_bytes(),
     })
-}
-
-/// Resharding step 2 at the gaining node: rebuild the shard engine from
-/// the old owner's state and install it. The `AttachOk` parks until
-/// every reachable successor bootstrapped at the hand-over offset, so
-/// the new owner's backups hold the shard before any new write lands.
-fn handle_attach(
-    shared: &Shared,
-    shard: u16,
-    state: &[u8],
-    waits: &mut Vec<Wait>,
-) -> Result<Response, Response> {
-    let s = admin_shard(shared, "AttachShard", shard)?;
-    let wait = shared
-        .restore_blob(s, state)
-        .map(|snap| shared.shard_core(s, Some(snap), shared.snapshot_path(s)))
-        .and_then(|core| shared.install_primary(s, core))
-        .map_err(|msg| Response::Error {
-            code: error_code::RESHARD_FAILED,
-            message: format!("attach shard {shard}: {msg}"),
-        })?;
-    waits.extend(wait);
-    Ok(Response::AttachOk { shard })
 }
 
 /// Promotion fences: an item the old primary applied before failover
@@ -1189,15 +1180,19 @@ fn handle_replica_status(shared: &Shared) -> Response {
     Response::ReplicaStatusOk(offsets)
 }
 
-/// Failover at a surviving node: turns the backup twin of `shard` into
-/// the serving primary. The promoted core fences every sequence number
-/// the old primary applied (a retried event gets the typed
-/// `ALREADY_APPLIED`, never a double apply), adopts this node's
-/// snapshot directory, and is installed like an attached shard: the
-/// `PromoteOk` parks until every reachable successor bootstrapped.
+/// Turns this node's copy of `shard` into the serving primary: the core
+/// a detach left held here (a move's rollback, policy state intact),
+/// or else its backup twin (a failover, or a move's new owner). With
+/// `fence`, the promoted core fences every sequence number the old
+/// primary applied (a retried event gets the typed `ALREADY_APPLIED`,
+/// never a double apply); without it the core keeps its own fence. The
+/// core adopts this node's snapshot directory and is installed like any
+/// primary: the `PromoteOk` parks until every reachable successor
+/// bootstrapped.
 fn handle_promote(
     shared: &Shared,
     shard: u16,
+    fence: bool,
     waits: &mut Vec<Wait>,
 ) -> Result<Response, Response> {
     let s = admin_shard(shared, "Promote", shard)?;
@@ -1205,14 +1200,15 @@ fn handle_promote(
         code: error_code::NOT_REPLICA,
         message,
     };
-    // A shard served here has no backup here, so a backup to take means
+    // A shard served here has no copy here, so a copy to take means
     // the shard is not served here yet.
-    let Some(backup) = shared.backups[s].write().expect("backup slot").take() else {
+    let held = shared.held[s].lock().expect("held slot").take();
+    let Some(copy) = held.or_else(|| shared.backups[s].write().expect("backup slot").take()) else {
         return Err(not_replica(format!(
-            "no backup of shard {shard} to promote here"
+            "no copy of shard {shard} to promote here"
         )));
     };
-    let (core, offset) = backup.into_primary(shared.snapshot_path(s));
+    let (core, offset) = copy.into_primary(shared.snapshot_path(s), fence);
     waits.extend(shared.install_primary(s, core).map_err(not_replica)?);
     shared.telemetry.counter("node.promotions").inc();
     Ok(Response::PromoteOk { shard, offset })

@@ -245,9 +245,10 @@ pub struct ShardCore {
     repl: Option<Arc<ReplState>>,
     /// Promotion fence: events with `seq <= fence` were applied by the
     /// previous primary before failover and must not re-execute. Zero
-    /// (sequence numbers start at 1) everywhere except on a promoted
-    /// core, and immutable once the core serves — set before the slot
-    /// is published, read without synchronization concerns.
+    /// (sequence numbers start at 1) everywhere except on a core
+    /// promoted with a fence, and immutable once the core serves — set
+    /// before the slot is published, read without synchronization
+    /// concerns.
     fence: u64,
 }
 
@@ -336,17 +337,19 @@ impl ShardCore {
         }
     }
 
-    /// Turns a caught-up backup core into a primary: fences every
+    /// Turns a backup or held core into a primary that adopts this
+    /// node's snapshot destination. With `fence`, it fences every
     /// sequence number the old primary already applied (so a client
-    /// retrying through the failover gets the typed `ALREADY_APPLIED`
-    /// instead of a double-apply) and adopts this node's snapshot
-    /// destination. The server installs it like any primary, which
-    /// gives it its replication log. Returns the rebuilt core and the
-    /// offset it serves from.
-    pub fn into_primary(self, snapshot_path: Option<PathBuf>) -> (ShardCore, u64) {
+    /// retrying through a failover gets the typed `ALREADY_APPLIED`
+    /// instead of a double-apply); without it, the core keeps its own
+    /// fence. The server installs it like any primary, which gives it
+    /// its replication log. Returns the rebuilt core and the offset it
+    /// serves from.
+    pub fn into_primary(self, snapshot_path: Option<PathBuf>, fence: bool) -> (ShardCore, u64) {
         let (fence, offset) = {
             let engine = self.lock();
-            (engine.clock(), engine.events())
+            let fence = if fence { engine.clock() } else { self.fence };
+            (fence, engine.events())
         };
         (
             ShardCore {
@@ -460,11 +463,12 @@ impl ShardCore {
         self.lock().snapshot()
     }
 
-    /// Discards the core after its state left this node: removes any
-    /// on-disk snapshot file — the shard no longer lives here, so a cold
-    /// restart of this node must not resurrect it.
-    pub fn discard(self) {
-        if let Some(path) = &self.snapshot_path {
+    /// Unbinds the core from this node's disk once its state left in a
+    /// detach: removes any on-disk snapshot file and writes none at
+    /// shutdown, so a cold restart of this node cannot resurrect a
+    /// shard another node now serves.
+    pub fn forget_snapshot_file(&mut self) {
+        if let Some(path) = self.snapshot_path.take() {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -727,7 +731,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::write(&path, b"stale\n").unwrap();
-        let first = ShardCore::new(ShardSpec {
+        let mut first = ShardCore::new(ShardSpec {
             shard: 3,
             catalog: catalog.clone(),
             cache_bytes: 1_000,
@@ -745,10 +749,10 @@ mod tests {
         first.serve_query(query(2, vec![0], 55)).unwrap();
         let want = first.stats();
         let snap = first.snapshot();
-        first.discard();
+        first.forget_snapshot_file();
         assert!(
             !path.exists(),
-            "discard must remove the snapshot file so a cold restart cannot resurrect the shard"
+            "a detach must remove the snapshot file so a cold restart cannot resurrect the shard"
         );
         // The new owner restores an identical engine.
         let resumed = ShardCore::new(ShardSpec {

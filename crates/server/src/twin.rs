@@ -124,9 +124,9 @@ impl Twin {
             .unwrap_or_else(|e| panic!("twin shard {s}, seq {}: {e}", event.seq()))
     }
 
-    /// Moves a shard the way `DetachShard`/`AttachShard` do: snapshot
-    /// the engine, then restore it under a fresh policy with the same
-    /// budget and seed.
+    /// Moves a shard the way a reshard does: `DetachShard` snapshots the
+    /// engine, and the new owner's `ReplicaBootstrap` restores it under a
+    /// fresh policy with the same budget and seed.
     pub fn migrate(&mut self, shard: usize) {
         let s = &mut self.shards[shard];
         let snap = s.engine.snapshot();

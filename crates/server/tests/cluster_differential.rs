@@ -205,7 +205,8 @@ fn mid_trace_reshard_is_byte_identical_to_the_engine_twin() {
 
     // The twin: same split, same engines, same migration — snapshot at
     // the old owner, restore at the new one under a fresh policy, exactly
-    // what DetachShard/AttachShard do on the wire.
+    // what DetachShard and the new owner's ReplicaBootstrap do on the
+    // wire.
     let mut twin = Twin::new(&shared_config(policy, partitioner, cache_bytes), &s.catalog);
     twin.apply_all(&s.trace.events[..mid]);
     twin.migrate(moved_shard as usize);
@@ -553,10 +554,6 @@ fn cluster_verbs_are_typed_errors_in_the_wrong_role() {
     let node_verbs = [
         Request::NodeOps(vec![]),
         Request::DetachShard { shard: 0 },
-        Request::AttachShard {
-            shard: 0,
-            state: Vec::new(),
-        },
         Request::SetEpoch { epoch: 3 },
         Request::Replicate {
             shard: 0,
@@ -568,7 +565,10 @@ fn cluster_verbs_are_typed_errors_in_the_wrong_role() {
             state: Vec::new(),
         },
         Request::ReplicaStatus,
-        Request::Promote { shard: 0 },
+        Request::Promote {
+            shard: 0,
+            fence: true,
+        },
     ];
     let expect_code = |response: Response, code: u16, request: &Request| match response {
         Response::Error { code: got, .. } if got == code => {}

@@ -198,6 +198,7 @@ impl Drop for Reaper {
         for child in &mut self.0 {
             let _ = Command::new("kill")
                 .args(["-CONT", &child.id().to_string()])
+                .stderr(Stdio::null())
                 .status();
             let _ = child.kill();
             let _ = child.wait();
@@ -593,20 +594,20 @@ fn sigstopped_primary_fails_over_with_zero_wrong_answers() {
     // before a fan-out to it misses its deadline, one node timeout after
     // the stop (a SIGKILL's refused connect is seen at once). So the
     // window is timed from the client's first typed failure, and the
-    // bound is the SIGKILL one plus one node timeout, for the same
-    // reason: the retried event's fan-out, re-sent to the stopped node
-    // while the probe confirms the suspicion, waits out its own deadline
-    // after the failover. The survivor's pump still holds a session with
-    // the stopped node, so each `PromoteOk`, and the first reply on a
-    // promoted shard, parks until that session's 250 ms round-trip
-    // timeout; those waits overlap the fan-out's deadline.
+    // bound is the SIGKILL one. The retried event's fan-out, re-sent to
+    // the stopped node while the probe confirms the suspicion, does not
+    // wait out its own deadline: at the failover each router loop kills
+    // its link to the dead node, which fails the fan-out typed at once.
+    // The survivor's pump still holds a session with the stopped node,
+    // so each `PromoteOk`, and the first reply on a promoted shard,
+    // parks until that session's 250 ms round-trip timeout.
     let recovered = seen
         .recovered
         .expect("no post-stop event touched an orphaned shard");
     let unavailable = seen
         .unavailable
         .expect("the stop was never observed as NODE_UNAVAILABLE");
-    let bound = 3 * NODE_TIMEOUT;
+    let bound = 2 * NODE_TIMEOUT;
     assert!(
         recovered - unavailable < bound,
         "promotion took {:?} after the first failure ({recovered:?} after the stop), \
@@ -646,7 +647,7 @@ fn sigstopped_primary_fails_over_with_zero_wrong_answers() {
 
 /// A reshard on a replicated cluster keeps every acknowledged write.
 /// Shard 0 moves from node 0 to node 2 mid-trace, and node 2 is
-/// SIGKILLed later. Node 2's `AttachOk` leaves only once its successor,
+/// SIGKILLed later. Node 2's `PromoteOk` leaves only once its successor,
 /// node 0, bootstrapped at the move offset, so node 0's backup of the
 /// new lineage is the most caught up at the failover; node 1 still
 /// holds the old owner's backup, stale at the move offset.
@@ -716,7 +717,7 @@ fn resharded_shard_survives_the_death_of_its_new_owner() {
 
 /// The two-node form: shard 0 moves onto node 1, which held its
 /// backup, and node 1 is SIGKILLed. Installing the moved shard drops
-/// node 1's own backup of it, and the `AttachOk` leaves once node 0
+/// node 1's own backup of it, and the `PromoteOk` leaves once node 0
 /// bootstrapped at the move offset, so shard 0 fails back to node 0
 /// within the SIGKILL bound instead of staying offline.
 #[test]
@@ -769,6 +770,184 @@ fn shard_moved_onto_its_backup_fails_back_within_the_bound() {
         ),
     );
     cluster.shutdown(&mut admin);
+}
+
+/// A reshard onto a dead node fails typed and rolls back: node 0 holds
+/// the core its `DetachShard` took out, and the rollback's `Promote`
+/// serves that same core again. Shard 0 keeps serving at node 0 with its
+/// policy state intact, so node 0's shards end equal to a twin that
+/// never migrated anything.
+#[test]
+fn reshard_to_a_dead_node_rolls_back_with_its_policy_state() {
+    let (catalog, trace) = workload();
+    let recipe = recipe(&catalog, PolicyKind::VCover);
+    let mut cluster = Cluster::start("reshard-dead", NODES, 0, &recipe, &catalog, 2, NODE_TIMEOUT);
+    let router_addr = cluster.router.local_addr();
+    let map = recipe.partitioner.build(SHARDS, catalog.len());
+    // Node 0 hosts the shards `s % NODES == 0`.
+    let on_node0 = |e: &Event| map.shard_of(object(e)).is_multiple_of(NODES);
+    // The whole first half, then only node 0's events: node 1 is dead.
+    let half = N_EVENTS / 2;
+    let events: Vec<Event> = trace.events[..half]
+        .iter()
+        .chain(trace.events[half..].iter().filter(|e| on_node0(e)))
+        .cloned()
+        .collect();
+    replay(router_addr, &events, on_node0, |i, _| {
+        if i != half {
+            return false;
+        }
+        let dead = &mut cluster.nodes.0[1];
+        dead.kill().expect("SIGKILL node 1");
+        dead.wait().expect("reap node 1");
+        match connect_router(router_addr)
+            .request(&Request::Reshard {
+                shard: 0,
+                to_node: 1,
+            })
+            .expect("reshard reply")
+        {
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::RESHARD_FAILED, "{message}");
+                assert!(message.ends_with("restored at node 0"), "{message}");
+            }
+            other => panic!("reshard onto a dead node: {other:?}"),
+        }
+        // No fault a client may see: shard 0 never stopped serving.
+        false
+    });
+
+    let mut node0 = DeltaClient::connect(cluster.addrs[0]).expect("connect node 0");
+    let info = node0.hello(0).expect("hello");
+    assert_eq!(
+        (info.epoch, info.hosted),
+        (0, vec![0, 2]),
+        "node 0 serves its own shards at the old epoch"
+    );
+    let mut twin = Twin::new(&recipe, &catalog);
+    twin.apply_all(&events);
+    let want = twin.ledgers();
+    let stats = node0.stats().expect("node 0 stats");
+    assert_eq!(stats.shards.len(), 2);
+    for shard in &stats.shards {
+        assert_eq!(
+            &shard.metrics.ledger, &want[shard.shard as usize],
+            "shard {} diverged from its never-migrated twin after the rollback",
+            shard.shard
+        );
+    }
+    cluster.shutdown(&mut connect_router(router_addr));
+}
+
+/// A detached shard is held, in-process: `ReplicaStatus` lists no copy
+/// of it, a `Promote` without a fence serves the same core again (same
+/// ledger, and a sequence number below its clock is served, not fenced),
+/// and once a `SetEpoch` commits the move nothing is left to promote.
+#[test]
+fn detached_shard_is_held_until_a_promote_or_the_next_epoch() {
+    let catalog = ObjectCatalog::from_sizes(&[100; 8]);
+    let recipe = ServerConfig {
+        bind: "127.0.0.1:0".to_string(),
+        n_shards: 2,
+        partitioner: PartitionerKind::RoundRobin,
+        cache_bytes: 200,
+        policy: PolicyKind::VCover,
+        seed: SEED,
+        ..ServerConfig::default()
+    };
+    let map = recipe.partitioner.build(2, catalog.len());
+    let o0 = (0..catalog.len() as u32)
+        .map(ObjectId)
+        .find(|&o| map.shard_of(o) == 0)
+        .expect("shard 0 owns an object");
+    let update = |seq: u64| {
+        Request::Update(UpdateEvent {
+            seq,
+            object: o0,
+            bytes: 10,
+        })
+    };
+    let node = Server::start(
+        ServerConfig {
+            cluster: Some(ClusterConfig {
+                node: 0,
+                nodes: 2,
+                hosted: vec![0],
+            }),
+            ..recipe.clone()
+        },
+        catalog.clone(),
+    )
+    .expect("node starts");
+    let mut client = DeltaClient::connect(node.local_addr()).expect("connect");
+    client.hello(0).expect("hello");
+    let ledger = |client: &mut DeltaClient| {
+        let stats = client.stats().expect("stats");
+        stats
+            .shards
+            .iter()
+            .find(|s| s.shard == 0)
+            .map(|s| s.metrics.ledger.clone())
+    };
+    let detach = |client: &mut DeltaClient| match client
+        .request(&Request::DetachShard { shard: 0 })
+        .expect("detach")
+    {
+        Response::ShardState { shard: 0, .. } => {}
+        other => panic!("detach: {other:?}"),
+    };
+    let promote = Request::Promote {
+        shard: 0,
+        fence: false,
+    };
+
+    // Clock 7 after three events.
+    for seq in [5, 6, 7] {
+        assert!(matches!(
+            client.request(&update(seq)).expect("update"),
+            Response::UpdateOk { .. }
+        ));
+    }
+    let before = ledger(&mut client).expect("shard 0 served");
+    detach(&mut client);
+    assert_eq!(
+        client.request(&Request::ReplicaStatus).expect("status"),
+        Response::ReplicaStatusOk(Vec::new()),
+        "a held core is no backup"
+    );
+    assert_eq!(ledger(&mut client), None, "a held core is not served");
+    assert_eq!(
+        client.request(&promote).expect("promote"),
+        Response::PromoteOk {
+            shard: 0,
+            offset: 3
+        }
+    );
+    assert_eq!(ledger(&mut client), Some(before), "the same core serves");
+    assert!(
+        matches!(
+            client.request(&update(2)).expect("late update"),
+            Response::UpdateOk { version: 4, .. }
+        ),
+        "a move keeps the core's own fence: seq 2 is served"
+    );
+
+    // A committed move leaves nothing to promote.
+    detach(&mut client);
+    assert_eq!(
+        client
+            .request(&Request::SetEpoch { epoch: 1 })
+            .expect("epoch"),
+        Response::EpochOk { epoch: 1 }
+    );
+    match client.request(&promote).expect("promote") {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::NOT_REPLICA, "{message}")
+        }
+        other => panic!("promote after the epoch: {other:?}"),
+    }
+    client.shutdown().expect("shutdown");
+    node.join();
 }
 
 /// A wedged node — SIGSTOPped, so its kernel still accepts connections
@@ -979,7 +1158,10 @@ fn promoted_shard_fences_applied_seqs_on_every_event_frame() {
             },
         ),
         (
-            Request::Promote { shard: 1 },
+            Request::Promote {
+                shard: 1,
+                fence: true,
+            },
             Response::PromoteOk {
                 shard: 1,
                 offset: 3,

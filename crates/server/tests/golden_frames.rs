@@ -121,7 +121,6 @@ fn request_name(r: &Request) -> &'static str {
         Request::Hello { .. } => "Hello",
         Request::NodeOps(_) => "NodeOps",
         Request::DetachShard { .. } => "DetachShard",
-        Request::AttachShard { .. } => "AttachShard",
         Request::SetEpoch { .. } => "SetEpoch",
         Request::Reshard { .. } => "Reshard",
         Request::Replicate { .. } => "Replicate",
@@ -144,7 +143,6 @@ fn response_name(r: &Response) -> &'static str {
         Response::Tagged { .. } => "Tagged",
         Response::HelloOk(_) => "HelloOk",
         Response::ShardState { .. } => "ShardState",
-        Response::AttachOk { .. } => "AttachOk",
         Response::EpochOk { .. } => "EpochOk",
         Response::ReshardOk { .. } => "ReshardOk",
         Response::WrongEpoch { .. } => "WrongEpoch",
@@ -186,7 +184,7 @@ fn requests() -> Vec<(Request, u64)> {
                 version: delta_server::protocol::PROTOCOL_VERSION,
                 epoch: 5,
             },
-            0xab65_a990_1b64_ccbf,
+            0x3ecf_fced_afff_bf6c,
         ),
         (
             Request::NodeOps(vec![
@@ -202,13 +200,6 @@ fn requests() -> Vec<(Request, u64)> {
             0xccf6_2269_f3fc_33be,
         ),
         (Request::DetachShard { shard: 3 }, 0x15ef_7218_8e67_2b7d),
-        (
-            Request::AttachShard {
-                shard: 3,
-                state: b"{\"engine\":1}\n".to_vec(),
-            },
-            0x8a63_9fc4_5a53_1f38,
-        ),
         (Request::SetEpoch { epoch: 6 }, 0x14c1_7c84_5e02_c638),
         (
             Request::Reshard {
@@ -233,7 +224,13 @@ fn requests() -> Vec<(Request, u64)> {
             0x84e3_1072_44e8_327a,
         ),
         (Request::ReplicaStatus, 0xaf63_cc4c_8601_d15c),
-        (Request::Promote { shard: 4 }, 0x7537_b418_c45f_10f1),
+        (
+            Request::Promote {
+                shard: 4,
+                fence: true,
+            },
+            0x8cb7_f615_ad89_c7d0,
+        ),
         (Request::Stats, 0xaf63_be4c_8601_b992),
         (Request::Telemetry, 0xaf63_c04c_8601_bcf8),
         (Request::Shutdown, 0xaf63_b94c_8601_b113),
@@ -315,7 +312,6 @@ fn responses() -> Vec<(Response, u64)> {
             },
             0x6d1c_32c8_1b3f_ee1f,
         ),
-        (Response::AttachOk { shard: 3 }, 0x84a9_5d1b_111e_72cc),
         (Response::EpochOk { epoch: 6 }, 0xc9ec_2b4e_ab7d_cfb8),
         (Response::ReshardOk { epoch: 7 }, 0xe8d8_8b7a_c477_140a),
         (Response::WrongEpoch { epoch: 8 }, 0x3e6a_3980_271f_abf4),
@@ -389,7 +385,7 @@ fn every_request_frame_matches_its_pinned_digest() {
     check(
         "Request",
         requests(),
-        18,
+        17,
         request_name,
         Request::encode,
         Request::decode,
@@ -401,7 +397,7 @@ fn every_response_frame_matches_its_pinned_digest() {
     check(
         "Response",
         responses(),
-        19,
+        18,
         response_name,
         Response::encode,
         Response::decode,

@@ -6,12 +6,13 @@
 use delta_core::EngineMetrics;
 use delta_core::{Cost, CostLedger};
 use delta_server::{
-    BatchItem, BatchReply, HistogramSnapshot, Request, Response, ShardStats, SqlStage,
-    StatsSnapshot, TelemetrySnapshot,
+    BatchItem, BatchReply, HistogramSnapshot, NodeInfo, NodeOp, NodeRole, Request, Response,
+    ShardStats, SqlStage, StatsSnapshot, TelemetrySnapshot,
 };
 use delta_storage::ObjectId;
 use delta_workload::{QueryEvent, QueryKind, UpdateEvent};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_kind() -> impl Strategy<Value = QueryKind> {
     prop::sample::select(vec![
@@ -89,7 +90,21 @@ fn arb_plain_request() -> impl Strategy<Value = Request> {
         (0u16..512, prop::collection::vec(0u8..=255, 0..256))
             .prop_map(|(shard, state)| Request::ReplicaBootstrap { shard, state }),
         Just(Request::ReplicaStatus),
-        (0u16..512).prop_map(|shard| Request::Promote { shard }),
+        (0u16..512, proptest::bool::ANY)
+            .prop_map(|(shard, fence)| Request::Promote { shard, fence }),
+        // The cluster vocabulary: handshake, pre-split ops and the
+        // reshard verbs.
+        (0u8..=255, 0u64..u64::MAX).prop_map(|(version, epoch)| Request::Hello { version, epoch }),
+        prop::collection::vec((0u16..512, arb_item()), 0..8).prop_map(|ops| {
+            Request::NodeOps(
+                ops.into_iter()
+                    .map(|(shard, item)| NodeOp { shard, item })
+                    .collect(),
+            )
+        }),
+        (0u16..512).prop_map(|shard| Request::DetachShard { shard }),
+        (0u64..u64::MAX).prop_map(|epoch| Request::SetEpoch { epoch }),
+        (0u16..512, 0u16..64).prop_map(|(shard, to_node)| Request::Reshard { shard, to_node }),
     ]
 }
 
@@ -228,6 +243,39 @@ fn arb_batch_reply() -> impl Strategy<Value = BatchReply> {
     ]
 }
 
+fn arb_node_info() -> impl Strategy<Value = NodeInfo> {
+    (
+        prop::sample::select(vec![
+            NodeRole::Standalone,
+            NodeRole::ClusterNode,
+            NodeRole::Router,
+        ]),
+        (0u16..64, 1u16..64, 0u64..u64::MAX, 1u16..512),
+        proptest::string::pattern("[a-z]{0,12}"),
+        (0u64..u64::MAX, 0u64..u64::MAX),
+        prop::collection::vec(0u16..512, 0..16),
+    )
+        .prop_map(
+            |(
+                role,
+                (node, nodes, epoch, cluster_shards),
+                partitioner,
+                (catalog_objects, catalog_bytes),
+                hosted,
+            )| NodeInfo {
+                role,
+                node,
+                nodes,
+                epoch,
+                cluster_shards,
+                partitioner,
+                catalog_objects,
+                catalog_bytes,
+                hosted,
+            },
+        )
+}
+
 fn arb_plain_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         (0u16..64, 0u16..64, 0u16..64).prop_map(|(shards_touched, local_answers, shipped)| {
@@ -280,6 +328,19 @@ fn arb_plain_response() -> impl Strategy<Value = Response> {
         Just(Response::ShutdownOk),
         (0u16..10, proptest::string::pattern("[ -~]{0,60}"))
             .prop_map(|(code, message)| Response::Error { code, message }),
+        // The cluster and replication vocabulary.
+        arb_node_info().prop_map(Response::HelloOk),
+        (0u16..512, prop::collection::vec(0u8..=255, 0..256))
+            .prop_map(|(shard, state)| Response::ShardState { shard, state }),
+        (0u64..u64::MAX).prop_map(|epoch| Response::EpochOk { epoch }),
+        (0u64..u64::MAX).prop_map(|epoch| Response::ReshardOk { epoch }),
+        (0u64..u64::MAX).prop_map(|epoch| Response::WrongEpoch { epoch }),
+        (0u16..512, 0u64..u64::MAX)
+            .prop_map(|(shard, offset)| Response::ReplicaOk { shard, offset }),
+        prop::collection::vec((0u16..512, 0u64..u64::MAX), 0..8)
+            .prop_map(Response::ReplicaStatusOk),
+        (0u16..512, 0u64..u64::MAX)
+            .prop_map(|(shard, offset)| Response::PromoteOk { shard, offset }),
     ]
 }
 
@@ -359,6 +420,78 @@ proptest! {
         encoded[0] = op;
         prop_assert!(Request::decode(&encoded).is_err());
     }
+}
+
+/// Defines `$name`, which names a frame kind through a match with no
+/// wildcard (as `golden_frames.rs` does), and `$all`, the list of those
+/// names, from the same arms: a new variant fails to compile until it
+/// is named, and then fails [`the_strategies_draw_every_frame_kind`]
+/// until the strategies draw it.
+macro_rules! frame_names {
+    ($name:ident, $all:ident, $ty:ty { $($pat:pat => $kind:literal),+ $(,)? }) => {
+        const $all: &[&str] = &[$($kind),+];
+        fn $name(frame: &$ty) -> &'static str {
+            match frame {
+                $($pat => $kind),+
+            }
+        }
+    };
+}
+
+frame_names!(request_name, REQUEST_KINDS, Request {
+    Request::Query(_) => "Query",
+    Request::Update(_) => "Update",
+    Request::Sql { .. } => "Sql",
+    Request::Batch(_) => "Batch",
+    Request::Tagged { .. } => "Tagged",
+    Request::Hello { .. } => "Hello",
+    Request::NodeOps(_) => "NodeOps",
+    Request::DetachShard { .. } => "DetachShard",
+    Request::SetEpoch { .. } => "SetEpoch",
+    Request::Reshard { .. } => "Reshard",
+    Request::Replicate { .. } => "Replicate",
+    Request::ReplicaBootstrap { .. } => "ReplicaBootstrap",
+    Request::ReplicaStatus => "ReplicaStatus",
+    Request::Promote { .. } => "Promote",
+    Request::Stats => "Stats",
+    Request::Telemetry => "Telemetry",
+    Request::Shutdown => "Shutdown",
+});
+
+frame_names!(response_name, RESPONSE_KINDS, Response {
+    Response::QueryOk { .. } => "QueryOk",
+    Response::UpdateOk { .. } => "UpdateOk",
+    Response::SqlOk { .. } => "SqlOk",
+    Response::SqlRejected { .. } => "SqlRejected",
+    Response::BatchOk(_) => "BatchOk",
+    Response::Tagged { .. } => "Tagged",
+    Response::HelloOk(_) => "HelloOk",
+    Response::ShardState { .. } => "ShardState",
+    Response::EpochOk { .. } => "EpochOk",
+    Response::ReshardOk { .. } => "ReshardOk",
+    Response::WrongEpoch { .. } => "WrongEpoch",
+    Response::ReplicaOk { .. } => "ReplicaOk",
+    Response::ReplicaStatusOk(_) => "ReplicaStatusOk",
+    Response::PromoteOk { .. } => "PromoteOk",
+    Response::StatsOk(_) => "StatsOk",
+    Response::TelemetryOk(_) => "TelemetryOk",
+    Response::ShutdownOk => "ShutdownOk",
+    Response::Error { .. } => "Error",
+});
+
+/// The round-trip properties reach every frame kind: 4 096 draws from
+/// each strategy name every request and every response variant.
+#[test]
+fn the_strategies_draw_every_frame_kind() {
+    let mut rng = proptest::test_rng("the_strategies_draw_every_frame_kind");
+    let (requests, responses) = (arb_request(), arb_response());
+    let (mut req_seen, mut resp_seen) = (BTreeSet::new(), BTreeSet::new());
+    for _ in 0..4_096 {
+        req_seen.insert(request_name(&requests.generate(&mut rng)));
+        resp_seen.insert(response_name(&responses.generate(&mut rng)));
+    }
+    assert_eq!(req_seen, REQUEST_KINDS.iter().copied().collect());
+    assert_eq!(resp_seen, RESPONSE_KINDS.iter().copied().collect());
 }
 
 /// A deterministic corpus of specifically hostile frames, separate from
